@@ -51,7 +51,7 @@ Status AdwisePartitioner::Partition(EdgeStream& stream,
   const auto score_edge = [&](const Edge& e) -> ScoredEdge {
     const ScoreTables::Choice choice =
         tables.PickHdrf(e, degrees.degree(e.first), degrees.degree(e.second),
-                        options_.lambda, /*respect_capacity=*/true);
+                        options_.lambda);
     return ScoredEdge{e, choice.partition, choice.score};
   };
 

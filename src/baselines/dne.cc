@@ -108,12 +108,8 @@ Status DnePartitioner::Partition(EdgeStream& stream,
   }
 
   const uint64_t share = edges.empty() ? 0 : (edges.size() + k - 1) / k;
-  // An explicit Options override wins; otherwise the run's ExecContext
-  // decides. Either way the shared helper resolves 0 and caps at k (a
-  // worker per partition is the most DNE can use).
-  const uint32_t num_threads = exec::ResolveThreadCount(
-      options_.num_threads != 0 ? options_.num_threads : config.exec.threads,
-      /*cap=*/k);
+  // A worker per partition is the most DNE can use.
+  const uint32_t num_threads = config.exec.ResolveThreads(/*cap=*/k);
 
   if (!edges.empty()) {
     // Deterministic spread of seeds over the id space; each engine task

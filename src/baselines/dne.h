@@ -14,26 +14,15 @@ namespace tpsl {
 /// slightly below sequential NE (concurrent expansions collide at
 /// cluster borders), run-time is much lower, memory is O(|E|) — the
 /// qualitative position DNE occupies in the paper's Fig. 4.
+///
+/// Workers: PartitionConfig::exec.threads (0 = one per hardware thread)
+/// capped at k, run on the run's exec pool.
 class DnePartitioner : public Partitioner {
  public:
-  struct Options {
-    /// Explicit worker override; 0 = follow PartitionConfig::exec.
-    /// Either way the count resolves through exec::ResolveThreadCount
-    /// (0 = one per hardware thread) capped at k, and the workers run
-    /// on the run's exec pool.
-    uint32_t num_threads = 0;
-  };
-
-  DnePartitioner() = default;
-  explicit DnePartitioner(Options options) : options_(options) {}
-
   std::string name() const override { return "DNE"; }
 
   Status Partition(EdgeStream& stream, const PartitionConfig& config,
                    AssignmentSink& sink, PartitionStats* stats) override;
-
- private:
-  Options options_;
 };
 
 }  // namespace tpsl

@@ -46,7 +46,7 @@ Status HdrfPartitioner::Partition(EdgeStream& stream,
         const PartitionId target =
             tables
                 .PickHdrf(e, partial_degree[e.first], partial_degree[e.second],
-                          options_.lambda, /*respect_capacity=*/true)
+                          options_.lambda)
                 .partition;
         tables.Commit(e, target);
         sink.Assign(e, target);

@@ -112,7 +112,7 @@ Status HepPartitioner::Partition(EdgeStream& stream,
         const PartitionId target =
             tables
                 .PickHdrf(e, degrees.degree(e.first), degrees.degree(e.second),
-                          options_.lambda, /*respect_capacity=*/true)
+                          options_.lambda)
                 .partition;
         tracking_sink.Assign(e, target);
       }));

@@ -34,8 +34,7 @@ struct IndexedAdjacency {
   /// PartitionConfig::exec to opt in.
   static IndexedAdjacency Build(const std::vector<Edge>& edges,
                                 VertexId num_vertices,
-                                const exec::ExecContext& exec =
-                                    exec::ExecContext{/*threads=*/1});
+                                const exec::ExecContext& exec = {});
 
   VertexId num_vertices() const {
     return static_cast<VertexId>(offsets.size() - 1);

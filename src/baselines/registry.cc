@@ -11,29 +11,21 @@
 #include "baselines/multilevel.h"
 #include "baselines/ne.h"
 #include "baselines/sne.h"
-#include "core/parallel_two_phase.h"
 #include "core/two_phase_partitioner.h"
 
 namespace tpsl {
 
 StatusOr<std::unique_ptr<Partitioner>> MakePartitioner(
     const std::string& name) {
-  if (name == "2PS-L") {
+  // The "(par)" names are aliases kept for the scenarios and scripts
+  // that name them: threads come from PartitionConfig::exec.
+  if (name == "2PS-L" || name == "2PS-L(par)") {
     return std::unique_ptr<Partitioner>(new TwoPhasePartitioner());
   }
-  if (name == "2PS-HDRF") {
+  if (name == "2PS-HDRF" || name == "2PS-HDRF(par)") {
     TwoPhasePartitioner::Options options;
     options.scoring = TwoPhasePartitioner::ScoringMode::kHdrf;
     return std::unique_ptr<Partitioner>(new TwoPhasePartitioner(options));
-  }
-  if (name == "2PS-L(par)") {
-    return std::unique_ptr<Partitioner>(new ParallelTwoPhasePartitioner());
-  }
-  if (name == "2PS-HDRF(par)") {
-    ParallelTwoPhasePartitioner::Options options;
-    options.scoring = ParallelTwoPhasePartitioner::ScoringMode::kHdrf;
-    return std::unique_ptr<Partitioner>(
-        new ParallelTwoPhasePartitioner(options));
   }
   if (name == "HDRF") {
     return std::unique_ptr<Partitioner>(new HdrfPartitioner());

@@ -12,7 +12,8 @@ namespace tpsl {
 /// Creates a partitioner by its evaluation name. Supported names:
 /// "2PS-L", "2PS-HDRF", "2PS-L(par)", "2PS-HDRF(par)", "HDRF", "DBH",
 /// "Grid", "Hash", "Greedy", "ADWISE", "NE", "SNE", "DNE", "HEP-1",
-/// "HEP-10", "HEP-100", "METIS*". Returns NotFound for anything else.
+/// "HEP-10", "HEP-100", "METIS*". The "(par)" names are aliases of
+/// "2PS-L" and "2PS-HDRF". Returns NotFound for anything else.
 StatusOr<std::unique_ptr<Partitioner>> MakePartitioner(
     const std::string& name);
 

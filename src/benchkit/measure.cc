@@ -73,6 +73,9 @@ StatusOr<Measurement> MeasureOnEdges(const std::string& partitioner,
                                      uint32_t k) {
   PartitionConfig config;
   config.num_partitions = k;
+  if (partitioner == "DNE") {
+    config.exec.threads = 0;  // DNE is a parallel partitioner (Fig. 4).
+  }
   return MeasureOnEdges(partitioner, dataset, edges, config);
 }
 

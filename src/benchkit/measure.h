@@ -50,7 +50,8 @@ StatusOr<Measurement> MeasureOnEdges(const std::string& partitioner,
                                      const std::vector<Edge>& edges,
                                      const PartitionConfig& config);
 
-/// Same, with the default config at `k` partitions.
+/// Same, with the default config at `k` partitions: one worker, except
+/// DNE, which runs on every hardware thread as in the paper.
 StatusOr<Measurement> MeasureOnEdges(const std::string& partitioner,
                                      const std::string& dataset,
                                      const std::vector<Edge>& edges,

@@ -4,6 +4,8 @@
 #include <vector>
 
 #include "benchkit/runner.h"
+#include "core/two_phase_state.h"
+#include "graph/degrees.h"
 #include "graph/types.h"
 #include "partition/dense_bitset.h"
 #include "partition/replication_table.h"
@@ -43,22 +45,27 @@ struct KernelResult {
   uint64_t checksum = 0;
 };
 
-/// 2PS-L hot loop: the constant-time two-candidate pick plus commit,
-/// against pre-seeded replicas/degrees/volumes. The timed region is
-/// exactly the per-edge work of the core's phase 2.
+/// 2PS-L hot loop: the constant-time two-candidate pick plus the
+/// placement (load claim and replica bits), on the same Phase2State the
+/// core scores against, with pre-seeded replicas/degrees/volumes. The
+/// timed region is exactly the per-edge work of the core's scoring
+/// pass at one worker. The state is uncapped, so every claim lands on
+/// the picked partition.
 KernelResult TwopsPick(uint32_t k, uint64_t seed, uint64_t ops) {
   SplitMix64 rng(seed);
-  ScoreTables tables(kNumVertices, k, ScoreTables::kUncapped);
-  std::vector<uint32_t> degrees(kNumVertices);
-  for (uint32_t& d : degrees) {
+  DegreeTable degrees;
+  degrees.degrees.resize(kNumVertices);
+  for (uint32_t& d : degrees.degrees) {
     d = 1 + static_cast<uint32_t>(rng.NextBounded(63));
   }
+  Phase2State state(degrees, k, ScoreTables::kUncapped, seed,
+                    /*shared=*/false);
   std::vector<uint64_t> volumes(k);
   for (uint64_t& volume : volumes) {
     volume = 1 + rng.NextBounded(1u << 20);
   }
   for (VertexId v = 0; v < kNumVertices; ++v) {
-    tables.replicas().Set(v, static_cast<PartitionId>(rng.NextBounded(k)));
+    state.replicas.Set(v, static_cast<PartitionId>(rng.NextBounded(k)));
   }
   struct Item {
     Edge e;
@@ -76,11 +83,11 @@ KernelResult TwopsPick(uint32_t k, uint64_t seed, uint64_t ops) {
   uint64_t checksum = 0;
   WallTimer timer;
   for (const Item& item : work) {
-    const PartitionId p = PickTwoPhaseLinear(
-        tables.replicas(), item.e, degrees[item.e.first],
-        degrees[item.e.second], volumes[item.p1], volumes[item.p2], item.p1,
-        item.p2);
-    tables.Commit(item.e, p);
+    const PartitionId p = state.Place(
+        item.e, state.PickLinear(item.e, degrees.degree(item.e.first),
+                                 degrees.degree(item.e.second),
+                                 volumes[item.p1], volumes[item.p2], item.p1,
+                                 item.p2));
     checksum = HashCombine(checksum, p);
   }
   return {timer.ElapsedSeconds(), ops, checksum};
@@ -106,8 +113,7 @@ KernelResult HdrfPick(uint32_t k, uint64_t seed, uint64_t ops) {
   WallTimer timer;
   for (const Edge& e : work) {
     const ScoreTables::Choice choice =
-        tables.PickHdrf(e, degrees[e.first], degrees[e.second], kLambda,
-                        /*respect_capacity=*/true);
+        tables.PickHdrf(e, degrees[e.first], degrees[e.second], kLambda);
     tables.Commit(e, choice.partition);
     checksum = HashCombine(checksum, choice.partition);
   }

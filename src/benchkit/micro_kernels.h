@@ -13,7 +13,7 @@ namespace benchkit {
 /// Exposed so tools/bench_runner can assert the per-kernel metrics
 /// exist ("phase_seconds/<name>" and "edges_per_sec/<name>").
 ///
-///   twops_pick       2PS-L two-candidate pick + commit
+///   twops_pick       2PS-L two-candidate pick + placement (Phase2State)
 ///   hdrf_pick        HDRF full-k argmax pick + commit
 ///   bitset_ops       DenseBitset popcount / intersection / or sweeps
 ///   replica_set_test ReplicationTable random set/test mix

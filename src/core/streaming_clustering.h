@@ -54,27 +54,19 @@ struct Clustering {
   }
 };
 
-/// Runs Algorithm 1. `degrees` must cover every vertex id that appears
-/// in `stream`. `num_partitions` is only used to derive the volume cap.
-/// Deterministic; performs `config.num_passes` passes over the stream.
-StatusOr<Clustering> StreamingClustering(EdgeStream& stream,
-                                         const DegreeTable& degrees,
-                                         uint32_t num_partitions,
-                                         const ClusteringConfig& config);
-
-/// Algorithm 1 on the execution engine: the streaming passes ride
-/// exec::ParallelForEdges with the clustering state held in relaxed
-/// atomics, so the clustering phase scales with the same worker pool
-/// as Phase 2 instead of bounding the parallel partitioners at
-/// Amdahl's sequential fraction.
+/// Runs Algorithm 1 (the 2PS-L Phase 1) on the execution engine: the
+/// streaming passes ride exec::ParallelForEdges with the clustering
+/// state held in relaxed atomics, so clustering scales with the same
+/// worker pool as Phase 2. `degrees` must cover every vertex id that
+/// appears in `stream`; `num_partitions` is only used to derive the
+/// volume cap. Performs `config.num_passes` passes over the stream.
 ///
 /// Labeling: clusters are labeled by founding vertex id (v2c[v] = v on
 /// first touch) instead of allocation order, so label assignment needs
 /// no shared counter and no ordering. Migration decisions read only
 /// volumes and degrees — never label values — and compaction renumbers
-/// by first member in vertex-scan order, so with exec.threads == 1
-/// (the engine's in-order inline path) the compacted result is
-/// byte-identical to StreamingClustering.
+/// by first member in vertex-scan order. With exec.threads == 1 (the
+/// engine's in-order inline path) the result is deterministic.
 ///
 /// With threads > 1, workers race on volumes and membership with
 /// relaxed atomics: decisions may use stale volumes and the cap can be
@@ -85,6 +77,13 @@ StatusOr<Clustering> StreamingClustering(EdgeStream& stream,
 StatusOr<Clustering> ParallelStreamingClustering(
     EdgeStream& stream, const DegreeTable& degrees, uint32_t num_partitions,
     const ClusteringConfig& config, const exec::ExecContext& exec);
+
+/// ParallelStreamingClustering on one thread (a default ExecContext):
+/// the deterministic, sequential Algorithm 1.
+StatusOr<Clustering> StreamingClustering(EdgeStream& stream,
+                                         const DegreeTable& degrees,
+                                         uint32_t num_partitions,
+                                         const ClusteringConfig& config);
 
 }  // namespace tpsl
 

@@ -1,32 +1,60 @@
 #include "core/two_phase_partitioner.h"
 
+#include <atomic>
+#include <mutex>
 #include <vector>
 
 #include "core/cluster_schedule.h"
-#include "core/scoring.h"
+#include "core/two_phase_state.h"
+#include "exec/parallel_for_edges.h"
 #include "graph/degrees.h"
 #include "partition/score_tables.h"
-#include "util/random.h"
 #include "util/timer.h"
 
 namespace tpsl {
 namespace {
 
-/// Overflow chain of Algorithm 2: degree-based hashing on the
-/// higher-degree endpoint (line 41), then least-loaded as the last
-/// resort described in the paper's prose.
-PartitionId OverflowTarget(const ScoreTables& tables,
-                           const DegreeTable& degrees, const Edge& e,
-                           uint64_t seed) {
-  const VertexId pivot = degrees.degree(e.first) >= degrees.degree(e.second)
-                             ? e.first
-                             : e.second;
-  const PartitionId hashed = static_cast<PartitionId>(
-      Mix64(HashCombine(seed, pivot)) % tables.num_partitions());
-  if (!tables.IsFull(hashed)) {
-    return hashed;
-  }
-  return tables.LeastLoaded();
+/// One engine-driven pass: workers run `process(edge)`, which returns
+/// the chosen partition or kInvalidPartition to skip; placed edges are
+/// added to `*placed`. Each batch's assignments go out in one
+/// AssignBatch call: lock-free into a ConcurrentSafe sink (the runner's
+/// threads>1 pipeline), under a mutex otherwise.
+template <typename ProcessFn>
+Status ParallelPass(EdgeStream& stream, const exec::ExecContext& exec,
+                    AssignmentSink& sink, const ProcessFn& process,
+                    uint64_t* placed) {
+  std::mutex sink_mutex;
+  const bool concurrent_sink = sink.ConcurrentSafe();
+  std::atomic<uint64_t> total{0};
+  exec::ParallelForEdgesOptions options;
+  options.batch_size = exec.batch_size;
+  options.workers = exec.ResolveThreads();
+  TPSL_RETURN_IF_ERROR(exec::ParallelForEdges(
+      stream, exec.pool_or_global(), options,
+      [&](const Edge* edges, size_t count) -> Status {
+        obs::TraceSpan span("score.batch", "partition");
+        std::vector<Assignment> results;
+        results.reserve(count);
+        for (size_t i = 0; i < count; ++i) {
+          const PartitionId p = process(edges[i]);
+          if (p != kInvalidPartition) {
+            results.push_back({edges[i], p});
+          }
+        }
+        if (!results.empty()) {
+          if (concurrent_sink) {
+            sink.AssignBatch(results.data(), results.size());
+          } else {
+            std::lock_guard<std::mutex> lock(sink_mutex);
+            sink.AssignBatch(results.data(), results.size());
+          }
+          total.fetch_add(results.size(), std::memory_order_relaxed);
+        }
+        ScoredEdgesCounter()->Add(count);
+        return Status::OK();
+      }));
+  *placed += total.load();
+  return Status::OK();
 }
 
 }  // namespace
@@ -42,6 +70,9 @@ Status TwoPhasePartitioner::Partition(EdgeStream& stream,
   if (config.num_partitions == 0) {
     return Status::InvalidArgument("num_partitions must be positive");
   }
+  if (config.exec.batch_size == 0) {
+    return Status::InvalidArgument("exec.batch_size must be positive");
+  }
   PartitionStats local_stats;
   PartitionStats& out = stats != nullptr ? *stats : local_stats;
 
@@ -53,14 +84,15 @@ Status TwoPhasePartitioner::Partition(EdgeStream& stream,
   }
   out.stream_passes += 1;
 
-  // --- Phase 1: streaming clustering. ---
+  // --- Phase 1: streaming clustering on the same engine. ---
   Clustering clustering;
   {
     PhaseTimer timer(&out, "clustering");
     TPSL_ASSIGN_OR_RETURN(
-        clustering, StreamingClustering(stream, degrees,
-                                        config.num_partitions,
-                                        options_.clustering));
+        clustering, ParallelStreamingClustering(stream, degrees,
+                                                config.num_partitions,
+                                                options_.clustering,
+                                                config.exec));
   }
   out.stream_passes += options_.clustering.num_passes;
 
@@ -74,82 +106,51 @@ Status TwoPhasePartitioner::Partition(EdgeStream& stream,
           : ScheduleClustersRoundRobin(clustering.cluster_volumes,
                                        config.num_partitions);
 
-  ScoreTables tables(degrees.num_vertices(), config.num_partitions,
-                     config.PartitionCapacity(degrees.num_edges));
-  tables.AttachDegrees(degrees.degrees.data());
-  tables.AttachClusterVolumes(clustering.cluster_volumes.data());
+  Phase2State state(degrees, config.num_partitions,
+                    config.PartitionCapacity(degrees.num_edges), config.seed,
+                    /*shared=*/config.exec.ResolveThreads() > 1);
 
   out.state_bytes = degrees.degrees.size() * sizeof(uint32_t) +
                     clustering.HeapBytes() + schedule.HeapBytes() +
-                    tables.HeapBytes();
+                    state.HeapBytes();
 
-  const auto cluster_of = [&clustering](VertexId v) {
-    return clustering.vertex_cluster[v];
-  };
-  const auto partition_of_cluster = [&schedule](ClusterId c) {
-    return schedule.cluster_partition[c];
-  };
-  const auto commit = [&](const Edge& e, PartitionId target) {
-    if (tables.IsFull(target)) {
-      target = OverflowTarget(tables, degrees, e, config.seed);
-    }
-    tables.Commit(e, target);
-    sink.Assign(e, target);
-  };
-  const auto prefetch = [&](const Edge& e) { tables.PrefetchEdge(e); };
-
-  // Step 2: pre-partition edges whose endpoints share a cluster or
-  // whose clusters are mapped to the same partition (lines 16-26).
-  TPSL_RETURN_IF_ERROR(
-      ForEachEdgePrefetched(stream, prefetch, [&](const Edge& e) {
-        const ClusterId c1 = cluster_of(e.first);
-        const ClusterId c2 = cluster_of(e.second);
-        const PartitionId p1 = partition_of_cluster(c1);
-        const PartitionId p2 = partition_of_cluster(c2);
-        if (c1 != c2 && p1 != p2) {
-          return;  // Handled by the scoring pass.
-        }
-        commit(e, p1);
-        ++out.prepartitioned_edges;
-      }));
-  out.stream_passes += 1;
-
-  // Step 3: stream the remaining edges (lines 27-44).
+  // Two passes classify every edge the same way. Step 2 places edges
+  // whose endpoints share a cluster or whose clusters are mapped to the
+  // same partition (lines 16-26); step 3 scores the rest (lines 27-44).
   const bool linear = options_.scoring == ScoringMode::kLinear;
-  TPSL_RETURN_IF_ERROR(
-      ForEachEdgePrefetched(stream, prefetch, [&](const Edge& e) {
-        const ClusterId c1 = cluster_of(e.first);
-        const ClusterId c2 = cluster_of(e.second);
-        const PartitionId p1 = partition_of_cluster(c1);
-        const PartitionId p2 = partition_of_cluster(c2);
-        if (c1 == c2 || p1 == p2) {
-          return;  // Already pre-partitioned.
-        }
-
-        const uint32_t du = tables.degree(e.first);
-        const uint32_t dv = tables.degree(e.second);
-        PartitionId target;
-        if (linear) {
+  for (const bool prepartition : {true, false}) {
+    TPSL_RETURN_IF_ERROR(ParallelPass(
+        stream, config.exec, sink,
+        [&](const Edge& e) -> PartitionId {
+          const ClusterId c1 = clustering.vertex_cluster[e.first];
+          const ClusterId c2 = clustering.vertex_cluster[e.second];
+          const PartitionId p1 = schedule.cluster_partition[c1];
+          const PartitionId p2 = schedule.cluster_partition[c2];
+          if ((c1 == c2 || p1 == p2) != prepartition) {
+            return kInvalidPartition;  // The other pass places it.
+          }
+          if (prepartition) {
+            return state.Place(e, p1);
+          }
+          const uint32_t du = degrees.degree(e.first);
+          const uint32_t dv = degrees.degree(e.second);
+          if (!linear) {
+            return state.Place(
+                e, state.PickHdrf(e, du, dv, options_.hdrf_lambda));
+          }
           // 2PS-L: score exactly the two candidate partitions.
-          const uint64_t vol1 =
-              options_.use_cluster_volume_term ? tables.cluster_volume(c1) : 0;
-          const uint64_t vol2 =
-              options_.use_cluster_volume_term ? tables.cluster_volume(c2) : 0;
-          target = PickTwoPhaseLinear(tables.replicas(), e, du, dv, vol1, vol2,
-                                      p1, p2);
-        } else {
-          // 2PS-HDRF: HDRF scoring over all k partitions; capacity is
-          // resolved by the overflow chain, not by skipping here.
-          target = tables
-                       .PickHdrf(e, du, dv, options_.hdrf_lambda,
-                                 /*respect_capacity=*/false)
-                       .partition;
-        }
-
-        commit(e, target);
-        ++out.remaining_edges;
-      }));
-  out.stream_passes += 1;
+          const uint64_t vol1 = options_.use_cluster_volume_term
+                                    ? clustering.cluster_volumes[c1]
+                                    : 0;
+          const uint64_t vol2 = options_.use_cluster_volume_term
+                                    ? clustering.cluster_volumes[c2]
+                                    : 0;
+          return state.Place(e,
+                             state.PickLinear(e, du, dv, vol1, vol2, p1, p2));
+        },
+        prepartition ? &out.prepartitioned_edges : &out.remaining_edges));
+    out.stream_passes += 1;
+  }
 
   return Status::OK();
 }

@@ -20,6 +20,14 @@ namespace tpsl {
 /// The same class implements 2PS-HDRF (paper §V-D): identical Phase 1
 /// and pre-partitioning, but the remaining edges are scored with the
 /// HDRF function over all k partitions (O(|E|·k) worst case).
+///
+/// Every pass but the degree count runs on the execution engine
+/// (exec::ParallelForEdges over PartitionConfig::exec), with loads
+/// claimed by CAS so the balance cap holds at any thread count. With
+/// exec.threads == 1 (the default) the run is deterministic. With more
+/// threads, workers see slightly stale replication bits — the paper's
+/// "staleness in state synchronization ... can lead to lower
+/// partitioning quality" — and the emission order is nondeterministic.
 class TwoPhasePartitioner : public Partitioner {
  public:
   enum class ScoringMode {

@@ -1,0 +1,204 @@
+#ifndef TPSL_CORE_TWO_PHASE_STATE_H_
+#define TPSL_CORE_TWO_PHASE_STATE_H_
+
+#include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <vector>
+
+#include "core/scoring.h"
+#include "graph/degrees.h"
+#include "graph/types.h"
+#include "util/random.h"
+
+namespace tpsl {
+
+/// Lock-free vertex-to-partition replication bit matrix. Under
+/// concurrency readers may observe slightly stale bits (benign: only
+/// affects scoring quality, never correctness). Unless `shared`, one
+/// worker owns it, and Set is a plain load and store: exact without the
+/// lock-prefixed RMW.
+class AtomicReplicationBits {
+ public:
+  // std::atomic value-initializes, so every bit starts cleared.
+  AtomicReplicationBits(VertexId num_vertices, uint32_t num_partitions,
+                        bool shared)
+      : num_partitions_(num_partitions),
+        shared_(shared),
+        words_((static_cast<uint64_t>(num_vertices) * num_partitions + 63) /
+               64) {}
+
+  bool Test(VertexId v, PartitionId p) const {
+    const uint64_t bit = Index(v, p);
+    return (words_[bit >> 6].load(std::memory_order_relaxed) >> (bit & 63)) &
+           1;
+  }
+
+  void Set(VertexId v, PartitionId p) {
+    const uint64_t bit = Index(v, p);
+    std::atomic<uint64_t>& word = words_[bit >> 6];
+    const uint64_t mask = uint64_t{1} << (bit & 63);
+    const uint64_t current = word.load(std::memory_order_relaxed);
+    if (!shared_) {
+      word.store(current | mask, std::memory_order_relaxed);
+    } else if ((current & mask) == 0) {
+      // Check-then-set: most endpoints are already replicated there,
+      // and the plain load keeps those off the lock-prefixed RMW.
+      word.fetch_or(mask, std::memory_order_relaxed);
+    }
+  }
+
+  uint64_t HeapBytes() const {
+    return words_.size() * sizeof(std::atomic<uint64_t>);
+  }
+
+ private:
+  uint64_t Index(VertexId v, PartitionId p) const {
+    return static_cast<uint64_t>(v) * num_partitions_ + p;
+  }
+
+  uint32_t num_partitions_;
+  bool shared_;
+  std::vector<std::atomic<uint64_t>> words_;
+};
+
+/// Claims one load slot of a partition if it is below `capacity`: by
+/// CAS when `shared`, by a plain load and store for a single worker.
+inline bool TryClaim(std::atomic<uint64_t>& load, uint64_t capacity,
+                     bool shared) {
+  uint64_t current = load.load(std::memory_order_relaxed);
+  if (!shared) {
+    if (current >= capacity) {
+      return false;
+    }
+    load.store(current + 1, std::memory_order_relaxed);
+    return true;
+  }
+  while (current < capacity) {
+    if (load.compare_exchange_weak(current, current + 1,
+                                   std::memory_order_relaxed)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// 2PS-L Phase-2 state of the engine's workers: the replication bits
+/// and the partition loads, claimed (by CAS when `shared` by several
+/// workers) before an edge is committed.
+struct Phase2State {
+  Phase2State(const DegreeTable& degree_table, uint32_t num_partitions,
+              uint64_t partition_capacity, uint64_t hash_seed,
+              bool shared_state)
+      : degrees(degree_table),
+        replicas(degree_table.num_vertices(), num_partitions, shared_state),
+        loads(num_partitions),
+        capacity(partition_capacity),
+        seed(hash_seed),
+        shared(shared_state) {}
+
+  /// Claims a partition for `e` and records both endpoints' replicas:
+  /// `preferred`, then the overflow chain of Algorithm 2 — degree-based
+  /// hashing on the higher-degree endpoint (line 41), then the
+  /// least-loaded partition as the last resort the paper's prose
+  /// describes. The CAS retry loops only matter under concurrency; some
+  /// partition is always open while edges remain (k * capacity >= |E|).
+  PartitionId Place(const Edge& e, PartitionId preferred) {
+    const PartitionId target = Claim(e, preferred);
+    replicas.Set(e.first, target);
+    replicas.Set(e.second, target);
+    return target;
+  }
+
+  PartitionId Claim(const Edge& e, PartitionId preferred) {
+    if (TryClaim(loads[preferred], capacity, shared)) {
+      return preferred;
+    }
+    const VertexId pivot = degrees.degree(e.first) >= degrees.degree(e.second)
+                               ? e.first
+                               : e.second;
+    const uint32_t k = static_cast<uint32_t>(loads.size());
+    const PartitionId hashed =
+        static_cast<PartitionId>(Mix64(HashCombine(seed, pivot)) % k);
+    if (hashed != preferred && TryClaim(loads[hashed], capacity, shared)) {
+      return hashed;
+    }
+    for (;;) {  // Re-scanned on CAS failure.
+      PartitionId best = 0;
+      uint64_t best_load = loads[0].load(std::memory_order_relaxed);
+      for (PartitionId p = 1; p < k; ++p) {
+        const uint64_t load = loads[p].load(std::memory_order_relaxed);
+        if (load < best_load) {
+          best = p;
+          best_load = load;
+        }
+      }
+      if (TryClaim(loads[best], capacity, shared)) {
+        return best;
+      }
+    }
+  }
+
+  /// 2PS-L constant-time pick: scores exactly the two candidate
+  /// partitions (§III-B Step 3), ties going to p1 (score1 >= score2).
+  PartitionId PickLinear(const Edge& e, uint32_t du, uint32_t dv,
+                         uint64_t vol1, uint64_t vol2, PartitionId p1,
+                         PartitionId p2) const {
+    const uint64_t degree_sum = static_cast<uint64_t>(du) + dv;
+    const uint64_t volume_sum = vol1 + vol2;
+    const double score1 =
+        TwopsReplicationTerm(replicas.Test(e.first, p1), du, degree_sum) +
+        TwopsReplicationTerm(replicas.Test(e.second, p1), dv, degree_sum) +
+        TwopsClusterTerm(true, vol1, volume_sum);
+    const double score2 =
+        TwopsReplicationTerm(replicas.Test(e.first, p2), du, degree_sum) +
+        TwopsReplicationTerm(replicas.Test(e.second, p2), dv, degree_sum) +
+        TwopsClusterTerm(true, vol2, volume_sum);
+    return score1 >= score2 ? p1 : p2;
+  }
+
+  /// 2PS-HDRF: HDRF over all k partitions with relaxed (stale-tolerant)
+  /// load reads. Capacity is left to the overflow chain of Place.
+  PartitionId PickHdrf(const Edge& e, uint32_t du, uint32_t dv,
+                       double lambda) const {
+    uint64_t max_load = 0;
+    uint64_t min_load = UINT64_MAX;
+    for (const auto& load : loads) {
+      const uint64_t value = load.load(std::memory_order_relaxed);
+      max_load = std::max(max_load, value);
+      min_load = std::min(min_load, value);
+    }
+    double best_score = -1.0;
+    PartitionId best = 0;
+    for (PartitionId p = 0; p < loads.size(); ++p) {
+      // Re-reads may exceed the max snapshot under concurrency; clamp
+      // so the balance term never underflows.
+      const uint64_t load =
+          std::min(loads[p].load(std::memory_order_relaxed), max_load);
+      const double score =
+          HdrfReplicationScore(replicas.Test(e.first, p),
+                               replicas.Test(e.second, p), du, dv) +
+          HdrfBalanceScore(load, max_load, min_load, lambda);
+      if (score > best_score) {
+        best_score = score;
+        best = p;
+      }
+    }
+    return best;
+  }
+
+  uint64_t HeapBytes() const {
+    return replicas.HeapBytes() + loads.size() * sizeof(std::atomic<uint64_t>);
+  }
+
+  const DegreeTable& degrees;
+  AtomicReplicationBits replicas;
+  std::vector<std::atomic<uint64_t>> loads;
+  const uint64_t capacity;
+  const uint64_t seed;
+  const bool shared;
+};
+
+}  // namespace tpsl
+
+#endif  // TPSL_CORE_TWO_PHASE_STATE_H_

@@ -10,13 +10,14 @@ namespace exec {
 
 /// How much parallelism a run may use and where it comes from. Carried
 /// through PartitionConfig so one knob reaches every parallel
-/// partitioner (parallel 2PS-L/2PS-HDRF, DNE) and the ingest scenario
-/// runner; tools expose it as --threads.
+/// partitioner (2PS-L/2PS-HDRF, DNE, the NE-family adjacency build) and
+/// the ingest scenario runner; tools expose it as --threads.
 struct ExecContext {
-  /// Worker threads; 0 = one per hardware thread. 1 makes every
-  /// engine-driven partitioner run sequentially (and deterministically:
-  /// ParallelForEdges degrades to an in-order inline loop).
-  uint32_t threads = 0;
+  /// Worker threads; 0 = one per hardware thread. The default 1 makes
+  /// every engine-driven partitioner run sequentially (and
+  /// deterministically: ParallelForEdges degrades to an in-order inline
+  /// loop), so parallelism is always opted into.
+  uint32_t threads = 1;
 
   /// Edges per dispatched work unit of ParallelForEdges.
   uint32_t batch_size = 8192;

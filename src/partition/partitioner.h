@@ -30,10 +30,9 @@ struct PartitionConfig {
   uint64_t seed = 42;
 
   /// Execution engine settings (worker threads, batch size, pool) for
-  /// partitioners with parallel paths — parallel 2PS-L/2PS-HDRF and
-  /// DNE run on exec.threads workers from exec.pool_or_global();
-  /// sequential partitioners ignore it. The defaults (threads=0 =
-  /// hardware concurrency) preserve the old behavior.
+  /// partitioners with parallel paths — 2PS-L/2PS-HDRF and DNE run on
+  /// exec.threads workers from exec.pool_or_global(); sequential
+  /// partitioners ignore it. The default is one thread.
   exec::ExecContext exec;
 
   /// Maximum edge capacity of one partition for a graph with

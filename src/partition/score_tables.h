@@ -15,17 +15,15 @@
 namespace tpsl {
 
 /// The shared partitioner-state kernel: every stateful scoring loop in
-/// the repo (2PS-L/2PS-HDRF cores, the HDRF/Greedy/ADWISE/HEP/SNE/DNE
-/// baselines, the hypergraph path) scores against this one struct
+/// the repo (the HDRF/Greedy/ADWISE/HEP/SNE/DNE baselines, the
+/// hypergraph path) scores against this one struct
 /// instead of carrying its own ad-hoc copies of the same arrays.
 ///
 /// Layout is deliberately flat — the HDRF idiom (Petroni et al.,
 /// CIKM'15) where the score decomposes into per-partition arrays:
 ///   * `v2p` replication bit matrix (ReplicationTable on DenseBitset),
 ///     with per-partition cover counts |V(p_i)|,
-///   * per-partition edge loads |p_i| with the running max,
-///   * optional non-owning views of the degree and cluster-volume
-///     arrays (owned by DegreeTable / Clustering).
+///   * per-partition edge loads |p_i| with the running max.
 /// Scoring helpers preserve each caller's exact iteration order and
 /// tie-breaking, so migrating a partitioner onto the kernel is
 /// byte-identical (enforced by the state_kernel_identity_test golden
@@ -125,18 +123,6 @@ class ScoreTables {
     replicas_.PrefetchRow(e.second);
   }
 
-  // --- Optional flat views of sibling state (non-owning). ---
-
-  void AttachDegrees(const uint32_t* degrees) { degrees_ = degrees; }
-  void AttachClusterVolumes(const uint64_t* volumes) {
-    cluster_volumes_ = volumes;
-  }
-  uint32_t degree(VertexId v) const { return degrees_[v]; }
-  uint64_t cluster_volume(ClusterId c) const { return cluster_volumes_[c]; }
-  void PrefetchDegree(VertexId v) const {
-    __builtin_prefetch(degrees_ + v, /*rw=*/0, /*locality=*/3);
-  }
-
   // --- Score-then-assign helpers (exact legacy arithmetic). ---
 
   struct Choice {
@@ -144,16 +130,15 @@ class ScoreTables {
     double score = -1.0;
   };
 
-  /// HDRF argmax over all k partitions: replication score plus balance
-  /// term against (running max, scanned min). `respect_capacity`
-  /// skips full partitions (the HDRF/HEP/ADWISE hard-cap convention);
-  /// the 2PS-HDRF core passes false and resolves overflow afterwards.
-  Choice PickHdrf(const Edge& e, uint32_t du, uint32_t dv, double lambda,
-                  bool respect_capacity) const {
+  /// HDRF argmax over the open partitions: replication score plus
+  /// balance term against (running max, scanned min). Full partitions
+  /// are skipped (the HDRF/HEP/ADWISE hard-cap convention).
+  Choice PickHdrf(const Edge& e, uint32_t du, uint32_t dv,
+                  double lambda) const {
     const uint64_t min_load = MinLoad();
     Choice choice;
     for (PartitionId p = 0; p < loads_.size(); ++p) {
-      if (respect_capacity && loads_[p] >= capacity_) {
+      if (loads_[p] >= capacity_) {
         continue;
       }
       const double score =
@@ -213,40 +198,15 @@ class ScoreTables {
   std::vector<uint64_t> loads_;
   uint64_t capacity_;
   uint64_t max_load_ = 0;
-  const uint32_t* degrees_ = nullptr;
-  const uint64_t* cluster_volumes_ = nullptr;
 };
-
-/// 2PS-L constant-time pick: scores exactly the two candidate
-/// partitions (§III-B Step 3) and keeps the sequential tie-break
-/// (score1 >= score2 → p1). Templated over the replica view so the
-/// sequential ReplicationTable and the parallel core's atomic bit
-/// matrix share one formula.
-template <typename ReplicaView>
-PartitionId PickTwoPhaseLinear(const ReplicaView& replicas, const Edge& e,
-                               uint32_t du, uint32_t dv, uint64_t vol1,
-                               uint64_t vol2, PartitionId p1,
-                               PartitionId p2) {
-  const uint64_t degree_sum = static_cast<uint64_t>(du) + dv;
-  const uint64_t volume_sum = vol1 + vol2;
-  const double score1 =
-      TwopsReplicationTerm(replicas.Test(e.first, p1), du, degree_sum) +
-      TwopsReplicationTerm(replicas.Test(e.second, p1), dv, degree_sum) +
-      TwopsClusterTerm(true, vol1, volume_sum);
-  const double score2 =
-      TwopsReplicationTerm(replicas.Test(e.first, p2), du, degree_sum) +
-      TwopsReplicationTerm(replicas.Test(e.second, p2), dv, degree_sum) +
-      TwopsClusterTerm(true, vol2, volume_sum);
-  return score1 >= score2 ? p1 : p2;
-}
 
 /// How many edges ahead the batched loops prefetch. Far enough to beat
 /// a memory round-trip at a few ns per scored edge, near enough that
 /// the lines are still resident when used.
 inline constexpr size_t kScorePrefetchDistance = 8;
 
-/// The shared per-batch throughput counter behind every sequential
-/// scoring loop: one relaxed Add per 4096-edge batch, so obs snapshots
+/// The shared per-batch throughput counter behind every scoring loop:
+/// one relaxed Add per batch, so obs snapshots
 /// can report edges scored without touching the per-edge path.
 inline obs::Counter* ScoredEdgesCounter() {
   static obs::Counter* counter =

@@ -135,6 +135,21 @@ TEST(ExecContextTest, DefaultsToGlobalPool) {
   EXPECT_EQ(context.ResolveThreads(/*cap=*/3), 3u);
 }
 
+// Parallelism is opted into: a default context (and so a default
+// PartitionConfig) runs engine-driven partitioners on one thread, while
+// an explicit 0 still means one worker per hardware thread.
+TEST(ExecContextTest, DefaultIsOneThreadAndZeroMeansHardware) {
+  ExecContext context;
+  EXPECT_EQ(context.threads, 1u);
+  EXPECT_EQ(context.ResolveThreads(), 1u);
+  context.threads = 0;
+  EXPECT_EQ(context.ResolveThreads(), ResolveThreadCount(0));
+  const uint32_t hardware = std::thread::hardware_concurrency();
+  if (hardware != 0) {
+    EXPECT_EQ(context.ResolveThreads(), hardware);
+  }
+}
+
 std::vector<Edge> MakeEdges(size_t count) {
   std::vector<Edge> edges;
   edges.reserve(count);

@@ -1,8 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
-#include "core/parallel_two_phase.h"
+#include "baselines/registry.h"
 #include "core/two_phase_partitioner.h"
 #include "exec/thread_pool.h"
 #include "graph/datasets.h"
@@ -25,30 +26,43 @@ PartitionConfig ConfigWithThreads(uint32_t k, uint32_t threads) {
   return config;
 }
 
+// Multi-threaded 2PS-L and 2PS-HDRF: one TwoPhasePartitioner, threads
+// from PartitionConfig::exec. The one-thread assignment streams are
+// pinned by state_kernel_identity_test.
+
 TEST(ParallelTwoPhaseTest, SatisfiesContract) {
-  ParallelTwoPhasePartitioner partitioner;
+  TwoPhasePartitioner partitioner;
   const auto edges = TestGraph();
   InMemoryEdgeStream stream(edges);
-  PartitionConfig config;
-  config.num_partitions = 32;
-  auto result = RunPartitioner(partitioner, stream, config);
+  auto result = RunPartitioner(partitioner, stream, ConfigWithThreads(32, 4));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->quality.num_edges, edges.size());
   EXPECT_GE(result->quality.replication_factor, 1.0);
 }
 
+TEST(ParallelTwoPhaseTest, ParNamesAreAliases) {
+  for (const auto& [alias, name] :
+       {std::pair{"2PS-L(par)", "2PS-L"}, {"2PS-HDRF(par)", "2PS-HDRF"}}) {
+    auto partitioner = MakePartitioner(alias);
+    ASSERT_TRUE(partitioner.ok()) << alias;
+    EXPECT_EQ((*partitioner)->name(), name);
+    EXPECT_NE(dynamic_cast<TwoPhasePartitioner*>(partitioner->get()),
+              nullptr)
+        << alias;
+  }
+}
+
 TEST(ParallelTwoPhaseTest, QualityCloseToSequential) {
   const auto edges = TestGraph();
 
-  TwoPhasePartitioner sequential;
+  TwoPhasePartitioner partitioner;
   InMemoryEdgeStream stream_a(edges);
-  auto serial = RunPartitioner(sequential, stream_a,
+  auto serial = RunPartitioner(partitioner, stream_a,
                                ConfigWithThreads(32, 1));
   ASSERT_TRUE(serial.ok());
 
-  ParallelTwoPhasePartitioner parallel;
   InMemoryEdgeStream stream_b(edges);
-  auto concurrent = RunPartitioner(parallel, stream_b,
+  auto concurrent = RunPartitioner(partitioner, stream_b,
                                    ConfigWithThreads(32, 8));
   ASSERT_TRUE(concurrent.ok());
 
@@ -60,7 +74,7 @@ TEST(ParallelTwoPhaseTest, QualityCloseToSequential) {
 }
 
 TEST(ParallelTwoPhaseTest, SingleThreadWorks) {
-  ParallelTwoPhasePartitioner partitioner;
+  TwoPhasePartitioner partitioner;
   const auto edges = TestGraph();
   InMemoryEdgeStream stream(edges);
   auto result =
@@ -68,86 +82,45 @@ TEST(ParallelTwoPhaseTest, SingleThreadWorks) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 }
 
-/// The engine contract the 2psl_par_*_t1 baseline anchor relies on:
-/// with one worker ParallelForEdges degrades to an in-order inline
-/// loop and the parallel partitioner's per-edge decision chain
-/// (scoring, overflow hashing, least-loaded fallback) matches the
-/// sequential implementation step for step — so the produced
-/// partitions must be byte-identical, not merely equal in quality.
-TEST(ParallelTwoPhaseTest, SingleThreadMatchesSequential2pslExactly) {
-  const auto edges = TestGraph();
-
-  RunOptions keep;
-  keep.keep_partitions = true;
-  TwoPhasePartitioner sequential;
-  InMemoryEdgeStream stream_a(edges);
-  auto serial = RunPartitioner(sequential, stream_a, ConfigWithThreads(32, 1),
-                               keep);
-  ASSERT_TRUE(serial.ok());
-
-  ParallelTwoPhasePartitioner parallel;
-  InMemoryEdgeStream stream_b(edges);
-  auto single = RunPartitioner(parallel, stream_b, ConfigWithThreads(32, 1),
-                               keep);
-  ASSERT_TRUE(single.ok());
-
-  ASSERT_EQ(serial->partitions.size(), single->partitions.size());
-  for (size_t p = 0; p < serial->partitions.size(); ++p) {
-    EXPECT_EQ(serial->partitions[p], single->partitions[p])
-        << "partition " << p << " differs";
-  }
-  EXPECT_EQ(serial->quality.replication_factor,
-            single->quality.replication_factor);
-}
-
-/// Same anchor for the HDRF scoring mode (2PS-HDRF(par) vs 2PS-HDRF).
-TEST(ParallelTwoPhaseTest, SingleThreadMatchesSequentialHdrfExactly) {
-  const auto edges = TestGraph();
-
-  TwoPhasePartitioner::Options seq_options;
-  seq_options.scoring = TwoPhasePartitioner::ScoringMode::kHdrf;
-  RunOptions keep;
-  keep.keep_partitions = true;
-  TwoPhasePartitioner sequential(seq_options);
-  InMemoryEdgeStream stream_a(edges);
-  auto serial = RunPartitioner(sequential, stream_a, ConfigWithThreads(16, 1),
-                               keep);
-  ASSERT_TRUE(serial.ok());
-
-  ParallelTwoPhasePartitioner::Options par_options;
-  par_options.scoring = ParallelTwoPhasePartitioner::ScoringMode::kHdrf;
-  ParallelTwoPhasePartitioner parallel(par_options);
-  InMemoryEdgeStream stream_b(edges);
-  auto single = RunPartitioner(parallel, stream_b, ConfigWithThreads(16, 1),
-                               keep);
-  ASSERT_TRUE(single.ok());
-
-  ASSERT_EQ(serial->partitions.size(), single->partitions.size());
-  for (size_t p = 0; p < serial->partitions.size(); ++p) {
-    EXPECT_EQ(serial->partitions[p], single->partitions[p])
-        << "partition " << p << " differs";
-  }
-}
-
 TEST(ParallelTwoPhaseTest, CoversAllEdgesAcrossThreadCounts) {
   const auto edges = TestGraph();
-  for (const uint32_t threads : {2u, 4u, 16u}) {
-    ParallelTwoPhasePartitioner partitioner;
-    InMemoryEdgeStream stream(edges);
-    PartitionConfig config = ConfigWithThreads(16, threads);
-    config.exec.batch_size = 1024;
-    EdgeListSink sink(16);
-    PartitionStats stats;
-    ASSERT_TRUE(partitioner.Partition(stream, config, sink, &stats).ok());
-    EXPECT_EQ(stats.prepartitioned_edges + stats.remaining_edges,
-              edges.size())
-        << threads;
+  TwoPhasePartitioner::Options hdrf;
+  hdrf.scoring = TwoPhasePartitioner::ScoringMode::kHdrf;
+  for (const TwoPhasePartitioner::Options& options :
+       {TwoPhasePartitioner::Options(), hdrf}) {
+    TwoPhasePartitioner partitioner(options);
+    for (const uint32_t threads : {2u, 4u, 16u}) {
+      InMemoryEdgeStream stream(edges);
+      PartitionConfig config = ConfigWithThreads(16, threads);
+      config.exec.batch_size = 1024;
+      EdgeListSink sink(16);
+      PartitionStats stats;
+      ASSERT_TRUE(partitioner.Partition(stream, config, sink, &stats).ok());
+      EXPECT_EQ(stats.prepartitioned_edges + stats.remaining_edges,
+                edges.size())
+          << partitioner.name() << " threads=" << threads;
+    }
   }
+}
+
+/// The ablation options ride the same engine: round-robin scheduling
+/// and the volume-free score keep the hard cap under concurrency
+/// (RunPartitioner validates it).
+TEST(ParallelTwoPhaseTest, AblationOptionsHoldCapMultiThreaded) {
+  const auto edges = TestGraph();
+  TwoPhasePartitioner::Options options;
+  options.scheduling = TwoPhasePartitioner::SchedulingMode::kRoundRobin;
+  options.use_cluster_volume_term = false;
+  TwoPhasePartitioner partitioner(options);
+  InMemoryEdgeStream stream(edges);
+  auto result = RunPartitioner(partitioner, stream, ConfigWithThreads(16, 4));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->quality.num_edges, edges.size());
 }
 
 TEST(ParallelTwoPhaseTest, RunsOnAnOwnedPool) {
   exec::ThreadPool pool(3);
-  ParallelTwoPhasePartitioner partitioner;
+  TwoPhasePartitioner partitioner;
   const auto edges = TestGraph();
   InMemoryEdgeStream stream(edges);
   PartitionConfig config = ConfigWithThreads(16, 3);
@@ -158,7 +131,7 @@ TEST(ParallelTwoPhaseTest, RunsOnAnOwnedPool) {
 }
 
 TEST(ParallelTwoPhaseTest, RejectsBadExecConfig) {
-  ParallelTwoPhasePartitioner partitioner;
+  TwoPhasePartitioner partitioner;
   InMemoryEdgeStream stream({{0, 1}});
   PartitionConfig config;
   config.exec.batch_size = 0;

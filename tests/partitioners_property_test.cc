@@ -66,6 +66,17 @@ const char* GraphKindName(GraphKind kind) {
 
 using ParamType = std::tuple<std::string, GraphKind, uint32_t>;
 
+/// DNE is a parallel partitioner: its contract rows run on four workers
+/// so the parallel expansion is what gets checked.
+PartitionConfig ContractConfig(const std::string& name, uint32_t k) {
+  PartitionConfig config;
+  config.num_partitions = k;
+  if (name == "DNE") {
+    config.exec.threads = 4;
+  }
+  return config;
+}
+
 class PartitionerContractTest : public testing::TestWithParam<ParamType> {};
 
 TEST_P(PartitionerContractTest, SatisfiesPartitioningContract) {
@@ -75,8 +86,7 @@ TEST_P(PartitionerContractTest, SatisfiesPartitioningContract) {
 
   const std::vector<Edge> edges = MakeGraph(kind);
   InMemoryEdgeStream stream(edges);
-  PartitionConfig config;
-  config.num_partitions = k;
+  const PartitionConfig config = ContractConfig(name, k);
 
   // RunPartitioner validates (a) every edge assigned once and (b) the
   // capacity bound for cap-enforcing partitioners.
@@ -127,8 +137,7 @@ TEST_P(PartitionerContractTest, StreamingQualityMatchesOracleExactly) {
 
   const std::vector<Edge> edges = MakeGraph(kind);
   InMemoryEdgeStream stream(edges);
-  PartitionConfig config;
-  config.num_partitions = k;
+  const PartitionConfig config = ContractConfig(name, k);
   RunOptions options;
   options.keep_partitions = true;
 

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "baselines/registry.h"
+#include "core/two_phase_partitioner.h"
 #include "graph/generators.h"
 #include "graph/in_memory_edge_stream.h"
 #include "graph/types.h"
@@ -241,10 +242,44 @@ const GoldenRow kGoldenRows[] = {
     {"METIS*", "uniform", 32, 0xc18eb4d0a6ba261aULL},
 };
 
+/// 2PS-L ablation options no registry name reaches: round-robin
+/// cluster scheduling and the score without the cluster-volume term.
+/// Captured from the sequential implementation before 2PS-L was folded
+/// onto the execution engine (threads=1, default PartitionConfig
+/// otherwise).
+struct OptionRow {
+  const char* option;
+  const char* family;
+  uint32_t k;
+  uint64_t digest;
+};
+
+const OptionRow kOptionRows[] = {
+    {"round-robin", "social", 2, 0xd93c189ec938eaaeULL},
+    {"round-robin", "social", 5, 0x1ee1412929cccf88ULL},
+    {"round-robin", "social", 32, 0xbccc27245c812376ULL},
+    {"no-volume-term", "social", 2, 0x45761462f95e8156ULL},
+    {"no-volume-term", "social", 5, 0x1dc2ddce43372652ULL},
+    {"no-volume-term", "social", 32, 0x9b81a10b8a3ede46ULL},
+    {"round-robin", "community", 2, 0xc74fec5e2f2661f5ULL},
+    {"round-robin", "community", 5, 0x3940be62aaf98e31ULL},
+    {"round-robin", "community", 32, 0x4fd62edc2b61f108ULL},
+    {"no-volume-term", "community", 2, 0x7f96c4faadf4070cULL},
+    {"no-volume-term", "community", 5, 0x6f0e9a48f9ef0780ULL},
+    {"no-volume-term", "community", 32, 0x13cdb29c1c10e445ULL},
+    {"round-robin", "uniform", 2, 0x4ac641c905ad3443ULL},
+    {"round-robin", "uniform", 5, 0xe9060a66ebf6a720ULL},
+    {"round-robin", "uniform", 32, 0x4a4001f43e42dcf9ULL},
+    {"no-volume-term", "uniform", 2, 0x7cd87ae2e0a9b02bULL},
+    {"no-volume-term", "uniform", 5, 0x2cb825bc41f1a080ULL},
+    {"no-volume-term", "uniform", 32, 0x1ec58a0f4e110dddULL},
+};
+
 /// Every name MakePartitioner accepts. The registry has no single
-/// enumerator; the published rosters (Fig. 4 + streaming) plus the two
-/// parallel cores cover it, and the coverage test cross-checks that
-/// each name actually constructs.
+/// enumerator; the published rosters (Fig. 4 + streaming) plus Hash and
+/// the two "(par)" aliases cover it, and the coverage test cross-checks
+/// that each name actually constructs. The alias rows keep the digests
+/// of the names they alias.
 std::vector<std::string> FullRegistry() {
   std::vector<std::string> names = Fig4PartitionerNames();
   for (const std::string& name : StreamingPartitionerNames()) {
@@ -305,6 +340,34 @@ TEST(StateKernelIdentityTest, AssignmentStreamsMatchPreRefactorDigests) {
       EXPECT_EQ(sink.digest(), row->digest)
           << row->partitioner << " k=" << row->k << " family=" << family
           << ": assignment stream diverged from the pre-refactor oracle";
+    }
+  }
+}
+
+TEST(StateKernelIdentityTest, TwoPhaseOptionStreamsMatchCapturedDigests) {
+  std::map<std::string, std::vector<const OptionRow*>> by_family;
+  for (const OptionRow& row : kOptionRows) {
+    by_family[row.family].push_back(&row);
+  }
+  for (const auto& [family, rows] : by_family) {
+    const std::vector<Edge> edges = MakeFamily(family);
+    InMemoryEdgeStream stream(edges);
+    for (const OptionRow* row : rows) {
+      TwoPhasePartitioner::Options options;
+      if (std::string(row->option) == "round-robin") {
+        options.scheduling = TwoPhasePartitioner::SchedulingMode::kRoundRobin;
+      } else {
+        options.use_cluster_volume_term = false;
+      }
+      TwoPhasePartitioner partitioner(options);
+      PartitionConfig config;
+      config.num_partitions = row->k;
+      ChecksumSink sink;
+      const Status status =
+          partitioner.Partition(stream, config, sink, nullptr);
+      ASSERT_TRUE(status.ok()) << status.ToString();
+      EXPECT_EQ(sink.digest(), row->digest)
+          << row->option << " k=" << row->k << " family=" << family;
     }
   }
 }

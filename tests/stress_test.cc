@@ -82,16 +82,30 @@ TEST(FailureInjectionTest, SinglePassPartitionersPropagateToo) {
   }
 }
 
-/// Degenerate graph shapes every partitioner must survive.
-class DegenerateGraphTest
-    : public testing::TestWithParam<std::string> {};
+/// Degenerate graph shapes every partitioner must survive. The
+/// engine-parallel entries (the "(par)" aliases and DNE) run on four
+/// workers with small batches, so CAS load claims, parallel expansion
+/// and the runner's sharded sink + handoff see the same shapes under
+/// contention.
+class DegenerateGraphTest : public testing::TestWithParam<std::string> {
+ protected:
+  PartitionConfig Config(uint32_t k) const {
+    PartitionConfig config;
+    config.num_partitions = k;
+    if (GetParam().find("(par)") != std::string::npos ||
+        GetParam() == "DNE") {
+      config.exec.threads = 4;
+      config.exec.batch_size = 16;
+    }
+    return config;
+  }
+};
 
 TEST_P(DegenerateGraphTest, EmptyGraph) {
   auto partitioner = MakePartitioner(GetParam());
   ASSERT_TRUE(partitioner.ok());
   InMemoryEdgeStream stream;
-  PartitionConfig config;
-  config.num_partitions = 4;
+  const PartitionConfig config = Config(4);
   auto result = RunPartitioner(**partitioner, stream, config);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->quality.num_edges, 0u);
@@ -101,8 +115,7 @@ TEST_P(DegenerateGraphTest, SingleEdge) {
   auto partitioner = MakePartitioner(GetParam());
   ASSERT_TRUE(partitioner.ok());
   InMemoryEdgeStream stream({{0, 1}});
-  PartitionConfig config;
-  config.num_partitions = 4;
+  const PartitionConfig config = Config(4);
   auto result = RunPartitioner(**partitioner, stream, config);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->quality.num_edges, 1u);
@@ -113,8 +126,7 @@ TEST_P(DegenerateGraphTest, SelfLoopsOnly) {
   auto partitioner = MakePartitioner(GetParam());
   ASSERT_TRUE(partitioner.ok());
   InMemoryEdgeStream stream({{3, 3}, {3, 3}, {5, 5}});
-  PartitionConfig config;
-  config.num_partitions = 2;
+  const PartitionConfig config = Config(2);
   auto result = RunPartitioner(**partitioner, stream, config);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->quality.num_edges, 3u);
@@ -130,8 +142,7 @@ TEST_P(DegenerateGraphTest, StarGraph) {
   auto partitioner = MakePartitioner(GetParam());
   ASSERT_TRUE(partitioner.ok());
   InMemoryEdgeStream stream(edges);
-  PartitionConfig config;
-  config.num_partitions = 8;
+  const PartitionConfig config = Config(8);
   auto result = RunPartitioner(**partitioner, stream, config);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->quality.num_edges, 400u);
@@ -146,8 +157,7 @@ TEST_P(DegenerateGraphTest, SparseVertexIdSpace) {
   auto partitioner = MakePartitioner(GetParam());
   ASSERT_TRUE(partitioner.ok());
   InMemoryEdgeStream stream(edges);
-  PartitionConfig config;
-  config.num_partitions = 2;
+  const PartitionConfig config = Config(2);
   auto result = RunPartitioner(**partitioner, stream, config);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->quality.num_edges, edges.size());
@@ -162,8 +172,7 @@ TEST_P(DegenerateGraphTest, HeavyMultiEdges) {
   auto partitioner = MakePartitioner(GetParam());
   ASSERT_TRUE(partitioner.ok());
   InMemoryEdgeStream stream(edges);
-  PartitionConfig config;
-  config.num_partitions = 8;
+  const PartitionConfig config = Config(8);
   auto result = RunPartitioner(**partitioner, stream, config);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->quality.num_edges, 400u);
@@ -171,8 +180,9 @@ TEST_P(DegenerateGraphTest, HeavyMultiEdges) {
 
 INSTANTIATE_TEST_SUITE_P(
     CapEnforcingPartitioners, DegenerateGraphTest,
-    testing::Values("2PS-L", "2PS-HDRF", "2PS-L(par)", "HDRF", "Greedy",
-                    "ADWISE", "NE", "SNE", "DNE", "HEP-10", "METIS*"),
+    testing::Values("2PS-L", "2PS-HDRF", "2PS-L(par)", "2PS-HDRF(par)",
+                    "HDRF", "Greedy", "ADWISE", "NE", "SNE", "DNE", "HEP-10",
+                    "METIS*"),
     [](const testing::TestParamInfo<std::string>& info) {
       std::string name = info.param;
       for (char& c : name) {
@@ -188,13 +198,18 @@ TEST(CapStressTest, TightAlphaWithAwkwardK) {
   // from the ceil in PartitionCapacity.
   const auto edges = SmallGraph();  // 500 edges
   for (const uint32_t k : {3u, 7u, 11u, 13u}) {
-    for (const char* name : {"2PS-L", "HDRF", "Greedy"}) {
+    for (const char* name : {"2PS-L", "2PS-L(par)", "HDRF", "Greedy"}) {
       auto partitioner = MakePartitioner(name);
       ASSERT_TRUE(partitioner.ok());
       InMemoryEdgeStream stream(edges);
       PartitionConfig config;
       config.num_partitions = k;
       config.balance_factor = 1.0;
+      if (std::string(name) == "2PS-L(par)") {
+        // CAS claims racing for the last slots.
+        config.exec.threads = 4;
+        config.exec.batch_size = 16;
+      }
       auto result = RunPartitioner(**partitioner, stream, config);
       ASSERT_TRUE(result.ok())
           << name << " k=" << k << ": " << result.status().ToString();

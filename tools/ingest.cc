@@ -39,7 +39,7 @@
 #include <vector>
 
 #include "benchkit/measure.h"
-#include "core/parallel_two_phase.h"
+#include "core/two_phase_partitioner.h"
 #include "graph/binary_edge_list.h"
 #include "ingest/catalog.h"
 #include "ingest/prefetching_edge_stream.h"
@@ -344,7 +344,7 @@ int Bench(const Catalog& catalog, const Options& options) {
         TPSL_LOG(Error) << overlapped.status().ToString();
         return 1;
       }
-      tpsl::ParallelTwoPhasePartitioner partitioner;
+      tpsl::TwoPhasePartitioner partitioner;
       tpsl::PartitionConfig config;
       config.exec.threads = options.threads;
       tpsl::RunOptions run_options;
