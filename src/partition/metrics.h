@@ -28,14 +28,23 @@ struct PartitionQuality {
   std::vector<uint64_t> partition_sizes;
 };
 
+/// Quality from a partitioning's integer tallies: edges per partition,
+/// Σ_v replicas(v), and vertices with at least one replica. The one
+/// home of PartitionQuality's floating-point arithmetic, so every
+/// producer of the tallies (ComputeQuality, ShardedQualitySink) agrees
+/// to the last bit.
+PartitionQuality QualityFromTallies(std::vector<uint64_t> loads,
+                                    uint64_t total_replicas,
+                                    uint64_t covered_vertices);
+
 /// Computes quality from per-partition edge lists.
 PartitionQuality ComputeQuality(const std::vector<std::vector<Edge>>& parts);
 
-/// Validates the partitioning contract: every partition within
-/// `capacity`, total edges equals `expected_edges`. Returns an error
-/// describing the first violation.
-Status ValidatePartitioning(const std::vector<std::vector<Edge>>& parts,
-                            uint64_t expected_edges, uint64_t capacity);
+/// Validates the partitioning contract from per-partition edge loads:
+/// every partition within `capacity`, total edges equals
+/// `expected_edges`. Returns an error describing the first violation.
+Status ValidateLoads(const std::vector<uint64_t>& loads,
+                     uint64_t expected_edges, uint64_t capacity);
 
 }  // namespace tpsl
 

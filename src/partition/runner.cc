@@ -5,8 +5,13 @@
 #include <optional>
 #include <utility>
 
+#if defined(__GLIBC__)
+#include <malloc.h>  // malloc_trim
+#endif
+
 #include "graph/binary_edge_list.h"
 #include "io/edge_file.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "partition/assignment_sink.h"
 #include "partition/partitioned_writer.h"
@@ -15,48 +20,32 @@
 
 namespace tpsl {
 
-StatusOr<RunResult> RunPartitioner(Partitioner& partitioner,
-                                   EdgeStream& stream,
-                                   const PartitionConfig& config,
-                                   const RunOptions& options) {
+namespace {
+
+/// RunPartitioner minus the memory hand-back: the pipeline, the timed
+/// pass, validation and the quality readout.
+StatusOr<RunResult> RunPipeline(Partitioner& partitioner, EdgeStream& stream,
+                                const PartitionConfig& config,
+                                const RunOptions& options) {
   RunResult result;
   result.partitioner_name = partitioner.name();
 
   const uint32_t k = config.num_partitions;
   const uint64_t hint = stream.NumEdgesHint();
-  const bool cap_enforced = partitioner.enforces_balance_cap();
 
-  // The sink pipeline: quality always, validation unless disabled,
-  // materialization and spill on request. Everything is single-pass —
-  // each assignment fans out once through the tee as it is made.
-  //
-  // Shape depends on the run's parallelism. threads == 1: the sinks
-  // hang directly off one tee, delivered in stream order (the
-  // byte-identity contract). threads > 1: quality bookkeeping moves to
-  // the concurrent-safe sharded sink and every sequential consumer
-  // moves behind a bounded handoff queue, so the whole pipeline
-  // reports ConcurrentSafe and the scoring pass never takes a sink
-  // mutex — sink consumption overlaps scoring instead of serializing
-  // it.
+  // The sink pipeline: the sharded quality sink always (one shard per
+  // worker), materialization and spill on request. Everything is
+  // single-pass — each assignment fans out once through the tee as it
+  // is made. The opted-in consumers are sequential: at threads == 1
+  // they hang directly off the tee, delivered in stream order (the
+  // byte-identity contract); at threads > 1 they move behind a bounded
+  // handoff queue, so the whole pipeline reports ConcurrentSafe and the
+  // scoring pass never takes a sink mutex.
   const uint32_t threads = config.exec.ResolveThreads();
-  StreamingQualitySink quality_sink(k);
-  std::optional<ShardedQualitySink> sharded_quality;
-  ValidatingSink validating_sink(
-      k, options.validate && cap_enforced && hint != 0
-             ? config.PartitionCapacity(hint)
-             : ValidatingSink::kNoCapacity);
-  TeeSink pipeline;
+  ShardedQualitySink quality_sink(k, threads);
+  TeeSink pipeline{&quality_sink};
   TeeSink sequential_sinks;  // threads > 1: consumers behind the queue
   TeeSink& direct = threads > 1 ? sequential_sinks : pipeline;
-  if (threads > 1) {
-    sharded_quality.emplace(k, threads);
-    pipeline.Add(&*sharded_quality);
-  } else {
-    pipeline.Add(&quality_sink);
-  }
-  if (options.validate) {
-    direct.Add(&validating_sink);
-  }
   std::optional<EdgeListSink> keep_sink;
   if (options.keep_partitions) {
     keep_sink.emplace(k);
@@ -113,8 +102,8 @@ StatusOr<RunResult> RunPartitioner(Partitioner& partitioner,
   }
   if (handoff) {
     // Drain the queue and park the drainer before any downstream state
-    // (validation status, spill manifests, materialized partitions) is
-    // read. Part of the measured run: the work was deferred, not free.
+    // (spill manifests, materialized partitions) is read. Part of the
+    // measured run: the work was deferred, not free.
     obs::TraceSpan span("partition.handoff_drain", "partition");
     handoff->Finish();
   }
@@ -122,18 +111,31 @@ StatusOr<RunResult> RunPartitioner(Partitioner& partitioner,
   // a stream that failed mid-pass looks like a short EOF to them.
   TPSL_RETURN_IF_ERROR(stream.Health());
   // Same for the sinks: Assign() has no error channel, so a spill
-  // writer that hit a full disk (or an async handoff whose downstream
-  // died) latched the failure in Health(). Check before trusting any
-  // downstream state.
+  // writer that hit a full disk, an async handoff whose downstream
+  // died, or a quality sink handed an invalid vertex id latched the
+  // failure in Health(). Check before trusting any downstream state.
   TPSL_RETURN_IF_ERROR(pipeline.Health());
   // Whole-run state: the partitioner's own accounting plus the live
   // sink-side state (replication bitsets, writer buffers, any opted-in
   // edge lists) — snapshot before Finish() releases the writer.
   result.stats.state_bytes += pipeline.StateBytes();
-  // Report a mid-stream capacity violation before paying for the spill
-  // manifest: the run is already known invalid.
   if (options.validate) {
-    TPSL_RETURN_IF_ERROR(validating_sink.status());
+    // Before paying for the spill manifest: an invalid run needs none.
+    // Every edge must be assigned exactly once; the hard cap is checked
+    // only for partitioners that promise it (stateless hashing does
+    // not — the paper reports their measured α instead). Loads only
+    // grow, so the final loads catch any mid-stream breach too.
+    const std::vector<uint64_t> loads = quality_sink.Loads();
+    uint64_t expected_edges = hint;
+    if (expected_edges == 0) {
+      for (const uint64_t load : loads) {
+        expected_edges += load;
+      }
+    }
+    const uint64_t capacity = partitioner.enforces_balance_cap()
+                                  ? config.PartitionCapacity(expected_edges)
+                                  : ~uint64_t{0};
+    TPSL_RETURN_IF_ERROR(ValidateLoads(loads, expected_edges, capacity));
   }
   if (spill_sink) {
     obs::TraceSpan span("partition.finish", "partition");
@@ -141,19 +143,12 @@ StatusOr<RunResult> RunPartitioner(Partitioner& partitioner,
   }
   result.wall_seconds = timer.ElapsedSeconds();
 
-  result.quality =
-      sharded_quality ? sharded_quality->Quality() : quality_sink.Quality();
-  if (options.validate) {
-    // Always check that every edge was assigned; check the hard cap
-    // only for partitioners that promise it (stateless hashing does
-    // not — the paper reports their measured α instead).
-    const uint64_t expected_edges =
-        hint != 0 ? hint : result.quality.num_edges;
-    const uint64_t capacity = cap_enforced
-                                  ? config.PartitionCapacity(expected_edges)
-                                  : ValidatingSink::kNoCapacity;
-    TPSL_RETURN_IF_ERROR(validating_sink.Finish(expected_edges, capacity));
-  }
+  result.quality = quality_sink.Quality();
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
+  registry.GetGauge("quality.replication_factor")
+      ->Set(result.quality.replication_factor);
+  registry.GetGauge("quality.max_load_skew")
+      ->Set(result.quality.measured_alpha);
   if (keep_sink) {
     result.partitions = keep_sink->TakePartitions();
   }
@@ -163,6 +158,25 @@ StatusOr<RunResult> RunPartitioner(Partitioner& partitioner,
     result.spill.edge_counts = spill_sink->edge_counts();
     result.spill.bytes_written = spill_sink->bytes_written();
   }
+  return result;
+}
+
+}  // namespace
+
+StatusOr<RunResult> RunPartitioner(Partitioner& partitioner,
+                                   EdgeStream& stream,
+                                   const PartitionConfig& config,
+                                   const RunOptions& options) {
+  StatusOr<RunResult> result =
+      RunPipeline(partitioner, stream, config, options);
+  // The run's O(|V|·k) state is freed by now. glibc keeps freed heap
+  // memory resident below a trim threshold that earlier large frees
+  // raise to tens of MB, so whether a run's state leaves the resident
+  // set would otherwise depend on heap layout. Hand it back: between
+  // runs the process holds no run-sized residue.
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
   return result;
 }
 

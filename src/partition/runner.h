@@ -28,9 +28,10 @@ struct SpillInfo {
 
 /// One timed, measured partitioning run: what every experiment and
 /// example needs. Wraps Partitioner::Partition with a wall timer and a
-/// composable sink pipeline — streaming quality metrics and contract
-/// validation by default (O(|V|·k) state, never an edge list), plus
-/// opt-in materialization and disk spill sinks.
+/// composable sink pipeline — streaming quality metrics always
+/// (O(|V|·k) state, never an edge list), contract validation from the
+/// quality sink's loads by default, plus opt-in materialization and
+/// disk spill sinks.
 struct RunResult {
   std::string partitioner_name;
   PartitionQuality quality;
@@ -50,8 +51,8 @@ struct RunOptions {
   /// `spill_dir` + OpenSpilledPartitions for downstream processing.
   bool keep_partitions = false;
   /// Fail the run if an edge is lost/duplicated or the hard balance
-  /// cap is violated (checked online as assignments arrive when the
-  /// stream publishes an edge-count hint).
+  /// cap is violated (checked once, from the final per-partition
+  /// loads, right after the pass and before the spill is finalized).
   bool validate = true;
   /// Non-empty: add a PartitionedWriter spill sink that streams every
   /// assignment to one binary edge list per partition under this
@@ -62,13 +63,16 @@ struct RunOptions {
   std::string spill_stem = "partitions";
 };
 
-/// Runs `partitioner` on `stream` and returns measurements. Quality
-/// and validation are computed single-pass by StreamingQualitySink /
-/// ValidatingSink while assignments stream through — the default path
-/// holds no edge lists, so out-of-core runs stay out of core end to
-/// end. `stats.state_bytes` covers the whole run: partitioner state
-/// plus sink-side state (replication bitsets, writer buffers,
-/// opted-in edge lists).
+/// Runs `partitioner` on `stream` and returns measurements. Quality is
+/// computed single-pass by ShardedQualitySink (one shard per worker)
+/// while assignments stream through, and validation reads that sink's
+/// loads — the default path holds no edge lists, so out-of-core runs
+/// stay out of core end to end. Sets the `quality.replication_factor`
+/// and `quality.max_load_skew` gauges from the final quality.
+/// `stats.state_bytes` covers the whole run: partitioner state plus
+/// sink-side state (replication bitsets, writer buffers, opted-in
+/// edge lists). That state is freed, and handed back to the OS, before
+/// the call returns.
 StatusOr<RunResult> RunPartitioner(Partitioner& partitioner,
                                    EdgeStream& stream,
                                    const PartitionConfig& config,

@@ -1,6 +1,8 @@
 #include "partition/sink_pipeline.h"
 
+#include <algorithm>
 #include <string>
+#include <thread>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -9,69 +11,70 @@ namespace tpsl {
 
 namespace {
 
-obs::Gauge* ReplicationFactorGauge() {
-  static obs::Gauge* gauge = obs::MetricsRegistry::Default().GetGauge(
-      "quality.replication_factor");
-  return gauge;
+struct ReplicaCounts {
+  uint64_t replicas = 0;  // set bits: one per (vertex, partition) replica
+  uint64_t covered = 0;   // rows with any set bit: non-isolated vertices
+};
+
+/// Set bits of `x` as a SWAR sum: on the generic x86-64 target (no
+/// POPCNT) std::popcount is a libgcc call, about 4x slower per word.
+uint64_t PopCount(uint64_t x) {
+  x -= (x >> 1) & 0x5555555555555555ULL;
+  x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+  x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+  return (x * 0x0101010101010101ULL) >> 56;
 }
 
-obs::Gauge* MaxLoadSkewGauge() {
-  static obs::Gauge* gauge =
-      obs::MetricsRegistry::Default().GetGauge("quality.max_load_skew");
-  return gauge;
-}
-
-obs::Histogram* QualitySampleHist() {
-  static obs::Histogram* hist = obs::MetricsRegistry::Default().GetHistogram(
-      "sink.quality_sample_seconds");
-  return hist;
+/// Counts a vertex-major matrix of k-bit rows in one word-parallel
+/// sweep when rows tile words (k divides 64, or 64 divides k), and with
+/// an ascending set-bit scan for covered rows otherwise.
+ReplicaCounts CountReplicas(const DenseBitset& matrix, uint32_t k) {
+  ReplicaCounts counts;
+  if (k == 0) {
+    return counts;
+  }
+  const std::vector<uint64_t>& words = matrix.words();
+  if (64 % k == 0) {
+    // 64/k rows per word. Adding all-ones to a row's low k-1 bits
+    // carries into the row's top bit iff they are non-zero; OR in the
+    // top bit itself and every non-empty row leaves exactly its top bit.
+    uint64_t tops = 0;
+    for (uint32_t bit = k - 1; bit < 64; bit += k) {
+      tops |= uint64_t{1} << bit;
+    }
+    for (const uint64_t word : words) {
+      counts.replicas += PopCount(word);
+      counts.covered += PopCount((((word & ~tops) + ~tops) | word) & tops);
+    }
+    return counts;
+  }
+  for (const uint64_t word : words) {
+    counts.replicas += PopCount(word);
+  }
+  if (k % 64 == 0) {
+    const size_t row_words = k / 64;
+    for (size_t w = 0; w < words.size(); w += row_words) {
+      uint64_t any = 0;
+      for (size_t i = w; i < w + row_words; ++i) {
+        any |= words[i];
+      }
+      counts.covered += any != 0 ? 1 : 0;
+    }
+  } else {
+    uint64_t row_end = 0;  // end of the last counted row; a multiple of k
+    matrix.ForEachSetBit([&](uint64_t bit) {
+      if (bit >= row_end) {
+        ++counts.covered;
+        do {
+          row_end += k;
+        } while (row_end <= bit);
+      }
+    });
+  }
+  return counts;
 }
 
 }  // namespace
-
-void StreamingQualitySink::SampleQuality() const {
-  const int64_t start_ns = obs::TraceNowNanos();
-  const double rf = table_.ReplicationFactor();
-  uint64_t max_load = 0;
-  uint64_t total = 0;
-  for (uint64_t load : loads_) {
-    max_load = std::max(max_load, load);
-    total += load;
-  }
-  const double expected =
-      static_cast<double>(total) / static_cast<double>(loads_.size());
-  const double skew =
-      expected > 0.0 ? static_cast<double>(max_load) / expected : 0.0;
-  ReplicationFactorGauge()->Set(rf);
-  MaxLoadSkewGauge()->Set(skew);
-  obs::EmitCounter("quality.replication_factor", rf);
-  obs::EmitCounter("quality.max_load_skew", skew);
-  QualitySampleHist()->RecordNanos(
-      static_cast<uint64_t>(obs::TraceNowNanos() - start_ns));
-}
-
-PartitionQuality StreamingQualitySink::Quality() const {
-  PartitionQuality quality;
-  quality.partition_sizes = loads_;
-  for (uint64_t load : loads_) {
-    quality.num_edges += load;
-  }
-  quality.num_covered_vertices = table_.CoveredVertices();
-  quality.replication_factor = table_.ReplicationFactor();
-  if (!loads_.empty()) {
-    quality.max_partition_size =
-        *std::max_element(loads_.begin(), loads_.end());
-    quality.min_partition_size =
-        *std::min_element(loads_.begin(), loads_.end());
-    if (quality.num_edges > 0) {
-      const double expected = static_cast<double>(quality.num_edges) /
-                              static_cast<double>(loads_.size());
-      quality.measured_alpha =
-          static_cast<double>(quality.max_partition_size) / expected;
-    }
-  }
-  return quality;
-}
 
 ShardedQualitySink::ShardedQualitySink(uint32_t num_partitions,
                                        uint32_t num_shards)
@@ -91,7 +94,7 @@ void ShardedQualitySink::AssignBatch(const Assignment* batch, size_t count) {
   // Lease any free shard: with one shard per worker a free one always
   // exists when callers are the scoring workers, so the scan is one
   // probe in the common case; the wrap-around spin is a safety net for
-  // oversubscribed callers.
+  // oversubscribed callers (and for a sampler holding every lease).
   Shard* shard = nullptr;
   for (size_t i = 0;; ++i) {
     Shard& candidate = *shards_[i % shards_.size()];
@@ -99,11 +102,19 @@ void ShardedQualitySink::AssignBatch(const Assignment* batch, size_t count) {
       shard = &candidate;
       break;
     }
+    if ((i + 1) % shards_.size() == 0) {
+      std::this_thread::yield();
+    }
   }
+  bool saw_invalid = false;
   for (size_t i = 0; i < count; ++i) {
     const Edge& e = batch[i].edge;
     const PartitionId p = batch[i].partition;
     const VertexId top = std::max(e.first, e.second);
+    if (top == kInvalidVertex) {
+      saw_invalid = true;  // row top + 1 would wrap to zero
+      continue;
+    }
     if (top >= shard->num_vertices) {
       shard->num_vertices = top + 1;
       shard->bits.Resize(static_cast<uint64_t>(shard->num_vertices) *
@@ -113,65 +124,72 @@ void ShardedQualitySink::AssignBatch(const Assignment* batch, size_t count) {
     shard->bits.Set(static_cast<uint64_t>(e.second) * num_partitions_ + p);
     ++shard->loads[p];
   }
+  bool sample = false;
+  if (obs::TracingEnabled()) {
+    const uint64_t before = shard->assigned;
+    shard->assigned += count;
+    sample = (before >> kSampleIntervalLog2) !=
+             (shard->assigned >> kSampleIntervalLog2);
+  }
   shard->in_use.store(false, std::memory_order_release);
+  if (saw_invalid) {
+    saw_invalid_vertex_.store(true, std::memory_order_relaxed);
+  }
+  if (sample) {
+    SampleQuality();
+  }
 }
 
-PartitionQuality ShardedQualitySink::Quality() const {
-  // Word-parallel merge: one OR per shard into a bitset sized for the
-  // largest shard, then a single ascending set-bit scan yields both
-  // integer terms of the replication factor.
-  VertexId num_vertices = 0;
+void ShardedQualitySink::SampleQuality() {
+  const int64_t start_ns = obs::TraceNowNanos();
   for (const auto& shard : shards_) {
-    num_vertices = std::max(num_vertices, shard->num_vertices);
+    while (shard->in_use.exchange(true, std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
   }
-  DenseBitset merged(static_cast<uint64_t>(num_vertices) * num_partitions_);
+  const PartitionQuality quality = Quality();
+  for (const auto& shard : shards_) {
+    shard->in_use.store(false, std::memory_order_release);
+  }
+  obs::EmitCounter("quality.replication_factor", quality.replication_factor);
+  obs::EmitCounter("quality.max_load_skew", quality.measured_alpha);
+  obs::MetricsRegistry::Default()
+      .GetHistogram("sink.quality_sample_seconds")
+      ->RecordNanos(static_cast<uint64_t>(obs::TraceNowNanos() - start_ns));
+}
+
+std::vector<uint64_t> ShardedQualitySink::Loads() const {
   std::vector<uint64_t> loads(num_partitions_, 0);
   for (const auto& shard : shards_) {
-    merged.InplaceOr(shard->bits);
     for (uint32_t p = 0; p < num_partitions_; ++p) {
       loads[p] += shard->loads[p];
     }
   }
-  // total replicas = set bits (a (v,p) bit is one replica); covered
-  // vertices = rows with any bit. ForEachSetBit ascends, so a new row
-  // shows up as a jump in bit/k — the same integers the sequential
-  // sink's incremental counters hold at the end of the stream.
-  uint64_t total_replicas = 0;
-  uint64_t covered = 0;
-  uint64_t last_row = ~uint64_t{0};
-  merged.ForEachSetBit([&](uint64_t bit) {
-    ++total_replicas;
-    const uint64_t row = bit / num_partitions_;
-    if (row != last_row) {
-      ++covered;
-      last_row = row;
-    }
-  });
+  return loads;
+}
 
-  // From here on: field-for-field the arithmetic of
-  // StreamingQualitySink::Quality() / ReplicationTable, so the two
-  // sinks agree to the last bit on identical assignments.
-  PartitionQuality quality;
-  quality.partition_sizes = loads;
-  for (uint64_t load : loads) {
-    quality.num_edges += load;
-  }
-  quality.num_covered_vertices = covered;
-  quality.replication_factor =
-      covered == 0 ? 0.0
-                   : static_cast<double>(total_replicas) /
-                         static_cast<double>(covered);
-  if (!loads.empty()) {
-    quality.max_partition_size = *std::max_element(loads.begin(), loads.end());
-    quality.min_partition_size = *std::min_element(loads.begin(), loads.end());
-    if (quality.num_edges > 0) {
-      const double expected = static_cast<double>(quality.num_edges) /
-                              static_cast<double>(loads.size());
-      quality.measured_alpha =
-          static_cast<double>(quality.max_partition_size) / expected;
+PartitionQuality ShardedQualitySink::Quality() {
+  Shard& merged = *shards_[0];
+  for (size_t s = 1; s < shards_.size(); ++s) {
+    const Shard& other = *shards_[s];
+    if (other.num_vertices > merged.num_vertices) {
+      merged.num_vertices = other.num_vertices;
+      merged.bits.Resize(static_cast<uint64_t>(merged.num_vertices) *
+                         num_partitions_);
     }
+    merged.bits.InplaceOr(other.bits);
   }
-  return quality;
+  const ReplicaCounts counts = CountReplicas(merged.bits, num_partitions_);
+  return QualityFromTallies(Loads(), counts.replicas, counts.covered);
+}
+
+Status ShardedQualitySink::Health() const {
+  if (saw_invalid_vertex_.load(std::memory_order_relaxed)) {
+    return Status::InvalidArgument(
+        "edge endpoint " + std::to_string(kInvalidVertex) +
+        " is the reserved invalid vertex id; the edge was not counted");
+  }
+  return Status::OK();
 }
 
 uint64_t ShardedQualitySink::StateBytes() const {
@@ -267,36 +285,6 @@ uint64_t AsyncHandoffSink::StateBytes() const {
   // report the downstream sinks, which are the pipeline's real
   // footprint.
   return downstream_->StateBytes();
-}
-
-void ValidatingSink::Assign(const Edge& /*edge*/, PartitionId partition) {
-  const uint64_t load = ++loads_[partition];
-  if (load > capacity_ && status_.ok()) {
-    status_ = Status::FailedPrecondition(
-        "partition " + std::to_string(partition) + " exceeded capacity " +
-        std::to_string(capacity_) + " mid-stream");
-  }
-}
-
-Status ValidatingSink::Finish(uint64_t expected_edges,
-                              uint64_t capacity) const {
-  TPSL_RETURN_IF_ERROR(status_);
-  uint64_t total = 0;
-  for (size_t p = 0; p < loads_.size(); ++p) {
-    if (loads_[p] > capacity) {
-      return Status::FailedPrecondition(
-          "partition " + std::to_string(p) + " holds " +
-          std::to_string(loads_[p]) + " edges, capacity " +
-          std::to_string(capacity));
-    }
-    total += loads_[p];
-  }
-  if (total != expected_edges) {
-    return Status::FailedPrecondition(
-        "assigned " + std::to_string(total) + " edges, expected " +
-        std::to_string(expected_edges));
-  }
-  return Status::OK();
 }
 
 }  // namespace tpsl

@@ -1,7 +1,6 @@
 #ifndef TPSL_PARTITION_SINK_PIPELINE_H_
 #define TPSL_PARTITION_SINK_PIPELINE_H_
 
-#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -15,80 +14,38 @@
 #include "partition/assignment_sink.h"
 #include "partition/dense_bitset.h"
 #include "partition/metrics.h"
-#include "partition/replication_table.h"
 #include "util/status.h"
 
 namespace tpsl {
 
-/// Computes PartitionQuality online, one assignment at a time: per
-/// partition edge loads plus vertex replication through a
-/// ReplicationTable (per-vertex partition bitsets). O(|V|·k / 8 + |V|)
-/// state, never an edge list — the streaming replacement for running
-/// ComputeQuality over materialized partitions. ComputeQuality stays
-/// as the independent test oracle; the property suite asserts exact
-/// (bit-level) agreement on every registry partitioner.
-class StreamingQualitySink : public AssignmentSink {
- public:
-  /// Every 2^sample_interval_log2 assignments the sink publishes the
-  /// running replication factor and max-load skew to obs gauges (and,
-  /// when tracing, counter events) — quality *convergence over the
-  /// stream*, not just the end state. The per-edge cost of sampling is
-  /// one increment and a mask test.
-  explicit StreamingQualitySink(uint32_t num_partitions,
-                                uint32_t sample_interval_log2 = 16)
-      : table_(0, num_partitions),
-        loads_(num_partitions, 0),
-        sample_mask_((uint64_t{1} << sample_interval_log2) - 1) {}
-
-  void Assign(const Edge& edge, PartitionId partition) override {
-    const VertexId top = std::max(edge.first, edge.second);
-    table_.GrowVertices(top + 1);
-    table_.Set(edge.first, partition);
-    table_.Set(edge.second, partition);
-    ++loads_[partition];
-    if (((++assigned_) & sample_mask_) == 0) {
-      SampleQuality();
-    }
-  }
-
-  /// The quality of everything assigned so far. Field-for-field the
-  /// same arithmetic as ComputeQuality, so the two agree exactly.
-  PartitionQuality Quality() const;
-
-  const std::vector<uint64_t>& loads() const { return loads_; }
-
-  uint64_t StateBytes() const override {
-    return table_.HeapBytes() + loads_.capacity() * sizeof(uint64_t);
-  }
-
- private:
-  /// O(k) + replication-factor scan, every 2^16 edges by default.
-  void SampleQuality() const;
-
-  ReplicationTable table_;
-  std::vector<uint64_t> loads_;
-  const uint64_t sample_mask_;
-  uint64_t assigned_ = 0;
-};
-
-/// The concurrent-safe replacement for StreamingQualitySink under a
-/// parallel scoring pass: per-shard replication bitsets and load
-/// counters, merged word-parallel when the quality is read. Each
-/// AssignBatch call leases one shard (spinning over a fixed pool of
-/// try-locks), absorbs the whole batch into it, and releases it — no
-/// shared mutable word is ever touched by two threads at once, so the
-/// scoring pass never serializes on quality bookkeeping.
+/// Computes PartitionQuality online, one assignment at a time, at any
+/// thread count: per-partition edge loads plus the vertex replication
+/// matrix, in O(|V|·k / 8) state per shard and never an edge list — the
+/// streaming replacement for running ComputeQuality over materialized
+/// partitions. ComputeQuality stays as the independent test oracle.
+///
+/// Each AssignBatch call leases one shard (spinning over a fixed pool
+/// of try-locks), absorbs the whole batch into it, and releases it — no
+/// shared mutable word is ever touched by two threads at once, so a
+/// parallel scoring pass never serializes on quality bookkeeping. With
+/// one shard (threads=1) the lease is always free.
 ///
 /// Exactness: a replication bit is idempotent and a load is a sum, so
 /// the merged state is independent of which shard saw which edge and
 /// of arrival order. Quality() computes total replicas as the merged
-/// popcount and covered vertices as the count of non-empty rows —
-/// integer-for-integer the state StreamingQualitySink accumulates — and
-/// then applies field-for-field the same floating-point arithmetic, so
-/// the result matches the sequential oracle to the last bit (the
-/// property suite asserts exact equality).
+/// popcount and covered vertices as the count of non-empty rows, then
+/// derives the rest through QualityFromTallies, ComputeQuality's own
+/// arithmetic, so the two agree to the last bit (the property suites
+/// assert exact equality).
 class ShardedQualitySink : public AssignmentSink {
  public:
+  /// Each time a shard has absorbed another 2^kSampleIntervalLog2
+  /// assignments it emits the running replication factor and max-load
+  /// skew as trace counter events — quality convergence over the
+  /// stream. Only while tracing: with tracing off the sink does no
+  /// sampling work.
+  static constexpr uint32_t kSampleIntervalLog2 = 16;
+
   ShardedQualitySink(uint32_t num_partitions, uint32_t num_shards);
 
   void Assign(const Edge& edge, PartitionId partition) override {
@@ -96,19 +53,25 @@ class ShardedQualitySink : public AssignmentSink {
     AssignBatch(&one, 1);
   }
 
+  /// An edge touching kInvalidVertex is skipped (its row would lie past
+  /// the addressable matrix) and latches InvalidArgument in Health().
   void AssignBatch(const Assignment* batch, size_t count) override;
 
   bool ConcurrentSafe() const override { return true; }
 
-  /// Merged quality over everything assigned so far. Not thread-safe
-  /// against concurrent AssignBatch calls: call after the pass ends.
-  PartitionQuality Quality() const;
+  /// Merged per-partition loads, O(k·shards). Not thread-safe against
+  /// concurrent AssignBatch calls: call after the pass ends.
+  std::vector<uint64_t> Loads() const;
+
+  /// Merged quality over everything assigned so far. Folds shards
+  /// 1..n-1 into shard 0 in place, so one shard is read without a copy.
+  /// Not thread-safe against concurrent AssignBatch calls: call after
+  /// the pass ends.
+  PartitionQuality Quality();
+
+  Status Health() const override;
 
   uint64_t StateBytes() const override;
-
-  uint32_t num_shards() const {
-    return static_cast<uint32_t>(shards_.size());
-  }
 
  private:
   /// One worker's private slice of the replication state. The bitset is
@@ -119,25 +82,32 @@ class ShardedQualitySink : public AssignmentSink {
     DenseBitset bits;
     std::vector<uint64_t> loads;
     VertexId num_vertices = 0;
+    uint64_t assigned = 0;  // counted only while tracing
   };
+
+  /// Takes every shard's lease in index order (so concurrent samplers
+  /// cannot deadlock), emits the exact running quality as counter
+  /// events, and releases the leases.
+  void SampleQuality();
 
   const uint32_t num_partitions_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  std::atomic<bool> saw_invalid_vertex_{false};
 };
 
 /// Decouples a parallel scoring pass from sequential sink consumers
-/// (validation, spill writers, materialization) with a bounded handoff
-/// queue: producers enqueue assignment chunks from any thread; a
-/// dedicated drainer thread delivers them downstream one chunk at a
-/// time, so the downstream sinks keep their single-threaded contract
+/// (spill writers, materialization) with a bounded handoff queue:
+/// producers enqueue assignment chunks from any thread; a dedicated
+/// drainer thread delivers them downstream one chunk at a time, so
+/// the downstream sinks keep their single-threaded contract
 /// while their work overlaps the scoring pass instead of serializing
 /// it. Back-pressure: when the queue is full, producers block until
 /// the drainer frees a slot, bounding memory at O(queue × chunk).
 ///
 /// Finish() flushes the queue and joins the drainer; the runner calls
-/// it before reading any downstream state (validation status, spill
-/// manifests). The destructor also joins, so an error return that
-/// skips Finish() cannot leak the thread.
+/// it before reading any downstream state (spill manifests,
+/// materialized partitions). The destructor also joins, so an error
+/// return that skips Finish() cannot leak the thread.
 class AsyncHandoffSink : public AssignmentSink {
  public:
   /// `downstream` must outlive the sink; `max_queued_chunks` bounds
@@ -184,54 +154,6 @@ class AsyncHandoffSink : public AssignmentSink {
   bool stop_ = false;
   bool started_ = false;
   std::thread drainer_;
-};
-
-/// Enforces the partitioning contract as assignments arrive: when the
-/// per-partition capacity is known up front (the stream published an
-/// edge-count hint), the first over-capacity assignment latches a
-/// FailedPrecondition, pinning the violation to the exact assignment
-/// that caused it. Sinks cannot abort the partitioner, so the pass
-/// still completes; the runner reports the latched status as soon as
-/// the pass ends (before finalizing any spill output). Finish()
-/// settles the parts that need the final totals: every edge assigned
-/// exactly once, and the capacity re-check for hint-less streams
-/// whose cap could only be computed at the end.
-class ValidatingSink : public AssignmentSink {
- public:
-  /// `streaming_capacity` is the hard per-partition cap to enforce
-  /// online, or kNoCapacity when it cannot be known before the end of
-  /// the stream.
-  static constexpr uint64_t kNoCapacity = ~uint64_t{0};
-
-  ValidatingSink(uint32_t num_partitions, uint64_t streaming_capacity)
-      : capacity_(streaming_capacity), loads_(num_partitions, 0) {}
-
-  void Assign(const Edge& edge, PartitionId partition) override;
-
-  /// First violation observed while streaming (sticky), OK otherwise.
-  const Status& status() const { return status_; }
-
-  /// Final contract check: total assignments equal `expected_edges`
-  /// and every partition is within `capacity`. Returns the sticky
-  /// streaming violation first if one was latched.
-  Status Finish(uint64_t expected_edges, uint64_t capacity) const;
-
-  const std::vector<uint64_t>& loads() const { return loads_; }
-
-  uint64_t total() const {
-    uint64_t sum = 0;
-    for (uint64_t load : loads_) sum += load;
-    return sum;
-  }
-
-  uint64_t StateBytes() const override {
-    return loads_.capacity() * sizeof(uint64_t);
-  }
-
- private:
-  uint64_t capacity_;
-  std::vector<uint64_t> loads_;
-  Status status_;
 };
 
 }  // namespace tpsl

@@ -15,8 +15,11 @@
 #include "graph/types.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "baselines/registry.h"
+#include "graph/generators.h"
+#include "graph/in_memory_edge_stream.h"
 #include "partition/partitioner.h"
-#include "partition/sink_pipeline.h"
+#include "partition/runner.h"
 #include "util/random.h"
 
 namespace tpsl {
@@ -403,26 +406,90 @@ TEST(MergeWorkersTest, ParallelPhasesMaxTimesAndSumCounts) {
   EXPECT_EQ(merged.remaining_edges, 12u);
 }
 
-TEST(StreamingQualitySinkTest, SampledGaugesPublishRunningQuality) {
+/// Runs `name` through RunPartitioner on an R-MAT graph of
+/// 2^scale * 16 edges at k=8 and `threads` workers.
+StatusOr<RunResult> RunOnRmat(const std::string& name, uint32_t scale,
+                              uint32_t threads, exec::ThreadPool* pool) {
+  RmatConfig rmat;
+  rmat.scale = scale;
+  rmat.edge_factor = 16;
+  InMemoryEdgeStream stream(GenerateRmat(rmat));
+  auto partitioner = MakePartitioner(name);
+  if (!partitioner.ok()) {
+    return partitioner.status();
+  }
+  PartitionConfig config;
+  config.num_partitions = 8;
+  config.exec.threads = threads;
+  config.exec.pool = pool;
+  return RunPartitioner(**partitioner, stream, config);
+}
+
+using QualityGaugeTest = TraceQuiescent;
+
+/// The quality gauges describe the run they follow: the runner sets
+/// them once from the final quality, at any thread count.
+TEST_F(QualityGaugeTest, GaugesReconcileWithRunQuality) {
   Gauge* rf_gauge =
       MetricsRegistry::Default().GetGauge("quality.replication_factor");
   Gauge* skew_gauge =
       MetricsRegistry::Default().GetGauge("quality.max_load_skew");
-  rf_gauge->Reset();
-  skew_gauge->Reset();
-  // Sample every 4 assignments so a small stream crosses the interval
-  // many times.
-  StreamingQualitySink sink(/*num_partitions=*/4,
-                            /*sample_interval_log2=*/2);
-  for (uint32_t i = 0; i < 100; ++i) {
-    sink.Assign(Edge{i, i + 1}, static_cast<PartitionId>(i % 4));
+  exec::ThreadPool pool(4);
+  for (const uint32_t threads : {1u, 4u}) {
+    rf_gauge->Reset();
+    skew_gauge->Reset();
+    auto result = RunOnRmat("2PS-L", /*scale=*/13, threads, &pool);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(rf_gauge->Value(), result->quality.replication_factor)
+        << "threads=" << threads;
+    EXPECT_EQ(skew_gauge->Value(), result->quality.measured_alpha)
+        << "threads=" << threads;
   }
-  EXPECT_GT(rf_gauge->Value(), 0.0);
-  EXPECT_GT(skew_gauge->Value(), 0.0);
-  // The last published sample agrees with the sink's own quality view
-  // at the final sampling point (assignment 100, a multiple of 4 — so
-  // the gauge is current).
-  EXPECT_DOUBLE_EQ(rf_gauge->Value(), sink.Quality().replication_factor);
+}
+
+/// With tracing on, every shard emits the exact running quality as
+/// counter events each 2^16 assignments it absorbs. 2^19 edges over
+/// four shards put at least 2^17 into one of them, so samples are
+/// guaranteed whatever the scheduling. With tracing off the sink takes
+/// no samples at all.
+TEST_F(QualityGaugeTest, TracedRunEmitsConvergenceCounters) {
+  Histogram* sample_hist =
+      MetricsRegistry::Default().GetHistogram("sink.quality_sample_seconds");
+  exec::ThreadPool pool(4);
+  sample_hist->Reset();
+  ASSERT_TRUE(RunOnRmat("2PS-L", /*scale=*/15, /*threads=*/4, &pool).ok());
+  EXPECT_EQ(sample_hist->Summarize().count, 0u);
+
+  SetTracingEnabled(true);
+  auto result = RunOnRmat("2PS-L", /*scale=*/15, /*threads=*/4, &pool);
+  SetTracingEnabled(false);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_GT(result->quality.num_edges, uint64_t{1} << 18);
+
+  auto parsed = benchkit::ParseJson(ChromeTraceJson());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const benchkit::JsonValue* events = parsed->Find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  uint64_t rf_samples = 0;
+  uint64_t skew_samples = 0;
+  for (const benchkit::JsonValue& event : events->array()) {
+    if (event.Find("ph")->string_value() != "C") {
+      continue;
+    }
+    const std::string& name = event.Find("name")->string_value();
+    const double value = event.Find("args")->Find("value")->number_value();
+    if (name == "quality.replication_factor") {
+      ++rf_samples;
+      EXPECT_GE(value, 1.0);
+      EXPECT_LE(value, 8.0);
+    } else if (name == "quality.max_load_skew") {
+      ++skew_samples;
+      EXPECT_GE(value, 1.0);
+    }
+  }
+  EXPECT_GE(rf_samples, 1u);
+  EXPECT_EQ(rf_samples, skew_samples);
+  EXPECT_EQ(sample_hist->Summarize().count, rf_samples);
 }
 
 }  // namespace

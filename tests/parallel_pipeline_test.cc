@@ -1,7 +1,8 @@
 // The parallel pipeline's exactness contracts: the sharded quality
-// sink must agree with the sequential StreamingQualitySink oracle to
-// the last bit under any interleaving, the async handoff must deliver
-// every assignment (in order for a single producer), and the engine
+// sink must agree with the ComputeQuality oracle to the last bit under
+// any interleaving, the async handoff must deliver every assignment
+// (in order for a single producer, and through the runner's threads>1
+// spill + keep path), and the engine
 // clustering pass must reproduce the digests of the former sequential
 // Algorithm 1 when inline (threads=1). The concurrent tests double as
 // the tsan hammer for the sink protocol.
@@ -23,6 +24,7 @@
 #include "graph/degrees.h"
 #include "graph/generators.h"
 #include "graph/in_memory_edge_stream.h"
+#include "partition/metrics.h"
 #include "partition/runner.h"
 #include "partition/sink_pipeline.h"
 
@@ -53,7 +55,7 @@ std::vector<Edge> MakeFamily(const std::string& family) {
 }
 
 /// Materializes the assignment stream so the same decisions can be fed
-/// to both quality sinks.
+/// to the sharded sink and to the oracle.
 class RecordingSink : public AssignmentSink {
  public:
   void Assign(const Edge& edge, PartitionId partition) override {
@@ -107,13 +109,13 @@ void ExpectExactlyEqual(const PartitionQuality& a, const PartitionQuality& b,
   EXPECT_EQ(a.partition_sizes, b.partition_sizes) << label;
 }
 
-/// The exactness property the runner's parallel path rests on: for the
-/// real assignment stream of each registry partitioner, the sharded
-/// sink fed from 1, 2 or 4 concurrent producers matches the sequential
-/// oracle field for field, bit for bit — replication bits are
-/// idempotent and loads are sums, so the merge is order-independent
-/// and the final arithmetic is shared.
-TEST(ShardedQualitySinkTest, MatchesSequentialOracleExactly) {
+/// The exactness property the runner rests on: for the real assignment
+/// stream of each registry partitioner, the sharded sink with 1, 2 or 4
+/// shards fed from as many concurrent producers matches ComputeQuality
+/// over the materialized partitions field for field, bit for bit —
+/// replication bits are idempotent and loads are sums, so the merge is
+/// order-independent and the final arithmetic is the oracle's.
+TEST(ShardedQualitySinkTest, MatchesComputeQualityOracleExactly) {
   const std::vector<std::string> partitioners = {
       "2PS-L", "2PS-HDRF", "HDRF", "DBH", "Greedy", "NE"};
   const std::vector<std::string> families = {"social", "community",
@@ -133,10 +135,11 @@ TEST(ShardedQualitySinkTest, MatchesSequentialOracleExactly) {
           (*partitioner)->Partition(stream, config, recorded, nullptr).ok())
           << name << " on " << family;
 
-      StreamingQualitySink sequential(k);
-      sequential.AssignBatch(recorded.assignments().data(),
-                             recorded.assignments().size());
-      const PartitionQuality oracle = sequential.Quality();
+      EdgeListSink materialized(k);
+      materialized.AssignBatch(recorded.assignments().data(),
+                               recorded.assignments().size());
+      const PartitionQuality oracle =
+          ComputeQuality(materialized.partitions());
       for (const uint32_t threads : {1u, 2u, 4u}) {
         ExpectExactlyEqual(
             FeedSharded(recorded.assignments(), k, threads), oracle,
@@ -308,9 +311,9 @@ TEST(ParallelPipelineTest, ConcurrentProducersThroughTeeAndHandoff) {
 
 /// End-to-end exactness through RunPartitioner: NE's assignment stream
 /// is identical at any thread count (the parallel adjacency build is a
-/// stable counting sort), so the threads=4 run — which scores through
-/// the sharded sink and validates through the async handoff — must
-/// reproduce the threads=1 quality to the last bit.
+/// stable counting sort), so the threads=4 run — four sink shards
+/// instead of one — must reproduce the threads=1 quality to the last
+/// bit.
 TEST(ParallelPipelineTest, RunnerParallelQualityMatchesSequentialForNe) {
   RmatConfig rmat;
   rmat.scale = 12;
@@ -338,9 +341,9 @@ TEST(ParallelPipelineTest, RunnerParallelQualityMatchesSequentialForNe) {
   ExpectExactlyEqual(t4->quality, t1->quality, "NE t4 vs t1");
 }
 
-/// The parallel 2PS-L partitioner through the full threads=4 runner
-/// pipeline (sharded quality + handoff validation) must still satisfy
-/// the partitioning contract on a real pool.
+/// The parallel 2PS-L partitioner through the threads=4 runner pipeline
+/// (sharded quality, validation from its loads) must still satisfy the
+/// partitioning contract on a real pool.
 TEST(ParallelPipelineTest, RunnerParallel2pslSatisfiesContract) {
   RmatConfig rmat;
   rmat.scale = 12;
@@ -359,6 +362,68 @@ TEST(ParallelPipelineTest, RunnerParallel2pslSatisfiesContract) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->quality.num_edges, edges.size());
   EXPECT_GE(result->quality.replication_factor, 1.0);
+}
+
+/// The runner's only path through AsyncHandoffSink: a threads=4 run
+/// with both sequential consumers (keep and spill) behind the handoff.
+/// The spilled files must read back as exactly the kept partitions, and
+/// the sharded quality must equal the oracle over them.
+TEST(ParallelPipelineTest, RunnerHandoffSpillsExactlyTheKeptPartitions) {
+  RmatConfig rmat;
+  rmat.scale = 12;
+  rmat.edge_factor = 8;
+  const auto edges = GenerateRmat(rmat);
+
+  auto partitioner = MakePartitioner("2PS-L");
+  ASSERT_TRUE(partitioner.ok());
+  exec::ThreadPool pool(4);
+  InMemoryEdgeStream stream(edges);
+  PartitionConfig config;
+  config.num_partitions = 8;
+  config.exec.threads = 4;
+  config.exec.pool = &pool;
+  RunOptions options;
+  options.keep_partitions = true;
+  options.spill_dir = testing::TempDir() + "/pipeline_handoff_spill";
+  auto result = RunPartitioner(**partitioner, stream, config, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->partitions.size(), config.num_partitions);
+  ASSERT_TRUE(result->spill.spilled());
+
+  auto spilled = OpenSpilledPartitions(result->spill);
+  ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
+  ASSERT_EQ(spilled->size(), result->partitions.size());
+  for (size_t p = 0; p < spilled->size(); ++p) {
+    std::vector<Edge> read_back;
+    ASSERT_TRUE(ForEachEdge(*(*spilled)[p], [&](const Edge& e) {
+                  read_back.push_back(e);
+                }).ok());
+    EXPECT_EQ(read_back, result->partitions[p]) << "partition " << p;
+  }
+  ExpectExactlyEqual(result->quality, ComputeQuality(result->partitions),
+                     "2PS-L t4 spill+keep");
+  spilled->clear();
+  RemoveSpilledFiles(result->spill);
+}
+
+/// kInvalidVertex is a legal u32 in every binary edge format, but its
+/// matrix row would start past the addressable range: the quality sink
+/// skips the edge and the run fails with a Status at any thread count.
+TEST(ParallelPipelineTest, RunnerRejectsInvalidVertexId) {
+  exec::ThreadPool pool(4);
+  for (const uint32_t threads : {1u, 4u}) {
+    auto partitioner = MakePartitioner("Hash");
+    ASSERT_TRUE(partitioner.ok());
+    InMemoryEdgeStream stream({{0, 1}, {2, kInvalidVertex}});
+    PartitionConfig config;
+    config.num_partitions = 4;
+    config.exec.threads = threads;
+    config.exec.pool = &pool;
+    auto result = RunPartitioner(**partitioner, stream, config);
+    ASSERT_FALSE(result.ok()) << "threads=" << threads;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+        << "threads=" << threads << ": " << result.status().ToString();
+  }
 }
 
 /// The inline clustering behind the unchanged 2psl golden digests: an

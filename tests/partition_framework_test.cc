@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "graph/in_memory_edge_stream.h"
@@ -120,13 +121,13 @@ TEST(SinkTest, EmptyTeeSinkIsANoOp) {
   EXPECT_EQ(tee.num_sinks(), 0u);
 }
 
-TEST(StreamingQualitySinkTest, MatchesOracleOnKnownPartitioning) {
+TEST(QualitySinkTest, OneShardMatchesOracleOnKnownPartitioning) {
   // Same fixture as MetricsTest.QualityOfKnownPartitioning below.
   std::vector<std::vector<Edge>> parts = {
       {{0, 1}, {1, 2}, {2, 0}},
       {{2, 3}},
   };
-  StreamingQualitySink sink(2);
+  ShardedQualitySink sink(2, /*num_shards=*/1);
   for (PartitionId p = 0; p < parts.size(); ++p) {
     for (const Edge& e : parts[p]) {
       sink.Assign(e, p);
@@ -143,49 +144,61 @@ TEST(StreamingQualitySinkTest, MatchesOracleOnKnownPartitioning) {
   EXPECT_EQ(streamed.partition_sizes, oracle.partition_sizes);
 }
 
-TEST(StreamingQualitySinkTest, EmptyQualityIsZero) {
-  StreamingQualitySink sink(3);
+/// Covered vertices are counted three ways depending on how k-bit rows
+/// tile 64-bit words (k | 64, 64 | k, neither); each layout must match
+/// the oracle at one shard and at several.
+TEST(QualitySinkTest, MatchesOracleAtEveryRowLayout) {
+  for (const uint32_t k : {1u, 3u, 8u, 64u, 100u, 128u, 192u}) {
+    for (const uint32_t shards : {1u, 3u}) {
+      ShardedQualitySink sink(k, shards);
+      EdgeListSink materialized(k);
+      uint64_t state = 12345;
+      std::vector<Assignment> batch;
+      for (uint32_t i = 0; i < 3000; ++i) {
+        state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+        // Even vertex ids only, so odd rows stay empty.
+        const VertexId u = static_cast<VertexId>((state >> 33) % 400) * 2;
+        const VertexId v = static_cast<VertexId>((state >> 17) % 400) * 2;
+        batch.push_back({Edge{u, v}, static_cast<PartitionId>(state % k)});
+        if (batch.size() == 128) {
+          sink.AssignBatch(batch.data(), batch.size());
+          materialized.AssignBatch(batch.data(), batch.size());
+          batch.clear();
+        }
+      }
+      sink.AssignBatch(batch.data(), batch.size());
+      materialized.AssignBatch(batch.data(), batch.size());
+      const PartitionQuality streamed = sink.Quality();
+      const PartitionQuality oracle = ComputeQuality(materialized.partitions());
+      const std::string label =
+          "k=" + std::to_string(k) + " shards=" + std::to_string(shards);
+      EXPECT_EQ(streamed.replication_factor, oracle.replication_factor)
+          << label;
+      EXPECT_EQ(streamed.num_covered_vertices, oracle.num_covered_vertices)
+          << label;
+      EXPECT_EQ(streamed.partition_sizes, oracle.partition_sizes) << label;
+    }
+  }
+}
+
+TEST(QualitySinkTest, OneShardEmptyQualityIsZero) {
+  ShardedQualitySink sink(3, /*num_shards=*/1);
   const PartitionQuality quality = sink.Quality();
   EXPECT_DOUBLE_EQ(quality.replication_factor, 0.0);
   EXPECT_EQ(quality.num_edges, 0u);
   EXPECT_EQ(quality.partition_sizes, (std::vector<uint64_t>{0, 0, 0}));
 }
 
-TEST(StreamingQualitySinkTest, StateGrowsWithVerticesNotEdges) {
-  StreamingQualitySink sink(4);
+TEST(QualitySinkTest, OneShardStateGrowsWithVerticesNotEdges) {
+  ShardedQualitySink sink(4, /*num_shards=*/1);
   for (int repeat = 0; repeat < 1000; ++repeat) {
     sink.Assign(Edge{0, 1}, 0);  // same two vertices, many edges
   }
   const uint64_t bytes_small_v = sink.StateBytes();
   sink.Assign(Edge{50000, 50001}, 1);
   EXPECT_GT(sink.StateBytes(), bytes_small_v);
-  // O(|V|*k) bitset + O(|V|) counts, nowhere near edge-list scale.
-  EXPECT_LT(sink.StateBytes(), uint64_t{50002} * 4 / 8 + 50002 * 8 + 4096);
-}
-
-TEST(ValidatingSinkTest, LatchesMidStreamCapViolation) {
-  ValidatingSink sink(2, /*streaming_capacity=*/2);
-  sink.Assign(Edge{0, 1}, 0);
-  sink.Assign(Edge{1, 2}, 0);
-  EXPECT_TRUE(sink.status().ok());
-  sink.Assign(Edge{2, 3}, 0);
-  EXPECT_EQ(sink.status().code(), StatusCode::kFailedPrecondition);
-  // Finish reports the latched violation regardless of final totals.
-  EXPECT_EQ(sink.Finish(3, 100).code(), StatusCode::kFailedPrecondition);
-}
-
-TEST(ValidatingSinkTest, FinishChecksTotalsAndLateCapacity) {
-  ValidatingSink sink(2, ValidatingSink::kNoCapacity);
-  sink.Assign(Edge{0, 1}, 0);
-  sink.Assign(Edge{1, 2}, 1);
-  EXPECT_TRUE(sink.status().ok());
-  EXPECT_TRUE(sink.Finish(2, 1).ok());
-  EXPECT_EQ(sink.Finish(3, 1).code(), StatusCode::kFailedPrecondition);
-  sink.Assign(Edge{2, 3}, 0);
-  // Capacity only computable at the end (hint-less stream): Finish
-  // still enforces it.
-  EXPECT_EQ(sink.Finish(3, 1).code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(sink.total(), 3u);
+  // O(|V|*k) bitset, nowhere near edge-list scale.
+  EXPECT_LT(sink.StateBytes(), uint64_t{50002} * 4 / 8 + 4096);
 }
 
 TEST(MetricsTest, QualityOfKnownPartitioning) {
@@ -212,15 +225,13 @@ TEST(MetricsTest, EmptyPartitioning) {
 }
 
 TEST(MetricsTest, ValidateDetectsCapacityViolation) {
-  std::vector<std::vector<Edge>> parts = {{{0, 1}, {1, 2}}, {}};
-  EXPECT_TRUE(ValidatePartitioning(parts, 2, 2).ok());
-  const Status status = ValidatePartitioning(parts, 2, 1);
+  EXPECT_TRUE(ValidateLoads({2, 0}, 2, 2).ok());
+  const Status status = ValidateLoads({2, 0}, 2, 1);
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(MetricsTest, ValidateDetectsLostEdges) {
-  std::vector<std::vector<Edge>> parts = {{{0, 1}}, {}};
-  const Status status = ValidatePartitioning(parts, 2, 10);
+  const Status status = ValidateLoads({1, 0}, 2, 10);
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
 }
 
@@ -268,6 +279,90 @@ TEST(RunnerTest, CatchesCapViolation) {
   auto result = RunPartitioner(partitioner, stream, config);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
+}
+
+/// Delivers every edge twice; the runner must flag the duplicates.
+class DuplicatingPartitioner : public Partitioner {
+ public:
+  std::string name() const override { return "Duplicator"; }
+  bool enforces_balance_cap() const override { return false; }
+  Status Partition(EdgeStream& stream, const PartitionConfig& config,
+                   AssignmentSink& sink, PartitionStats*) override {
+    return ForEachEdge(stream, [&](const Edge& e) {
+      const PartitionId p = e.first % config.num_partitions;
+      sink.Assign(e, p);
+      sink.Assign(e, p);
+    });
+  }
+};
+
+TEST(RunnerTest, CatchesDuplicateDelivery) {
+  InMemoryEdgeStream stream({{0, 1}, {1, 2}, {2, 3}});
+  DuplicatingPartitioner partitioner;
+  PartitionConfig config;
+  config.num_partitions = 2;
+  auto result = RunPartitioner(partitioner, stream, config);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(result.status().message().find("assigned 6 edges, expected 3"),
+            std::string::npos)
+      << result.status().ToString();
+}
+
+/// A stream that publishes no edge-count hint: the cap can only be
+/// computed from the final loads.
+class HintlessEdgeStream : public InMemoryEdgeStream {
+ public:
+  using InMemoryEdgeStream::InMemoryEdgeStream;
+  uint64_t NumEdgesHint() const override { return 0; }
+};
+
+TEST(RunnerTest, CatchesCapViolationWithoutEdgeCountHint) {
+  std::vector<Edge> edges;
+  for (uint32_t i = 0; i < 100; ++i) {
+    edges.push_back(Edge{i, i + 1});
+  }
+  HintlessEdgeStream stream(edges);
+  ASSERT_EQ(stream.NumEdgesHint(), 0u);
+  OverloadingPartitioner partitioner;
+  PartitionConfig config;
+  config.num_partitions = 4;
+  auto result = RunPartitioner(partitioner, stream, config);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(result.status().message().find("holds 100 edges"),
+            std::string::npos)
+      << result.status().ToString();
+}
+
+/// Edge loss, cap breach and duplicates are all caught from the sharded
+/// sink's merged loads at threads > 1 too.
+TEST(RunnerTest, CatchesContractViolationsAtFourThreads) {
+  std::vector<Edge> edges;
+  for (uint32_t i = 0; i < 100; ++i) {
+    edges.push_back(Edge{i, i + 1});
+  }
+  PartitionConfig config;
+  config.num_partitions = 4;
+  config.exec.threads = 4;
+
+  InMemoryEdgeStream lossy(edges);
+  DroppingPartitioner dropper;
+  auto lost = RunPartitioner(dropper, lossy, config);
+  ASSERT_FALSE(lost.ok());
+  EXPECT_EQ(lost.status().code(), StatusCode::kFailedPrecondition);
+
+  InMemoryEdgeStream overloaded(edges);
+  OverloadingPartitioner overloader;
+  auto over_cap = RunPartitioner(overloader, overloaded, config);
+  ASSERT_FALSE(over_cap.ok());
+  EXPECT_EQ(over_cap.status().code(), StatusCode::kFailedPrecondition);
+
+  InMemoryEdgeStream duplicated(edges);
+  DuplicatingPartitioner duplicator;
+  auto twice = RunPartitioner(duplicator, duplicated, config);
+  ASSERT_FALSE(twice.ok());
+  EXPECT_EQ(twice.status().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(RunnerTest, StreamingQualityMatchesOracleWithoutKeptPartitions) {
