@@ -169,11 +169,12 @@ StatusOr<RunResult> RunPartitioner(Partitioner& partitioner,
                                    const RunOptions& options) {
   StatusOr<RunResult> result =
       RunPipeline(partitioner, stream, config, options);
-  // The run's O(|V|·k) state is freed by now. glibc keeps freed heap
-  // memory resident below a trim threshold that earlier large frees
-  // raise to tens of MB, so whether a run's state leaves the resident
-  // set would otherwise depend on heap layout. Hand it back: between
-  // runs the process holds no run-sized residue.
+  // The run's O(|V|·k) state is freed by now. glibc raises its trim
+  // threshold to twice the largest mmapped block freed so far (up to
+  // 64 MB) and keeps a freed heap top below it resident, so whether a
+  // run's state leaves the resident set would otherwise depend on
+  // whether its heap peak crossed that threshold. Hand it back (about
+  // a millisecond): between runs the process holds no run-sized residue.
 #if defined(__GLIBC__)
   malloc_trim(0);
 #endif

@@ -9,73 +9,6 @@
 
 namespace tpsl {
 
-namespace {
-
-struct ReplicaCounts {
-  uint64_t replicas = 0;  // set bits: one per (vertex, partition) replica
-  uint64_t covered = 0;   // rows with any set bit: non-isolated vertices
-};
-
-/// Set bits of `x` as a SWAR sum: on the generic x86-64 target (no
-/// POPCNT) std::popcount is a libgcc call, about 4x slower per word.
-uint64_t PopCount(uint64_t x) {
-  x -= (x >> 1) & 0x5555555555555555ULL;
-  x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
-  x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
-  return (x * 0x0101010101010101ULL) >> 56;
-}
-
-/// Counts a vertex-major matrix of k-bit rows in one word-parallel
-/// sweep when rows tile words (k divides 64, or 64 divides k), and with
-/// an ascending set-bit scan for covered rows otherwise.
-ReplicaCounts CountReplicas(const DenseBitset& matrix, uint32_t k) {
-  ReplicaCounts counts;
-  if (k == 0) {
-    return counts;
-  }
-  const std::vector<uint64_t>& words = matrix.words();
-  if (64 % k == 0) {
-    // 64/k rows per word. Adding all-ones to a row's low k-1 bits
-    // carries into the row's top bit iff they are non-zero; OR in the
-    // top bit itself and every non-empty row leaves exactly its top bit.
-    uint64_t tops = 0;
-    for (uint32_t bit = k - 1; bit < 64; bit += k) {
-      tops |= uint64_t{1} << bit;
-    }
-    for (const uint64_t word : words) {
-      counts.replicas += PopCount(word);
-      counts.covered += PopCount((((word & ~tops) + ~tops) | word) & tops);
-    }
-    return counts;
-  }
-  for (const uint64_t word : words) {
-    counts.replicas += PopCount(word);
-  }
-  if (k % 64 == 0) {
-    const size_t row_words = k / 64;
-    for (size_t w = 0; w < words.size(); w += row_words) {
-      uint64_t any = 0;
-      for (size_t i = w; i < w + row_words; ++i) {
-        any |= words[i];
-      }
-      counts.covered += any != 0 ? 1 : 0;
-    }
-  } else {
-    uint64_t row_end = 0;  // end of the last counted row; a multiple of k
-    matrix.ForEachSetBit([&](uint64_t bit) {
-      if (bit >= row_end) {
-        ++counts.covered;
-        do {
-          row_end += k;
-        } while (row_end <= bit);
-      }
-    });
-  }
-  return counts;
-}
-
-}  // namespace
-
 ShardedQualitySink::ShardedQualitySink(uint32_t num_partitions,
                                        uint32_t num_shards)
     : num_partitions_(num_partitions) {
@@ -179,8 +112,8 @@ PartitionQuality ShardedQualitySink::Quality() {
     }
     merged.bits.InplaceOr(other.bits);
   }
-  const ReplicaCounts counts = CountReplicas(merged.bits, num_partitions_);
-  return QualityFromTallies(Loads(), counts.replicas, counts.covered);
+  return QualityFromTallies(Loads(), merged.bits.Count(),
+                            merged.bits.CountNonEmptyRows(num_partitions_));
 }
 
 Status ShardedQualitySink::Health() const {

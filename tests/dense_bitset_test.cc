@@ -200,6 +200,32 @@ TEST(DenseBitsetPropertyTest, AgreesWithVectorBoolOracle) {
   }
 }
 
+// Non-empty rows against a row-by-row oracle, for every way k-bit rows
+// can lie on 64-bit words: several per word (k divides 64), whole words
+// (64 divides k), and straddling a word boundary. Even rows stay empty
+// so covered and empty rows alternate; the top bit of a row is set
+// alone sometimes, the carry case of the several-per-word sweep.
+TEST(DenseBitsetPropertyTest, CountNonEmptyRowsAgreesWithOracle) {
+  SplitMix64 rng(0x70775ULL);
+  for (const uint32_t k : {1u, 3u, 8u, 32u, 64u, 100u, 128u, 192u}) {
+    const uint64_t num_rows = 301;
+    DenseBitset bits(num_rows * k);
+    std::vector<bool> covered(num_rows, false);
+    for (int op = 0; op < 400; ++op) {
+      const uint64_t row = rng.NextBounded(num_rows / 2) * 2 + 1;
+      const uint64_t col = op % 5 == 0 ? k - 1 : rng.NextBounded(k);
+      bits.Set(row * k + col);
+      covered[row] = true;
+    }
+    uint64_t expected = 0;
+    for (const bool c : covered) {
+      expected += c ? 1 : 0;
+    }
+    EXPECT_EQ(bits.CountNonEmptyRows(k), expected) << "k=" << k;
+  }
+  EXPECT_EQ(DenseBitset().CountNonEmptyRows(0), 0u);
+}
+
 // Word-parallel binary ops against the oracle, including the tail word.
 TEST(DenseBitsetPropertyTest, BinaryOpsAgreeWithOracle) {
   SplitMix64 rng(0xb0075ULL);
