@@ -1,8 +1,10 @@
 // Empirically verifies the space-complexity claims of paper Table II:
 // stateful streaming partitioners (2PS-L, HDRF) hold O(|V|*k) state;
 // DBH O(|V|); Grid O(k); in-memory partitioners (NE) >= O(|E|).
-// State bytes are the partitioners' own accounting of peak algorithm
-// state (replication tables, degree arrays, adjacency, ...).
+// State bytes cover the whole run: the partitioner's own algorithm
+// state (replication tables, degree arrays, adjacency, ...) plus the
+// quality sink's. The O(|V|*k) term is one v2p matrix per run: 2PS-L
+// lends its matrix to the sink; the others' sink keeps its own.
 #include <cstdio>
 
 #include "benchkit/measure.h"

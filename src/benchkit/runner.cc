@@ -1,5 +1,6 @@
 #include "benchkit/runner.h"
 
+#include <algorithm>
 #include <thread>
 #include <vector>
 
@@ -14,9 +15,8 @@
 namespace tpsl {
 namespace benchkit {
 
-void AttachObsMetrics(BenchRecord* record) {
-  const obs::MetricsSnapshot snapshot =
-      obs::MetricsRegistry::Default().Snapshot();
+void AttachObsMetrics(BenchRecord* record,
+                      const obs::MetricsSnapshot& snapshot) {
   for (const auto& [name, value] : snapshot.counters) {
     if (value != 0) {
       record->SetMetric("obs/" + name, static_cast<double>(value));
@@ -65,10 +65,6 @@ StatusOr<BenchRecord> RunScenario(const Scenario& scenario,
   // unsupported the metric degrades to the lifetime peak — still a
   // valid upper bound, and it is informational, never gated.
   ResetPeakRss();
-  // Scenario-scoped obs snapshot: counters/histograms accumulated here
-  // are attached to the record below, so each record describes its own
-  // run, not the process lifetime.
-  obs::MetricsRegistry::Default().Reset();
   TPSL_ASSIGN_OR_RETURN(std::vector<Edge> edges,
                         LoadDataset(scenario.dataset, shift));
   // Resolve 0-means-hardware here, not just inside the partitioner:
@@ -82,17 +78,25 @@ StatusOr<BenchRecord> RunScenario(const Scenario& scenario,
   config.num_partitions = scenario.k;
   config.seed = scenario.seed;
   config.exec.threads = threads;
-  TPSL_ASSIGN_OR_RETURN(
-      Measurement m,
-      MeasureOnEdges(scenario.partitioner, scenario.dataset, edges, config));
-  for (int repeat = 1; repeat < options.repeats; ++repeat) {
+  // Repeat-scoped obs snapshots: the registry is reset before each
+  // repeat, and the record carries the snapshot of the repeat whose
+  // timing it reports, so an obs counter describes one run.
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
+  Measurement m;
+  obs::MetricsSnapshot obs_snapshot;
+  for (int repeat = 0; repeat < std::max(options.repeats, 1); ++repeat) {
+    registry.Reset();
     TPSL_ASSIGN_OR_RETURN(
         const Measurement again,
         MeasureOnEdges(scenario.partitioner, scenario.dataset, edges,
                        config));
-    if (again.seconds < m.seconds) {
+    if (repeat == 0) {
+      m = again;
+      obs_snapshot = registry.Snapshot();
+    } else if (again.seconds < m.seconds) {
       m.seconds = again.seconds;
       m.stats.phase_seconds = again.stats.phase_seconds;
+      obs_snapshot = registry.Snapshot();
     }
   }
 
@@ -121,7 +125,7 @@ StatusOr<BenchRecord> RunScenario(const Scenario& scenario,
                        static_cast<double>(edges.size()) / seconds);
     }
   }
-  AttachObsMetrics(&record);
+  AttachObsMetrics(&record, obs_snapshot);
   AttachHostMetrics(&record);
   return record;
 }

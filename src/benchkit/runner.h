@@ -3,6 +3,7 @@
 
 #include "benchkit/record.h"
 #include "benchkit/scenario.h"
+#include "obs/metrics.h"
 #include "util/status.h"
 
 namespace tpsl {
@@ -33,12 +34,14 @@ struct RunScenarioOptions {
 StatusOr<BenchRecord> RunScenario(const Scenario& scenario,
                                   const RunScenarioOptions& options = {});
 
-/// Folds the default obs::MetricsRegistry snapshot into `record` as
+/// Folds an obs::MetricsRegistry snapshot into `record` as
 /// informational "obs/<name>" metrics (histograms expand to
 /// /count,/p50,/p90,/p99; zero-valued metrics are skipped). Callers
 /// Reset() the registry before the measured work so the snapshot is
-/// scenario-scoped.
-void AttachObsMetrics(BenchRecord* record);
+/// scoped to it; repeated runners reset before every repeat and attach
+/// the snapshot of the repeat whose timing the record reports.
+void AttachObsMetrics(BenchRecord* record,
+                      const obs::MetricsSnapshot& snapshot);
 
 /// Stamps host-environment context into `record` as informational
 /// metrics — currently "hw_threads", the effective

@@ -114,6 +114,15 @@ Status TwoPhasePartitioner::Partition(EdgeStream& stream,
                     clustering.HeapBytes() + schedule.HeapBytes() +
                     state.HeapBytes();
 
+  // One v2p matrix per run: the sink reads `state.replicas` instead of
+  // rebuilding it, and gets it back on every return path before
+  // `state` dies.
+  struct LentReplicas {
+    AssignmentSink& sink;
+    ~LentReplicas() { sink.LendReplicas(nullptr); }
+  } lent{sink};
+  sink.LendReplicas(&state.replicas.bits());
+
   // Two passes classify every edge the same way. Step 2 places edges
   // whose endpoints share a cluster or whose clusters are mapped to the
   // same partition (lines 16-26); step 3 scores the rest (lines 27-44).

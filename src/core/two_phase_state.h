@@ -9,48 +9,43 @@
 #include "core/scoring.h"
 #include "graph/degrees.h"
 #include "graph/types.h"
+#include "partition/dense_bitset.h"
 #include "util/random.h"
 
 namespace tpsl {
 
-/// Lock-free vertex-to-partition replication bit matrix. Under
-/// concurrency readers may observe slightly stale bits (benign: only
-/// affects scoring quality, never correctness). Unless `shared`, one
-/// worker owns it, and Set is a plain load and store: exact without the
-/// lock-prefixed RMW.
+/// The run's vertex-to-partition replication matrix (`v2p`), hosted on
+/// a DenseBitset in ReplicationTable's vertex-major layout (row v is
+/// the k bits at v·k), so the quality sink can read it as lent. Unless
+/// `shared`, one worker owns it and Set is a plain load and store:
+/// exact without the lock-prefixed RMW. When shared, the words are
+/// accessed through relaxed std::atomic_ref and readers may observe
+/// slightly stale bits (benign: only affects scoring quality, never
+/// correctness).
 class AtomicReplicationBits {
  public:
-  // std::atomic value-initializes, so every bit starts cleared.
   AtomicReplicationBits(VertexId num_vertices, uint32_t num_partitions,
                         bool shared)
       : num_partitions_(num_partitions),
         shared_(shared),
-        words_((static_cast<uint64_t>(num_vertices) * num_partitions + 63) /
-               64) {}
+        bits_(static_cast<uint64_t>(num_vertices) * num_partitions) {}
 
   bool Test(VertexId v, PartitionId p) const {
-    const uint64_t bit = Index(v, p);
-    return (words_[bit >> 6].load(std::memory_order_relaxed) >> (bit & 63)) &
-           1;
+    // A relaxed load is a plain load on a single owner.
+    return bits_.Test<DenseBitset::Access::kRelaxed>(Index(v, p));
   }
 
   void Set(VertexId v, PartitionId p) {
-    const uint64_t bit = Index(v, p);
-    std::atomic<uint64_t>& word = words_[bit >> 6];
-    const uint64_t mask = uint64_t{1} << (bit & 63);
-    const uint64_t current = word.load(std::memory_order_relaxed);
-    if (!shared_) {
-      word.store(current | mask, std::memory_order_relaxed);
-    } else if ((current & mask) == 0) {
-      // Check-then-set: most endpoints are already replicated there,
-      // and the plain load keeps those off the lock-prefixed RMW.
-      word.fetch_or(mask, std::memory_order_relaxed);
+    if (shared_) {
+      bits_.Set<DenseBitset::Access::kRelaxed>(Index(v, p));
+    } else {
+      bits_.Set(Index(v, p));
     }
   }
 
-  uint64_t HeapBytes() const {
-    return words_.size() * sizeof(std::atomic<uint64_t>);
-  }
+  const DenseBitset& bits() const { return bits_; }
+
+  uint64_t HeapBytes() const { return bits_.HeapBytes(); }
 
  private:
   uint64_t Index(VertexId v, PartitionId p) const {
@@ -59,7 +54,7 @@ class AtomicReplicationBits {
 
   uint32_t num_partitions_;
   bool shared_;
-  std::vector<std::atomic<uint64_t>> words_;
+  DenseBitset bits_;
 };
 
 /// Claims one load slot of a partition if it is below `capacity`: by

@@ -31,7 +31,9 @@ struct DegreeTable {
 };
 
 /// Streams `stream` once, counting per-vertex degrees. The table grows
-/// to the maximum vertex id observed.
+/// to the maximum vertex id observed. An edge touching kInvalidVertex
+/// fails the pass with InvalidArgument instead of sizing the table to
+/// 2^32 slots.
 StatusOr<DegreeTable> ComputeDegrees(EdgeStream& stream);
 
 }  // namespace tpsl

@@ -11,6 +11,8 @@
 
 namespace tpsl {
 
+class DenseBitset;
+
 /// One (edge -> partition) decision, the unit of the batched sink
 /// protocol below.
 struct Assignment {
@@ -56,6 +58,16 @@ class AssignmentSink {
   /// state alone under-reports a run whose sinks keep replication
   /// bitsets or writer buffers alive.
   virtual uint64_t StateBytes() const { return 0; }
+
+  /// Lends the partitioner's own `v2p` replication matrix for the rest
+  /// of its run, or takes it back with nullptr. The matrix is
+  /// vertex-major with num_partitions bits per row (bit v·k + p set iff
+  /// vertex v has a replica on partition p). A lender calls this before
+  /// its first assignment, sets both endpoints' bits of every edge it
+  /// assigns, and takes the matrix back before it is freed. A sink that
+  /// would otherwise rebuild the same matrix reads the lent one.
+  /// Default: ignored.
+  virtual void LendReplicas(const DenseBitset* /*replicas*/) {}
 
   /// Sticky sink health. Assign()/AssignBatch() have no error channel
   /// (scoring cannot abort mid-batch), so sinks that can fail — a
@@ -156,6 +168,12 @@ class TeeSink : public AssignmentSink {
       }
     }
     return true;
+  }
+
+  void LendReplicas(const DenseBitset* replicas) override {
+    for (AssignmentSink* sink : sinks_) {
+      sink->LendReplicas(replicas);
+    }
   }
 
   /// Sum over the attached sinks (the tee itself holds only pointers).

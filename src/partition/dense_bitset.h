@@ -1,6 +1,7 @@
 #ifndef TPSL_PARTITION_DENSE_BITSET_H_
 #define TPSL_PARTITION_DENSE_BITSET_H_
 
+#include <atomic>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -10,7 +11,8 @@ namespace tpsl {
 
 /// Word-parallel dense bitset — the shared bit-storage primitive of the
 /// partitioner-state kernel. Hosts the `v2p` replication matrix
-/// (ReplicationTable), per-partition vertex covers (hypergraph quality,
+/// (ReplicationTable, and 2PS-L's shared one in two_phase_state.h),
+/// per-partition vertex covers (hypergraph quality,
 /// procsim topology), and claimed-edge masks (NE/SNE expansion).
 ///
 /// Flat uint64_t words, no bounds checks beyond the vector's own, and
@@ -19,6 +21,13 @@ namespace tpsl {
 /// queries run at memory bandwidth instead of hash-set speed.
 class DenseBitset {
  public:
+  /// How Test, Set and the row/bit counts touch the words. kPlain is
+  /// the single-owner path. kRelaxed goes through a relaxed
+  /// std::atomic_ref, so several threads may Set<kRelaxed> bits while
+  /// others Test or count them (the shared v2p matrix of a parallel
+  /// 2PS-L run); a reader then sees a subset of the concurrent sets.
+  enum class Access { kPlain, kRelaxed };
+
   DenseBitset() = default;
   explicit DenseBitset(uint64_t num_bits)
       : num_bits_(num_bits), words_(NumWords(num_bits), 0) {}
@@ -34,11 +43,25 @@ class DenseBitset {
     MaskTail();
   }
 
+  template <Access kAccess = Access::kPlain>
   bool Test(uint64_t i) const {
-    return (words_[i >> 6] >> (i & 63)) & 1;
+    return (Word<kAccess>(i >> 6) >> (i & 63)) & 1;
   }
 
-  void Set(uint64_t i) { words_[i >> 6] |= uint64_t{1} << (i & 63); }
+  template <Access kAccess = Access::kPlain>
+  void Set(uint64_t i) {
+    const uint64_t mask = uint64_t{1} << (i & 63);
+    if constexpr (kAccess == Access::kRelaxed) {
+      // Check-then-set: most bits asked for are already set, and the
+      // plain load keeps those off the lock-prefixed RMW.
+      std::atomic_ref<uint64_t> word(words_[i >> 6]);
+      if ((word.load(std::memory_order_relaxed) & mask) == 0) {
+        word.fetch_or(mask, std::memory_order_relaxed);
+      }
+    } else {
+      words_[i >> 6] |= mask;
+    }
+  }
 
   void Reset(uint64_t i) { words_[i >> 6] &= ~(uint64_t{1} << (i & 63)); }
 
@@ -61,10 +84,11 @@ class DenseBitset {
   }
 
   /// Number of set bits (word-parallel popcount).
+  template <Access kAccess = Access::kPlain>
   uint64_t Count() const {
     uint64_t total = 0;
-    for (const uint64_t word : words_) {
-      total += PopCount(word);
+    for (size_t w = 0; w < words_.size(); ++w) {
+      total += PopCount(Word<kAccess>(w));
     }
     return total;
   }
@@ -72,6 +96,7 @@ class DenseBitset {
   /// Number of rows with any bit set, reading the bits as consecutive
   /// rows of `row_bits` bits — the non-isolated vertices of a
   /// vertex-major matrix. size() must be a multiple of row_bits.
+  template <Access kAccess = Access::kPlain>
   uint64_t CountNonEmptyRows(uint32_t row_bits) const {
     uint64_t rows = 0;
     if (row_bits == 0) {
@@ -85,7 +110,8 @@ class DenseBitset {
       for (uint32_t bit = row_bits - 1; bit < 64; bit += row_bits) {
         tops |= uint64_t{1} << bit;
       }
-      for (const uint64_t word : words_) {
+      for (size_t w = 0; w < words_.size(); ++w) {
+        const uint64_t word = Word<kAccess>(w);
         rows += PopCount((((word & ~tops) + ~tops) | word) & tops);
       }
       return rows;
@@ -96,7 +122,7 @@ class DenseBitset {
       const uint64_t end = begin + row_bits - 1;  // inclusive
       uint64_t any = 0;
       for (uint64_t w = begin >> 6; w <= end >> 6; ++w) {
-        uint64_t word = words_[w];
+        uint64_t word = Word<kAccess>(w);
         if (w == begin >> 6) {
           word &= ~uint64_t{0} << (begin & 63);
         }
@@ -189,6 +215,18 @@ class DenseBitset {
 
  private:
   static uint64_t NumWords(uint64_t num_bits) { return (num_bits + 63) / 64; }
+
+  template <Access kAccess>
+  uint64_t Word(size_t w) const {
+    if constexpr (kAccess == Access::kRelaxed) {
+      // std::atomic_ref<const T> is not C++20; the words themselves are
+      // never const objects, so the cast is sound.
+      return std::atomic_ref<uint64_t>(const_cast<uint64_t&>(words_[w]))
+          .load(std::memory_order_relaxed);
+    } else {
+      return words_[w];
+    }
+  }
 
   /// Set bits of one word as a SWAR sum. On the baseline x86-64 target
   /// (no POPCNT) std::popcount is a libgcc call, about 2.5x slower per

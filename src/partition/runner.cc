@@ -34,7 +34,8 @@ StatusOr<RunResult> RunPipeline(Partitioner& partitioner, EdgeStream& stream,
   const uint64_t hint = stream.NumEdgesHint();
 
   // The sink pipeline: the sharded quality sink always (one shard per
-  // worker), materialization and spill on request. Everything is
+  // worker; it reads a lending partitioner's replica matrix through the
+  // tee), materialization and spill on request. Everything is
   // single-pass — each assignment fans out once through the tee as it
   // is made. The opted-in consumers are sequential: at threads == 1
   // they hang directly off the tee, delivered in stream order (the
@@ -116,8 +117,9 @@ StatusOr<RunResult> RunPipeline(Partitioner& partitioner, EdgeStream& stream,
   // failure in Health(). Check before trusting any downstream state.
   TPSL_RETURN_IF_ERROR(pipeline.Health());
   // Whole-run state: the partitioner's own accounting plus the live
-  // sink-side state (replication bitsets, writer buffers, any opted-in
-  // edge lists) — snapshot before Finish() releases the writer.
+  // sink-side state (loads, the quality sink's replication bitsets when
+  // no matrix was lent, writer buffers, any opted-in edge lists) —
+  // snapshot before Finish() releases the writer.
   result.stats.state_bytes += pipeline.StateBytes();
   if (options.validate) {
     // Before paying for the spill manifest: an invalid run needs none.

@@ -28,10 +28,10 @@ struct SpillInfo {
 
 /// One timed, measured partitioning run: what every experiment and
 /// example needs. Wraps Partitioner::Partition with a wall timer and a
-/// composable sink pipeline — streaming quality metrics always
-/// (O(|V|·k) state, never an edge list), contract validation from the
-/// quality sink's loads by default, plus opt-in materialization and
-/// disk spill sinks.
+/// composable sink pipeline — streaming quality metrics always (loads,
+/// plus an O(|V|·k) bit matrix only for partitioners that lend none;
+/// never an edge list), contract validation from the quality sink's
+/// loads by default, plus opt-in materialization and disk spill sinks.
 struct RunResult {
   std::string partitioner_name;
   PartitionQuality quality;
@@ -67,11 +67,13 @@ struct RunOptions {
 /// computed single-pass by ShardedQualitySink (one shard per worker)
 /// while assignments stream through, and validation reads that sink's
 /// loads — the default path holds no edge lists, so out-of-core runs
-/// stay out of core end to end. Sets the `quality.replication_factor`
-/// and `quality.max_load_skew` gauges from the final quality.
+/// stay out of core end to end. A partitioner that lends its replica
+/// matrix (2PS-L, 2PS-HDRF) is the run's only `v2p` matrix; the sink
+/// then holds loads only. Sets the `quality.replication_factor` and
+/// `quality.max_load_skew` gauges from the final quality.
 /// `stats.state_bytes` covers the whole run: partitioner state plus
-/// sink-side state (replication bitsets, writer buffers, opted-in
-/// edge lists). That state is freed, and handed back to the OS, before
+/// sink-side state (loads, replication bitsets of a non-lending run,
+/// writer buffers, opted-in edge lists). That state is freed, and handed back to the OS, before
 /// the call returns.
 StatusOr<RunResult> RunPartitioner(Partitioner& partitioner,
                                    EdgeStream& stream,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -40,6 +41,7 @@ void ShardedQualitySink::AssignBatch(const Assignment* batch, size_t count) {
     }
   }
   bool saw_invalid = false;
+  const bool own_replicas = lent_ == nullptr;
   for (size_t i = 0; i < count; ++i) {
     const Edge& e = batch[i].edge;
     const PartitionId p = batch[i].partition;
@@ -48,6 +50,10 @@ void ShardedQualitySink::AssignBatch(const Assignment* batch, size_t count) {
       saw_invalid = true;  // row top + 1 would wrap to zero
       continue;
     }
+    ++shard->loads[p];
+    if (!own_replicas) {
+      continue;  // the lender's matrix holds this edge's replicas
+    }
     if (top >= shard->num_vertices) {
       shard->num_vertices = top + 1;
       shard->bits.Resize(static_cast<uint64_t>(shard->num_vertices) *
@@ -55,7 +61,6 @@ void ShardedQualitySink::AssignBatch(const Assignment* batch, size_t count) {
     }
     shard->bits.Set(static_cast<uint64_t>(e.first) * num_partitions_ + p);
     shard->bits.Set(static_cast<uint64_t>(e.second) * num_partitions_ + p);
-    ++shard->loads[p];
   }
   bool sample = false;
   if (obs::TracingEnabled()) {
@@ -73,16 +78,44 @@ void ShardedQualitySink::AssignBatch(const Assignment* batch, size_t count) {
   }
 }
 
+void ShardedQualitySink::LendReplicas(const DenseBitset* replicas) {
+  if (replicas == nullptr && lent_ != nullptr) {
+    // The lender's passes are over and its matrix is about to go.
+    lent_tallies_ = ReplicaTallies{lent_->Count(),
+                                   lent_->CountNonEmptyRows(num_partitions_)};
+  }
+  lent_ = replicas;
+}
+
 void ShardedQualitySink::SampleQuality() {
   const int64_t start_ns = obs::TraceNowNanos();
-  for (const auto& shard : shards_) {
-    while (shard->in_use.exchange(true, std::memory_order_acquire)) {
+  const auto wait_for_lease = [](Shard& shard) {
+    while (shard.in_use.exchange(true, std::memory_order_acquire)) {
       std::this_thread::yield();
     }
-  }
-  const PartitionQuality quality = Quality();
-  for (const auto& shard : shards_) {
-    shard->in_use.store(false, std::memory_order_release);
+  };
+  PartitionQuality quality;
+  if (lent_ != nullptr) {
+    std::vector<uint64_t> loads(num_partitions_, 0);
+    for (const auto& shard : shards_) {
+      wait_for_lease(*shard);
+      for (uint32_t p = 0; p < num_partitions_; ++p) {
+        loads[p] += shard->loads[p];
+      }
+      shard->in_use.store(false, std::memory_order_release);
+    }
+    using Access = DenseBitset::Access;
+    quality = QualityFromTallies(
+        std::move(loads), lent_->Count<Access::kRelaxed>(),
+        lent_->CountNonEmptyRows<Access::kRelaxed>(num_partitions_));
+  } else {
+    for (const auto& shard : shards_) {
+      wait_for_lease(*shard);
+    }
+    quality = Quality();
+    for (const auto& shard : shards_) {
+      shard->in_use.store(false, std::memory_order_release);
+    }
   }
   obs::EmitCounter("quality.replication_factor", quality.replication_factor);
   obs::EmitCounter("quality.max_load_skew", quality.measured_alpha);
@@ -102,6 +135,10 @@ std::vector<uint64_t> ShardedQualitySink::Loads() const {
 }
 
 PartitionQuality ShardedQualitySink::Quality() {
+  if (lent_tallies_) {
+    return QualityFromTallies(Loads(), lent_tallies_->replicas,
+                              lent_tallies_->covered);
+  }
   Shard& merged = *shards_[0];
   for (size_t s = 1; s < shards_.size(); ++s) {
     const Shard& other = *shards_[s];

@@ -7,6 +7,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -19,10 +20,17 @@
 namespace tpsl {
 
 /// Computes PartitionQuality online, one assignment at a time, at any
-/// thread count: per-partition edge loads plus the vertex replication
-/// matrix, in O(|V|·k / 8) state per shard and never an edge list — the
-/// streaming replacement for running ComputeQuality over materialized
-/// partitions. ComputeQuality stays as the independent test oracle.
+/// thread count, and never from an edge list — the streaming
+/// replacement for running ComputeQuality over materialized partitions.
+/// ComputeQuality stays as the independent test oracle.
+///
+/// The sink always counts per-partition edge loads itself, so
+/// validation never rests on the partitioner's own load counters.
+/// Replicas come from one `v2p` matrix per run: a partitioner that
+/// lends its own (LendReplicas; 2PS-L and 2PS-HDRF do) is read, and
+/// the sink then holds loads only, O(k) per shard. For every other
+/// partitioner (DBH, Hash, Grid, ...) each shard keeps its own
+/// vertex-major bit matrix, O(|V|·k / 8), merged at the end.
 ///
 /// Each AssignBatch call leases one shard (spinning over a fixed pool
 /// of try-locks), absorbs the whole batch into it, and releases it — no
@@ -32,8 +40,8 @@ namespace tpsl {
 ///
 /// Exactness: a replication bit is idempotent and a load is a sum, so
 /// the merged state is independent of which shard saw which edge and
-/// of arrival order. Quality() computes total replicas as the merged
-/// popcount and covered vertices as the count of non-empty rows, then
+/// of arrival order. Quality() computes total replicas as the matrix
+/// popcount and covered vertices as its count of non-empty rows, then
 /// derives the rest through QualityFromTallies, ComputeQuality's own
 /// arithmetic, so the two agree to the last bit (the property suites
 /// assert exact equality).
@@ -59,14 +67,20 @@ class ShardedQualitySink : public AssignmentSink {
 
   bool ConcurrentSafe() const override { return true; }
 
+  /// While a matrix is lent the shards set no replica bits. Taking it
+  /// back (nullptr) counts its replicas and covered vertices once, so
+  /// Quality() no longer needs it.
+  void LendReplicas(const DenseBitset* replicas) override;
+
   /// Merged per-partition loads, O(k·shards). Not thread-safe against
   /// concurrent AssignBatch calls: call after the pass ends.
   std::vector<uint64_t> Loads() const;
 
-  /// Merged quality over everything assigned so far. Folds shards
-  /// 1..n-1 into shard 0 in place, so one shard is read without a copy.
-  /// Not thread-safe against concurrent AssignBatch calls: call after
-  /// the pass ends.
+  /// Merged quality over everything assigned so far. Without a lent
+  /// matrix, folds shards 1..n-1 into shard 0 in place, so one shard is
+  /// read without a copy. Not thread-safe against concurrent
+  /// AssignBatch calls: call after the pass ends and any lent matrix
+  /// was taken back.
   PartitionQuality Quality();
 
   Status Health() const override;
@@ -74,9 +88,10 @@ class ShardedQualitySink : public AssignmentSink {
   uint64_t StateBytes() const override;
 
  private:
-  /// One worker's private slice of the replication state. The bitset is
-  /// vertex-major like ReplicationTable (row v = k bits at v*k), grown
-  /// lazily, so the merge is a straight word-wise OR.
+  /// One worker's private slice of the loads and, unless a matrix is
+  /// lent, of the replication state. The bitset is vertex-major like
+  /// ReplicationTable (row v = k bits at v*k), grown lazily, so the
+  /// merge is a straight word-wise OR.
   struct Shard {
     std::atomic<bool> in_use{false};
     DenseBitset bits;
@@ -85,14 +100,27 @@ class ShardedQualitySink : public AssignmentSink {
     uint64_t assigned = 0;  // counted only while tracing
   };
 
-  /// Takes every shard's lease in index order (so concurrent samplers
-  /// cannot deadlock), emits the exact running quality as counter
-  /// events, and releases the leases.
+  /// Σ_v replicas(v) and the vertices with at least one replica.
+  struct ReplicaTallies {
+    uint64_t replicas = 0;
+    uint64_t covered = 0;
+  };
+
+  /// Emits the running quality as counter events. With a lent matrix
+  /// it reads the matrix by relaxed loads and each shard's loads under
+  /// that shard's lease, one at a time, while the workers go on.
+  /// Otherwise it takes every shard's lease in index order (so
+  /// concurrent samplers cannot deadlock), folds the bit shards and
+  /// releases the leases.
   void SampleQuality();
 
   const uint32_t num_partitions_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<bool> saw_invalid_vertex_{false};
+  // Set by the lender before its passes start and cleared after they
+  // end; the pool's task handoff orders both against the workers.
+  const DenseBitset* lent_ = nullptr;
+  std::optional<ReplicaTallies> lent_tallies_;  // taken at release
 };
 
 /// Decouples a parallel scoring pass from sequential sink consumers
@@ -107,7 +135,8 @@ class ShardedQualitySink : public AssignmentSink {
 /// Finish() flushes the queue and joins the drainer; the runner calls
 /// it before reading any downstream state (spill manifests,
 /// materialized partitions). The destructor also joins, so an error
-/// return that skips Finish() cannot leak the thread.
+/// return that skips Finish() cannot leak the thread. A lent replica
+/// matrix is not forwarded: the queued consumers never read replicas.
 class AsyncHandoffSink : public AssignmentSink {
  public:
   /// `downstream` must outlive the sink; `max_queued_chunks` bounds

@@ -126,7 +126,8 @@ StatusOr<benchkit::BenchRecord> RunServeScenario(
   record.SetMetric("peak_rss_bytes", static_cast<double>(PeakRssBytes()));
   record.SetMetric("phase_seconds/readers", best.reader_seconds);
   record.SetMetric("phase_seconds/writer", best.writer_seconds);
-  benchkit::AttachObsMetrics(&record);
+  benchkit::AttachObsMetrics(&record,
+                             obs::MetricsRegistry::Default().Snapshot());
   benchkit::AttachHostMetrics(&record);
   return record;
 }

@@ -487,6 +487,28 @@ TEST(RunnerTest, EndToEndScenarioPopulatesFiniteMetrics) {
   }
 }
 
+/// Obs counters describe one repeat, the one whose timing the record
+/// reports: three repeats count as many scored edges as one.
+TEST(RunnerTest, ObsMetricsAreScopedToTheReportedRepeat) {
+  const Scenario* scenario = FindScenario("2psl_ok_k32");
+  ASSERT_NE(scenario, nullptr);
+  RunScenarioOptions options;
+  options.extra_scale_shift = 4;
+  options.repeats = 1;
+  auto once = RunScenario(*scenario, options);
+  ASSERT_TRUE(once.ok()) << once.status();
+  options.repeats = 3;
+  auto thrice = RunScenario(*scenario, options);
+  ASSERT_TRUE(thrice.ok()) << thrice.status();
+  const double* scored_once = once->FindMetric("obs/partition.edges_scored");
+  const double* scored_thrice =
+      thrice->FindMetric("obs/partition.edges_scored");
+  ASSERT_NE(scored_once, nullptr);
+  ASSERT_NE(scored_thrice, nullptr);
+  EXPECT_GT(*scored_once, 0.0);
+  EXPECT_EQ(*scored_thrice, *scored_once);
+}
+
 TEST(ScenarioRegistryTest, SuggestsClosestNamesForTypos) {
   // One edit away from a pinned name resolves to it first.
   const auto close = SuggestScenarioNames("serve_ok_k32_r44");

@@ -5,7 +5,9 @@
 // every replication table in the repo.
 #include "partition/dense_bitset.h"
 
+#include <atomic>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -224,6 +226,64 @@ TEST(DenseBitsetPropertyTest, CountNonEmptyRowsAgreesWithOracle) {
     EXPECT_EQ(bits.CountNonEmptyRows(k), expected) << "k=" << k;
   }
   EXPECT_EQ(DenseBitset().CountNonEmptyRows(0), 0u);
+}
+
+// Relaxed access, the shared 2PS-L matrix's protocol: four writers set
+// overlapping bits of the same words while a reader counts. Every
+// running count is a subset of the final one (counts only grow), and
+// once the writers are joined the relaxed and plain views agree bit
+// for bit. Under tsan this is the race check for the protocol.
+TEST(DenseBitsetTest, RelaxedAccessUnderConcurrentWriters) {
+  constexpr uint32_t kRowBits = 32;
+  constexpr uint64_t kBits = 4096 * kRowBits;
+  DenseBitset shared(kBits);
+  DenseBitset expected(kBits);
+  std::vector<std::vector<uint64_t>> picks(4);
+  SplitMix64 rng(0x5e7ULL);
+  for (auto& pick : picks) {
+    for (int i = 0; i < 20000; ++i) {
+      pick.push_back(rng.NextBounded(kBits));
+      expected.Set(pick.back());
+    }
+  }
+  using Access = DenseBitset::Access;
+  std::atomic<bool> done{false};
+  uint64_t last_count = 0;
+  uint64_t last_rows = 0;
+  bool monotone = true;
+  std::thread reader([&]() {
+    while (!done.load(std::memory_order_acquire)) {
+      const uint64_t count = shared.Count<Access::kRelaxed>();
+      const uint64_t rows =
+          shared.CountNonEmptyRows<Access::kRelaxed>(kRowBits);
+      monotone = monotone && count >= last_count && rows >= last_rows;
+      last_count = count;
+      last_rows = rows;
+    }
+  });
+  std::vector<std::thread> writers;
+  for (const auto& pick : picks) {
+    writers.emplace_back([&shared, &pick]() {
+      for (const uint64_t i : pick) {
+        shared.Set<Access::kRelaxed>(i);
+      }
+    });
+  }
+  for (std::thread& writer : writers) {
+    writer.join();
+  }
+  done.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_TRUE(monotone);
+  EXPECT_LE(last_count, expected.Count());
+  EXPECT_EQ(shared.Count<Access::kRelaxed>(), expected.Count());
+  EXPECT_EQ(shared.Count(), expected.Count());
+  EXPECT_EQ(shared.CountNonEmptyRows(kRowBits),
+            expected.CountNonEmptyRows(kRowBits));
+  EXPECT_EQ(shared.words(), expected.words());
+  for (uint64_t i = 0; i < kBits; i += 97) {
+    EXPECT_EQ(shared.Test<Access::kRelaxed>(i), expected.Test(i)) << i;
+  }
 }
 
 // Word-parallel binary ops against the oracle, including the tail word.

@@ -15,6 +15,7 @@
 #include "ingest/checksum.h"
 #include "ingest/external_generator.h"
 #include "ingest/prefetching_edge_stream.h"
+#include "ingest/scenario_runner.h"
 #include "io/throttled_edge_stream.h"
 
 namespace tpsl {
@@ -396,6 +397,39 @@ TEST(BinaryFileEdgeStreamHealthTest, HealthyStreamStaysOk) {
   ASSERT_TRUE(ForEachEdge(**stream, [](const Edge&) {}).ok());
   EXPECT_TRUE((*stream)->Health().ok());
   std::remove(path.c_str());
+}
+
+// --- disk scenario records ------------------------------------------------
+
+/// The obs snapshot in a record belongs to the repeat whose timing the
+/// record reports: the spill counter of a three-repeat run equals the
+/// bytes one repeat wrote, not three times that.
+TEST(DiskScenarioTest, ObsMetricsAreScopedToTheReportedRepeat) {
+  ScratchDir dir("disk_scenario_obs");
+  Catalog catalog;
+  catalog.entries.push_back(UnpinnedEntry());
+  ScenarioRunContext context;
+  context.catalog_path = dir.path() + "/catalog.json";
+  context.dataset_dir = dir.path() + "/datasets";
+  context.spill_dir = dir.path() + "/spill";
+  context.options.repeats = 3;
+  ASSERT_TRUE(SaveCatalog(catalog, context.catalog_path).ok());
+
+  benchkit::Scenario scenario;
+  scenario.name = "tiny_spill";
+  scenario.partitioner = "2PS-L";
+  scenario.dataset = catalog.entries[0].recipe.name;
+  scenario.k = 8;
+  scenario.kind = benchkit::ScenarioKind::kDiskPartition;
+  scenario.spill = true;
+  auto record = RunScenarioWithIngest(scenario, context);
+  ASSERT_TRUE(record.ok()) << record.status();
+  const double* written = record->FindMetric("spill_bytes_written");
+  const double* counted = record->FindMetric("obs/spill.bytes_written");
+  ASSERT_NE(written, nullptr);
+  ASSERT_NE(counted, nullptr);
+  EXPECT_GT(*written, 0.0);
+  EXPECT_EQ(*counted, *written);
 }
 
 }  // namespace

@@ -447,8 +447,8 @@ TEST_F(QualityGaugeTest, GaugesReconcileWithRunQuality) {
   }
 }
 
-/// With tracing on, every shard emits the exact running quality as
-/// counter events each 2^16 assignments it absorbs. 2^19 edges over
+/// With tracing on, every shard emits the running quality as counter
+/// events each 2^16 assignments it absorbs. 2^19 edges over
 /// four shards put at least 2^17 into one of them, so samples are
 /// guaranteed whatever the scheduling. With tracing off the sink takes
 /// no samples at all.

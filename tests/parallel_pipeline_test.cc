@@ -407,23 +407,99 @@ TEST(ParallelPipelineTest, RunnerHandoffSpillsExactlyTheKeptPartitions) {
 }
 
 /// kInvalidVertex is a legal u32 in every binary edge format, but its
-/// matrix row would start past the addressable range: the quality sink
-/// skips the edge and the run fails with a Status at any thread count.
+/// matrix row would start past the addressable range: the run fails
+/// with a Status at any thread count — from the quality sink for a
+/// stateless partitioner, from the degree pass (before it sizes
+/// anything by the vertex id) for the 2PS family.
 TEST(ParallelPipelineTest, RunnerRejectsInvalidVertexId) {
   exec::ThreadPool pool(4);
+  for (const std::string name : {"Hash", "2PS-L", "2PS-HDRF"}) {
+    for (const uint32_t threads : {1u, 4u}) {
+      const std::string label = name + " threads=" + std::to_string(threads);
+      auto partitioner = MakePartitioner(name);
+      ASSERT_TRUE(partitioner.ok()) << label;
+      InMemoryEdgeStream stream({{0, 1}, {2, kInvalidVertex}});
+      PartitionConfig config;
+      config.num_partitions = 4;
+      config.exec.threads = threads;
+      config.exec.pool = &pool;
+      auto result = RunPartitioner(**partitioner, stream, config);
+      ASSERT_FALSE(result.ok()) << label;
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+          << label << ": " << result.status().ToString();
+    }
+  }
+}
+
+/// 2PS-L and 2PS-HDRF lend their replica matrix to the runner's quality
+/// sink, which then counts loads only. The quality read off the lent
+/// matrix must still equal the ComputeQuality oracle over the kept
+/// partitions to the last bit, at every thread count and across k
+/// (word-aligned rows, rows straddling words, one row per word and
+/// more).
+TEST(LentReplicasTest, RunnerQualityMatchesOracleExactly) {
+  exec::ThreadPool pool(4);
+  for (const std::string family : {"social", "community", "uniform"}) {
+    const std::vector<Edge> edges = MakeFamily(family);
+    for (const std::string name : {"2PS-L", "2PS-HDRF"}) {
+      for (const uint32_t threads : {1u, 2u, 4u}) {
+        for (const uint32_t k : {1u, 3u, 32u, 100u, 256u}) {
+          std::string label = family;
+          label += " " + name + " t" + std::to_string(threads) + " k" +
+                   std::to_string(k);
+          auto partitioner = MakePartitioner(name);
+          ASSERT_TRUE(partitioner.ok()) << label;
+          InMemoryEdgeStream stream(edges);
+          PartitionConfig config;
+          config.num_partitions = k;
+          config.exec.threads = threads;
+          config.exec.pool = &pool;
+          RunOptions options;
+          options.keep_partitions = true;
+          auto result = RunPartitioner(**partitioner, stream, config, options);
+          ASSERT_TRUE(result.ok()) << label << ": " << result.status();
+          ExpectExactlyEqual(result->quality,
+                             ComputeQuality(result->partitions), label);
+        }
+      }
+    }
+  }
+}
+
+/// The run holds one v2p matrix whatever the worker count: a 2PS-L
+/// run's state at four threads exceeds the one-thread figure only by
+/// the extra sink shards' loads, O(k·shards), and the matrix is
+/// counted once. The graph is a perfect matching, so the clustering
+/// (and every array sized by it) is the same at any thread count.
+TEST(LentReplicasTest, StateBytesCountTheMatrixOnce) {
+  constexpr VertexId kVertices = 1 << 14;
+  constexpr uint32_t kPartitions = 256;
+  std::vector<Edge> edges;
+  for (VertexId v = 0; v < kVertices; v += 2) {
+    edges.push_back({v, v + 1});
+  }
+  exec::ThreadPool pool(4);
+  uint64_t state_bytes[2] = {0, 0};
   for (const uint32_t threads : {1u, 4u}) {
-    auto partitioner = MakePartitioner("Hash");
+    auto partitioner = MakePartitioner("2PS-L");
     ASSERT_TRUE(partitioner.ok());
-    InMemoryEdgeStream stream({{0, 1}, {2, kInvalidVertex}});
+    InMemoryEdgeStream stream(edges);
     PartitionConfig config;
-    config.num_partitions = 4;
+    config.num_partitions = kPartitions;
     config.exec.threads = threads;
     config.exec.pool = &pool;
+    config.exec.batch_size = 64;  // many batches, spread over the shards
     auto result = RunPartitioner(**partitioner, stream, config);
-    ASSERT_FALSE(result.ok()) << "threads=" << threads;
-    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
-        << "threads=" << threads << ": " << result.status().ToString();
+    ASSERT_TRUE(result.ok()) << result.status();
+    state_bytes[threads == 1 ? 0 : 1] = result->stats.state_bytes;
   }
+  const uint64_t matrix_bytes = uint64_t{kVertices} * kPartitions / 8;
+  EXPECT_GE(state_bytes[0], matrix_bytes);
+  EXPECT_LT(state_bytes[0], 2 * matrix_bytes);
+  ASSERT_GE(state_bytes[1], state_bytes[0]);
+  // Three more shards, each O(k) loads plus a fixed header.
+  EXPECT_LE(state_bytes[1] - state_bytes[0],
+            3 * (kPartitions * sizeof(uint64_t) + 256));
 }
 
 /// The inline clustering behind the unchanged 2psl golden digests: an
