@@ -1,6 +1,5 @@
 #include "core/two_phase_partitioner.h"
 
-#include <atomic>
 #include <mutex>
 #include <vector>
 
@@ -17,15 +16,14 @@ namespace {
 /// One engine-driven pass: workers run `process(edge)`, which returns
 /// the chosen partition or kInvalidPartition to skip; placed edges are
 /// added to `*placed`. Each batch's assignments go out in one
-/// AssignBatch call: lock-free into a ConcurrentSafe sink (the runner's
-/// threads>1 pipeline), under a mutex otherwise.
+/// AssignBatch call under the pass's one mutex, so the sink sees one
+/// caller at a time at every thread count.
 template <typename ProcessFn>
 Status ParallelPass(EdgeStream& stream, const exec::ExecContext& exec,
                     AssignmentSink& sink, const ProcessFn& process,
                     uint64_t* placed) {
   std::mutex sink_mutex;
-  const bool concurrent_sink = sink.ConcurrentSafe();
-  std::atomic<uint64_t> total{0};
+  uint64_t total = 0;  // guarded by sink_mutex
   exec::ParallelForEdgesOptions options;
   options.batch_size = exec.batch_size;
   options.workers = exec.ResolveThreads();
@@ -42,18 +40,14 @@ Status ParallelPass(EdgeStream& stream, const exec::ExecContext& exec,
           }
         }
         if (!results.empty()) {
-          if (concurrent_sink) {
-            sink.AssignBatch(results.data(), results.size());
-          } else {
-            std::lock_guard<std::mutex> lock(sink_mutex);
-            sink.AssignBatch(results.data(), results.size());
-          }
-          total.fetch_add(results.size(), std::memory_order_relaxed);
+          std::lock_guard<std::mutex> lock(sink_mutex);
+          sink.AssignBatch(results.data(), results.size());
+          total += results.size();
         }
         ScoredEdgesCounter()->Add(count);
         return Status::OK();
       }));
-  *placed += total.load();
+  *placed += total;
   return Status::OK();
 }
 

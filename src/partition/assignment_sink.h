@@ -29,6 +29,11 @@ struct Assignment {
 /// several sinks through a TeeSink (quality, validation, spill-to-disk,
 /// optional in-memory materialization), so measurement never forces
 /// edge-set materialization.
+///
+/// Delivery is single-caller by contract: a partitioner calls its sink
+/// from one thread at a time (a parallel pass serializes its workers'
+/// batches under one mutex), so no sink needs to be safe under
+/// concurrent calls.
 class AssignmentSink {
  public:
   virtual ~AssignmentSink() = default;
@@ -36,22 +41,14 @@ class AssignmentSink {
   virtual void Assign(const Edge& edge, PartitionId partition) = 0;
 
   /// Batched variant: one scored batch delivered in one virtual call,
-  /// so a parallel scoring pass amortizes the dispatch and a
-  /// concurrent-safe sink can absorb the whole batch into one shard.
+  /// so a parallel scoring pass amortizes the dispatch and the lock.
   /// Default forwards per edge, preserving Assign()'s exact semantics
-  /// and ordering for sequential sinks.
+  /// and ordering.
   virtual void AssignBatch(const Assignment* batch, size_t count) {
     for (size_t i = 0; i < count; ++i) {
       Assign(batch[i].edge, batch[i].partition);
     }
   }
-
-  /// Whether AssignBatch may be called concurrently from multiple
-  /// threads. Sinks that return true are the fast path of a parallel
-  /// partitioner: the scoring pass skips its serializing sink mutex
-  /// entirely. Default false: the runner (or the partitioner's mutex)
-  /// guarantees single-threaded delivery.
-  virtual bool ConcurrentSafe() const { return false; }
 
   /// Bytes of heap memory this sink holds. Feeds the whole-run
   /// state-bytes accounting (paper Fig. 4 memory column): partitioner
@@ -71,8 +68,8 @@ class AssignmentSink {
 
   /// Sticky sink health. Assign()/AssignBatch() have no error channel
   /// (scoring cannot abort mid-batch), so sinks that can fail — a
-  /// spill writer hitting a full disk, an async handoff whose
-  /// downstream died — latch the first failure here. The runner checks
+  /// spill writer hitting a full disk, a quality sink handed an invalid
+  /// vertex id — latch the first failure here. The runner checks
   /// every pipeline sink after the pass; a run whose spill silently
   /// dropped edges must not report success.
   virtual Status Health() const { return Status::OK(); }
@@ -158,16 +155,6 @@ class TeeSink : public AssignmentSink {
     for (AssignmentSink* sink : sinks_) {
       sink->AssignBatch(batch, count);
     }
-  }
-
-  /// A tee is only as concurrent as its least concurrent child.
-  bool ConcurrentSafe() const override {
-    for (const AssignmentSink* sink : sinks_) {
-      if (!sink->ConcurrentSafe()) {
-        return false;
-      }
-    }
-    return true;
   }
 
   void LendReplicas(const DenseBitset* replicas) override {

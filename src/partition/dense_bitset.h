@@ -65,8 +65,8 @@ class DenseBitset {
 
   void Reset(uint64_t i) { words_[i >> 6] &= ~(uint64_t{1} << (i & 63)); }
 
-  /// Sets bit i; returns true iff it was previously clear. The
-  /// test-and-set idiom every incremental cover/replica counter needs.
+  /// Sets bit i; returns true iff it was previously clear (NE's
+  /// claimed-edge mask).
   bool TestAndSet(uint64_t i) {
     uint64_t& word = words_[i >> 6];
     const uint64_t mask = uint64_t{1} << (i & 63);

@@ -31,7 +31,7 @@ struct PartitionQuality {
 /// Quality from a partitioning's integer tallies: edges per partition,
 /// Σ_v replicas(v), and vertices with at least one replica. The one
 /// home of PartitionQuality's floating-point arithmetic, so every
-/// producer of the tallies (ComputeQuality, ShardedQualitySink) agrees
+/// producer of the tallies (ComputeQuality, QualitySink) agrees
 /// to the last bit.
 PartitionQuality QualityFromTallies(std::vector<uint64_t> loads,
                                     uint64_t total_replicas,

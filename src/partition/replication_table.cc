@@ -6,19 +6,7 @@ ReplicationTable::ReplicationTable(VertexId num_vertices,
                                    uint32_t num_partitions)
     : num_vertices_(num_vertices),
       num_partitions_(num_partitions),
-      bits_(static_cast<uint64_t>(num_vertices) * num_partitions),
-      cover_sizes_(num_partitions, 0),
-      replica_counts_(num_vertices, 0) {}
-
-DenseBitset ReplicationTable::CoverBitset(PartitionId p) const {
-  DenseBitset cover(num_vertices_);
-  for (VertexId v = 0; v < num_vertices_; ++v) {
-    if (Test(v, p)) {
-      cover.Set(v);
-    }
-  }
-  return cover;
-}
+      bits_(static_cast<uint64_t>(num_vertices) * num_partitions) {}
 
 double ReplicationTable::ReplicationFactor() const {
   const uint64_t covered = CoveredVertices();
@@ -26,14 +14,6 @@ double ReplicationTable::ReplicationFactor() const {
     return 0.0;
   }
   return static_cast<double>(TotalReplicas()) / static_cast<double>(covered);
-}
-
-uint64_t ReplicationTable::CoveredVertices() const {
-  uint64_t covered = 0;
-  for (uint32_t count : replica_counts_) {
-    covered += (count > 0) ? 1 : 0;
-  }
-  return covered;
 }
 
 }  // namespace tpsl

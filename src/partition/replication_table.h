@@ -2,7 +2,6 @@
 #define TPSL_PARTITION_REPLICATION_TABLE_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "graph/types.h"
 #include "partition/dense_bitset.h"
@@ -16,9 +15,9 @@ namespace tpsl {
 /// Hosted on the kernel's DenseBitset, vertex-major: row v is the k
 /// consecutive bits starting at v·k, so one cache line holds a whole
 /// row for k <= 512 and a scoring loop touches exactly one line per
-/// endpoint. Maintains per-partition vertex-cover counts |V(p_i)|
-/// incrementally so the replication factor is available in O(k) at any
-/// time.
+/// endpoint. Holds the bits only: replica and cover totals are counted
+/// by sweeping the matrix (DenseBitset::Count, CountNonEmptyRows) when
+/// asked, as the runner's quality sink does.
 class ReplicationTable {
  public:
   ReplicationTable(VertexId num_vertices, uint32_t num_partitions);
@@ -39,58 +38,34 @@ class ReplicationTable {
     }
     num_vertices_ = new_num_vertices;
     bits_.Resize(static_cast<uint64_t>(num_vertices_) * num_partitions_);
-    replica_counts_.resize(num_vertices_, 0);
   }
 
   /// Marks v as replicated on p (idempotent).
-  void Set(VertexId v, PartitionId p) {
-    if (bits_.TestAndSet(Index(v, p))) {
-      ++cover_sizes_[p];
-      ++replica_counts_[v];
-    }
-  }
+  void Set(VertexId v, PartitionId p) { bits_.Set(Index(v, p)); }
 
-  /// Pulls vertex v's replica row (and its replica count) toward the
-  /// cache; scoring loops call this a few edges ahead of the test.
+  /// Pulls vertex v's replica row toward the cache; scoring loops call
+  /// this a few edges ahead of the test.
   void PrefetchRow(VertexId v) const {
     bits_.Prefetch(Index(v, 0));
   }
 
-  /// Number of partitions vertex v is replicated on.
-  uint32_t ReplicaCount(VertexId v) const { return replica_counts_[v]; }
-
-  /// |V(p)| — size of partition p's vertex cover set.
-  uint64_t CoverSize(PartitionId p) const { return cover_sizes_[p]; }
-
-  /// Partition p's full vertex cover as a standalone DenseBitset over
-  /// [0, num_vertices). An O(|V|·k / 64) gather — for mirror-overlap
-  /// queries (FSM split/merge matching), not for per-edge loops.
-  DenseBitset CoverBitset(PartitionId p) const;
-
-  /// Replication factor over the `num_covered` vertices that actually
-  /// appear in the graph: (1/|V|) Σ_i |V(p_i)|. Computed against the
-  /// number of vertices with at least one replica.
+  /// Replication factor over the vertices that actually appear in the
+  /// graph: (1/|V|) Σ_i |V(p_i)|, computed against the number of
+  /// vertices with at least one replica.
   double ReplicationFactor() const;
 
-  /// Total vertices with >= 1 replica (i.e., non-isolated vertices).
-  uint64_t CoveredVertices() const;
-
-  /// Σ_v replicas(v), from the incremental cover counts (O(k)).
-  uint64_t TotalReplicas() const {
-    uint64_t total = 0;
-    for (const uint64_t size : cover_sizes_) {
-      total += size;
-    }
-    return total;
+  /// Total vertices with >= 1 replica (i.e., non-isolated vertices):
+  /// the matrix's non-empty rows, an O(|V|·k / 64) sweep.
+  uint64_t CoveredVertices() const {
+    return bits_.CountNonEmptyRows(num_partitions_);
   }
 
-  /// Bytes of heap memory held (for the paper's memory accounting).
-  /// Exact: the bit matrix plus both count arrays — the Table II space
-  /// term stays honest after the DenseBitset rehost.
-  uint64_t HeapBytes() const {
-    return bits_.HeapBytes() + cover_sizes_.size() * sizeof(uint64_t) +
-           replica_counts_.size() * sizeof(uint32_t);
-  }
+  /// Σ_v replicas(v): the matrix popcount, an O(|V|·k / 64) sweep.
+  uint64_t TotalReplicas() const { return bits_.Count(); }
+
+  /// Bytes of heap memory held (for the paper's memory accounting):
+  /// the bit matrix, the Table II space term.
+  uint64_t HeapBytes() const { return bits_.HeapBytes(); }
 
  private:
   uint64_t Index(VertexId v, PartitionId p) const {
@@ -100,8 +75,6 @@ class ReplicationTable {
   VertexId num_vertices_;
   uint32_t num_partitions_;
   DenseBitset bits_;
-  std::vector<uint64_t> cover_sizes_;
-  std::vector<uint32_t> replica_counts_;
 };
 
 }  // namespace tpsl

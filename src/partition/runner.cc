@@ -33,24 +33,18 @@ StatusOr<RunResult> RunPipeline(Partitioner& partitioner, EdgeStream& stream,
   const uint32_t k = config.num_partitions;
   const uint64_t hint = stream.NumEdgesHint();
 
-  // The sink pipeline: the sharded quality sink always (one shard per
-  // worker; it reads a lending partitioner's replica matrix through the
-  // tee), materialization and spill on request. Everything is
-  // single-pass — each assignment fans out once through the tee as it
-  // is made. The opted-in consumers are sequential: at threads == 1
-  // they hang directly off the tee, delivered in stream order (the
-  // byte-identity contract); at threads > 1 they move behind a bounded
-  // handoff queue, so the whole pipeline reports ConcurrentSafe and the
-  // scoring pass never takes a sink mutex.
-  const uint32_t threads = config.exec.ResolveThreads();
-  ShardedQualitySink quality_sink(k, threads);
+  // The sink pipeline: the quality sink always (it reads a lending
+  // partitioner's replica matrix through the tee), materialization and
+  // spill on request. Everything is single-pass — each assignment fans
+  // out once through the tee as it is made, one caller at a time at
+  // every thread count. At threads == 1 that is stream order (the
+  // byte-identity contract).
+  QualitySink quality_sink(k);
   TeeSink pipeline{&quality_sink};
-  TeeSink sequential_sinks;  // threads > 1: consumers behind the queue
-  TeeSink& direct = threads > 1 ? sequential_sinks : pipeline;
   std::optional<EdgeListSink> keep_sink;
   if (options.keep_partitions) {
     keep_sink.emplace(k);
-    direct.Add(&*keep_sink);
+    pipeline.Add(&*keep_sink);
   }
   // A failed spill run must not leave partial partition files behind:
   // the error Status carries no SpillInfo, so no caller could clean
@@ -78,21 +72,13 @@ StatusOr<RunResult> RunPipeline(Partitioner& partitioner, EdgeStream& stream,
             .string();
     spill_sink.emplace(prefix, k);
     TPSL_RETURN_IF_ERROR(spill_sink->status());
-    direct.Add(&*spill_sink);
+    pipeline.Add(&*spill_sink);
     spill_cleanup.files.prefix = prefix;
     for (PartitionId p = 0; p < k; ++p) {
       spill_cleanup.files.partition_paths.push_back(
           spill_sink->PartitionPath(p));
     }
     spill_cleanup.armed = true;
-  }
-  std::optional<AsyncHandoffSink> handoff;
-  if (threads > 1 && sequential_sinks.num_sinks() > 0) {
-    // Bound the queue at a few chunks per worker: enough slack that a
-    // slow spill write does not stall scoring, small enough that
-    // back-pressure (not memory) absorbs a persistently slow consumer.
-    handoff.emplace(&sequential_sinks, /*max_queued_chunks=*/4 * threads);
-    pipeline.Add(&*handoff);
   }
 
   WallTimer timer;
@@ -101,24 +87,17 @@ StatusOr<RunResult> RunPipeline(Partitioner& partitioner, EdgeStream& stream,
     TPSL_RETURN_IF_ERROR(
         partitioner.Partition(stream, config, pipeline, &result.stats));
   }
-  if (handoff) {
-    // Drain the queue and park the drainer before any downstream state
-    // (spill manifests, materialized partitions) is read. Part of the
-    // measured run: the work was deferred, not free.
-    obs::TraceSpan span("partition.handoff_drain", "partition");
-    handoff->Finish();
-  }
   // Some partitioners drive Next() manually instead of via ForEachEdge;
   // a stream that failed mid-pass looks like a short EOF to them.
   TPSL_RETURN_IF_ERROR(stream.Health());
   // Same for the sinks: Assign() has no error channel, so a spill
-  // writer that hit a full disk, an async handoff whose downstream
-  // died, or a quality sink handed an invalid vertex id latched the
-  // failure in Health(). Check before trusting any downstream state.
+  // writer that hit a full disk or a quality sink handed an invalid
+  // vertex id latched the failure in Health(). Check before trusting
+  // any downstream state.
   TPSL_RETURN_IF_ERROR(pipeline.Health());
   // Whole-run state: the partitioner's own accounting plus the live
-  // sink-side state (loads, the quality sink's replication bitsets when
-  // no matrix was lent, writer buffers, any opted-in edge lists) —
+  // sink-side state (loads, the quality sink's replication matrix when
+  // none was lent, writer buffers, any opted-in edge lists) —
   // snapshot before Finish() releases the writer.
   result.stats.state_bytes += pipeline.StateBytes();
   if (options.validate) {
@@ -127,7 +106,7 @@ StatusOr<RunResult> RunPipeline(Partitioner& partitioner, EdgeStream& stream,
     // only for partitioners that promise it (stateless hashing does
     // not — the paper reports their measured α instead). Loads only
     // grow, so the final loads catch any mid-stream breach too.
-    const std::vector<uint64_t> loads = quality_sink.Loads();
+    const std::vector<uint64_t>& loads = quality_sink.Loads();
     uint64_t expected_edges = hint;
     if (expected_edges == 0) {
       for (const uint64_t load : loads) {

@@ -22,7 +22,6 @@ namespace tpsl {
 /// Layout is deliberately flat — the HDRF idiom (Petroni et al.,
 /// CIKM'15) where the score decomposes into per-partition arrays:
 ///   * `v2p` replication bit matrix (ReplicationTable on DenseBitset),
-///     with per-partition cover counts |V(p_i)|,
 ///   * per-partition edge loads |p_i| with the running max.
 /// Scoring helpers preserve each caller's exact iteration order and
 /// tie-breaking, so migrating a partitioner onto the kernel is
@@ -186,8 +185,8 @@ class ScoreTables {
     return best_either != kInvalidPartition ? best_either : best_any;
   }
 
-  /// Exact bytes held by the kernel state (replication matrix + cover
-  /// counts + loads). Attached views are owned elsewhere and counted
+  /// Exact bytes held by the kernel state (replication matrix +
+  /// loads). Attached views are owned elsewhere and counted
   /// by their owners.
   uint64_t HeapBytes() const {
     return replicas_.HeapBytes() + loads_.size() * sizeof(uint64_t);

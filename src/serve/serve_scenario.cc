@@ -46,8 +46,6 @@ StatusOr<benchkit::BenchRecord> RunServeScenario(
   }
   const int shift = scenario.scale_shift + options.extra_scale_shift;
   ResetPeakRss();
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
-  registry.Reset();
   TPSL_ASSIGN_OR_RETURN(const std::vector<Edge> edges,
                         LoadDataset(scenario.dataset, shift));
   const uint32_t readers = exec::ResolveThreadCount(
@@ -70,15 +68,20 @@ StatusOr<benchkit::BenchRecord> RunServeScenario(
   traffic.rebootstrap_threshold = 0.1;
   traffic.adopt_after_publishes = 4;
   traffic.seed = scenario.seed;
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
   obs::Histogram* latency = registry.GetHistogram("serve.lookup_seconds");
   traffic.lookup_histogram = latency;
 
+  // Repeat-scoped obs snapshots, as in benchkit::RunScenario: the
+  // registry is reset before each repeat, and the record carries the
+  // snapshot of the repeat whose throughput and latency it reports.
   TrafficResult first;
   TrafficResult best;
   obs::Histogram::Summary best_latency;
+  obs::MetricsSnapshot obs_snapshot;
   const int repeats = std::max(options.repeats, 1);
   for (int repeat = 0; repeat < repeats; ++repeat) {
-    latency->Reset();  // percentiles are per-repeat, not cumulative
+    registry.Reset();
     TPSL_ASSIGN_OR_RETURN(const TrafficResult result,
                           RunTraffic(edges, traffic));
     const obs::Histogram::Summary summary = latency->Summarize();
@@ -86,6 +89,7 @@ StatusOr<benchkit::BenchRecord> RunServeScenario(
       first = result;
       best = result;
       best_latency = summary;
+      obs_snapshot = registry.Snapshot();
     } else {
       if (!DeterministicFieldsMatch(first, result)) {
         return Status::Internal("serve scenario '" + scenario.name +
@@ -94,6 +98,7 @@ StatusOr<benchkit::BenchRecord> RunServeScenario(
       if (result.lookup_qps > best.lookup_qps) {
         best = result;
         best_latency = summary;
+        obs_snapshot = registry.Snapshot();
       }
     }
   }
@@ -126,8 +131,7 @@ StatusOr<benchkit::BenchRecord> RunServeScenario(
   record.SetMetric("peak_rss_bytes", static_cast<double>(PeakRssBytes()));
   record.SetMetric("phase_seconds/readers", best.reader_seconds);
   record.SetMetric("phase_seconds/writer", best.writer_seconds);
-  benchkit::AttachObsMetrics(&record,
-                             obs::MetricsRegistry::Default().Snapshot());
+  benchkit::AttachObsMetrics(&record, obs_snapshot);
   benchkit::AttachHostMetrics(&record);
   return record;
 }

@@ -50,7 +50,7 @@ void WriteRowFromState(uint64_t* row, uint32_t words_per_row,
   for (uint32_t w = 0; w < words_per_row; ++w) {
     row[w] = 0;
   }
-  if (v >= replicas.num_vertices() || replicas.ReplicaCount(v) == 0) {
+  if (v >= replicas.num_vertices()) {
     return;
   }
   for (PartitionId p = 0; p < k; ++p) {
@@ -146,9 +146,6 @@ std::shared_ptr<const ServingTable> BuildServingTable(
         static_cast<VertexId>(std::min<uint64_t>(base + kServingChunkVertices,
                                                  n));
     for (VertexId v = base; v < end; ++v) {
-      if (replicas->ReplicaCount(v) == 0) {
-        continue;  // row is already zero
-      }
       WriteRowFromState(chunk->words.data() +
                             static_cast<size_t>(v - base) *
                                 table->words_per_row_,

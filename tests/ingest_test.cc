@@ -432,6 +432,34 @@ TEST(DiskScenarioTest, ObsMetricsAreScopedToTheReportedRepeat) {
   EXPECT_EQ(*counted, *written);
 }
 
+/// The same for an ingest-scan record: its prefetch counters describe
+/// the one prefetched scan whose time it reports, with neither the
+/// plain baseline scans nor the other repeats folded in.
+TEST(DiskScenarioTest, IngestScanObsMetricsAreScopedToTheReportedRepeat) {
+  ScratchDir dir("ingest_scan_obs");
+  Catalog catalog;
+  catalog.entries.push_back(UnpinnedEntry());
+  ScenarioRunContext context;
+  context.catalog_path = dir.path() + "/catalog.json";
+  context.dataset_dir = dir.path() + "/datasets";
+  context.options.repeats = 3;
+  ASSERT_TRUE(SaveCatalog(catalog, context.catalog_path).ok());
+
+  benchkit::Scenario scenario;
+  scenario.name = "tiny_scan";
+  scenario.partitioner = "scan";
+  scenario.dataset = catalog.entries[0].recipe.name;
+  scenario.kind = benchkit::ScenarioKind::kIngestScan;
+  auto record = RunScenarioWithIngest(scenario, context);
+  ASSERT_TRUE(record.ok()) << record.status();
+  const double* edges = record->FindMetric("num_edges");
+  const double* prefetched = record->FindMetric("obs/ingest.edges_prefetched");
+  ASSERT_NE(edges, nullptr);
+  ASSERT_NE(prefetched, nullptr);
+  EXPECT_GT(*edges, 0.0);
+  EXPECT_EQ(*prefetched, *edges);
+}
+
 }  // namespace
 }  // namespace ingest
 }  // namespace tpsl

@@ -20,6 +20,7 @@
 #include "graph/in_memory_edge_stream.h"
 #include "partition/partitioner.h"
 #include "partition/runner.h"
+#include "partition/sink_pipeline.h"
 #include "util/random.h"
 
 namespace tpsl {
@@ -447,11 +448,10 @@ TEST_F(QualityGaugeTest, GaugesReconcileWithRunQuality) {
   }
 }
 
-/// With tracing on, every shard emits the running quality as counter
-/// events each 2^16 assignments it absorbs. 2^19 edges over
-/// four shards put at least 2^17 into one of them, so samples are
-/// guaranteed whatever the scheduling. With tracing off the sink takes
-/// no samples at all.
+/// With tracing on, the quality sink emits the running quality as
+/// counter events each 2^16 assignments it absorbs: one sample per
+/// crossed boundary, whatever the scheduling of the four workers that
+/// deliver to it. With tracing off the sink takes no samples at all.
 TEST_F(QualityGaugeTest, TracedRunEmitsConvergenceCounters) {
   Histogram* sample_hist =
       MetricsRegistry::Default().GetHistogram("sink.quality_sample_seconds");
@@ -487,7 +487,8 @@ TEST_F(QualityGaugeTest, TracedRunEmitsConvergenceCounters) {
       EXPECT_GE(value, 1.0);
     }
   }
-  EXPECT_GE(rf_samples, 1u);
+  EXPECT_EQ(rf_samples,
+            result->quality.num_edges >> QualitySink::kSampleIntervalLog2);
   EXPECT_EQ(rf_samples, skew_samples);
   EXPECT_EQ(sample_hist->Summarize().count, rf_samples);
 }

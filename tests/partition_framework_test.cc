@@ -41,10 +41,10 @@ TEST(ReplicationTableTest, SetIsIdempotent) {
   EXPECT_FALSE(table.Test(3, 2));
   table.Set(3, 2);
   EXPECT_TRUE(table.Test(3, 2));
-  EXPECT_EQ(table.CoverSize(2), 1u);
+  EXPECT_EQ(table.TotalReplicas(), 1u);
   table.Set(3, 2);
-  EXPECT_EQ(table.CoverSize(2), 1u);
-  EXPECT_EQ(table.ReplicaCount(3), 1u);
+  EXPECT_EQ(table.TotalReplicas(), 1u);
+  EXPECT_EQ(table.CoveredVertices(), 1u);
 }
 
 TEST(ReplicationTableTest, CoverAndReplicaBookkeeping) {
@@ -53,10 +53,7 @@ TEST(ReplicationTableTest, CoverAndReplicaBookkeeping) {
   table.Set(0, 1);
   table.Set(0, 2);
   table.Set(1, 1);
-  EXPECT_EQ(table.ReplicaCount(0), 3u);
-  EXPECT_EQ(table.ReplicaCount(1), 1u);
-  EXPECT_EQ(table.CoverSize(0), 1u);
-  EXPECT_EQ(table.CoverSize(1), 2u);
+  EXPECT_EQ(table.TotalReplicas(), 4u);
   EXPECT_EQ(table.CoveredVertices(), 2u);
   // RF = (3 + 1) / 2 covered vertices.
   EXPECT_DOUBLE_EQ(table.ReplicationFactor(), 2.0);
@@ -121,13 +118,13 @@ TEST(SinkTest, EmptyTeeSinkIsANoOp) {
   EXPECT_EQ(tee.num_sinks(), 0u);
 }
 
-TEST(QualitySinkTest, OneShardMatchesOracleOnKnownPartitioning) {
+TEST(QualitySinkTest, MatchesOracleOnKnownPartitioning) {
   // Same fixture as MetricsTest.QualityOfKnownPartitioning below.
   std::vector<std::vector<Edge>> parts = {
       {{0, 1}, {1, 2}, {2, 0}},
       {{2, 3}},
   };
-  ShardedQualitySink sink(2, /*num_shards=*/1);
+  QualitySink sink(2);
   for (PartitionId p = 0; p < parts.size(); ++p) {
     for (const Edge& e : parts[p]) {
       sink.Assign(e, p);
@@ -144,16 +141,16 @@ TEST(QualitySinkTest, OneShardMatchesOracleOnKnownPartitioning) {
   EXPECT_EQ(streamed.partition_sizes, oracle.partition_sizes);
 }
 
-TEST(QualitySinkTest, OneShardEmptyQualityIsZero) {
-  ShardedQualitySink sink(3, /*num_shards=*/1);
+TEST(QualitySinkTest, EmptyQualityIsZero) {
+  QualitySink sink(3);
   const PartitionQuality quality = sink.Quality();
   EXPECT_DOUBLE_EQ(quality.replication_factor, 0.0);
   EXPECT_EQ(quality.num_edges, 0u);
   EXPECT_EQ(quality.partition_sizes, (std::vector<uint64_t>{0, 0, 0}));
 }
 
-TEST(QualitySinkTest, OneShardStateGrowsWithVerticesNotEdges) {
-  ShardedQualitySink sink(4, /*num_shards=*/1);
+TEST(QualitySinkTest, StateGrowsWithVerticesNotEdges) {
+  QualitySink sink(4);
   for (int repeat = 0; repeat < 1000; ++repeat) {
     sink.Assign(Edge{0, 1}, 0);  // same two vertices, many edges
   }
@@ -298,8 +295,8 @@ TEST(RunnerTest, CatchesCapViolationWithoutEdgeCountHint) {
       << result.status().ToString();
 }
 
-/// Edge loss, cap breach and duplicates are all caught from the sharded
-/// sink's merged loads at threads > 1 too.
+/// Edge loss, cap breach and duplicates are all caught from the quality
+/// sink's loads at threads > 1 too.
 TEST(RunnerTest, CatchesContractViolationsAtFourThreads) {
   std::vector<Edge> edges;
   for (uint32_t i = 0; i < 100; ++i) {

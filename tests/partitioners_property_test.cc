@@ -124,8 +124,8 @@ TEST_P(PartitionerContractTest, DeterministicUnderFixedSeed) {
 }
 
 TEST_P(PartitionerContractTest, StreamingQualityMatchesOracleExactly) {
-  // The runner's quality comes from ShardedQualitySink (online loads +
-  // replication bitsets, no edge lists). ComputeQuality
+  // The runner's quality comes from QualitySink (online loads + a
+  // replication matrix, no edge lists). ComputeQuality
   // over the materialized partitions of the SAME run is the
   // independent oracle; the two must agree bit for bit — same integer
   // tallies, same double arithmetic — for every registry partitioner

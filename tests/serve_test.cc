@@ -11,6 +11,7 @@
 #include "graph/in_memory_edge_stream.h"
 #include "partition/assignment_sink.h"
 #include "serve/partition_service.h"
+#include "serve/serve_scenario.h"
 #include "serve/serving_table.h"
 #include "serve/traffic.h"
 #include "util/random.h"
@@ -416,6 +417,30 @@ TEST(TrafficTest, DeterministicPlacementSideResults) {
   EXPECT_EQ(first->replication_factor, second->replication_factor);
   EXPECT_EQ(first->measured_alpha, second->measured_alpha);
   EXPECT_EQ(first->state_bytes, second->state_bytes);
+}
+
+/// The obs snapshot in a serve record belongs to one repeat: the
+/// lookup counter of a three-repeat run equals the lookups one repeat
+/// issued, not three times that.
+TEST(ServeScenarioTest, ObsMetricsAreScopedToTheReportedRepeat) {
+  benchkit::Scenario scenario;
+  scenario.name = "tiny_serve";
+  scenario.partitioner = "PartitionService";
+  scenario.dataset = "OK";
+  scenario.k = 8;
+  scenario.seed = 42;
+  scenario.kind = benchkit::ScenarioKind::kServe;
+  benchkit::RunScenarioOptions options;
+  options.extra_scale_shift = 6;
+  options.repeats = 3;
+  auto record = RunServeScenario(scenario, options);
+  ASSERT_TRUE(record.ok()) << record.status();
+  const double* lookups = record->FindMetric("lookups");
+  const double* counted = record->FindMetric("obs/serve.lookups");
+  ASSERT_NE(lookups, nullptr);
+  ASSERT_NE(counted, nullptr);
+  EXPECT_GT(*lookups, 0.0);
+  EXPECT_EQ(*counted, *lookups);
 }
 
 }  // namespace

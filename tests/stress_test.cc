@@ -85,7 +85,7 @@ TEST(FailureInjectionTest, SinglePassPartitionersPropagateToo) {
 /// Degenerate graph shapes every partitioner must survive. The
 /// engine-parallel entries (the "(par)" aliases and DNE) run on four
 /// workers with small batches, so CAS load claims, parallel expansion
-/// and the runner's sharded sink + handoff see the same shapes under
+/// and the runner's serialized sink delivery see the same shapes under
 /// contention.
 class DegenerateGraphTest : public testing::TestWithParam<std::string> {
  protected:
