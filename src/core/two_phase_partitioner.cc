@@ -13,15 +13,24 @@
 namespace tpsl {
 namespace {
 
+/// Edges placed by the pre-partitioning pass. The scoring pass counts
+/// the edges it places into the shared partition.edges_scored.
+obs::Counter* PrepartitionedEdgesCounter() {
+  static obs::Counter* counter = obs::MetricsRegistry::Default().GetCounter(
+      "partition.prepartitioned_edges");
+  return counter;
+}
+
 /// One engine-driven pass: workers run `process(edge)`, which returns
 /// the chosen partition or kInvalidPartition to skip; placed edges are
-/// added to `*placed`. Each batch's assignments go out in one
-/// AssignBatch call under the pass's one mutex, so the sink sees one
-/// caller at a time at every thread count.
+/// added to `*placed` and, one Add per batch, to `placed_counter`. Each
+/// batch's assignments go out in one AssignBatch call under the pass's
+/// one mutex, so the sink sees one caller at a time at every thread
+/// count.
 template <typename ProcessFn>
 Status ParallelPass(EdgeStream& stream, const exec::ExecContext& exec,
                     AssignmentSink& sink, const ProcessFn& process,
-                    uint64_t* placed) {
+                    uint64_t* placed, obs::Counter* placed_counter) {
   std::mutex sink_mutex;
   uint64_t total = 0;  // guarded by sink_mutex
   exec::ParallelForEdgesOptions options;
@@ -44,7 +53,7 @@ Status ParallelPass(EdgeStream& stream, const exec::ExecContext& exec,
           sink.AssignBatch(results.data(), results.size());
           total += results.size();
         }
-        ScoredEdgesCounter()->Add(count);
+        placed_counter->Add(results.size());
         return Status::OK();
       }));
   *placed += total;
@@ -151,7 +160,8 @@ Status TwoPhasePartitioner::Partition(EdgeStream& stream,
           return state.Place(e,
                              state.PickLinear(e, du, dv, vol1, vol2, p1, p2));
         },
-        prepartition ? &out.prepartitioned_edges : &out.remaining_edges));
+        prepartition ? &out.prepartitioned_edges : &out.remaining_edges,
+        prepartition ? PrepartitionedEdgesCounter() : ScoredEdgesCounter()));
     out.stream_passes += 1;
   }
 

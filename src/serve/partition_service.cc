@@ -15,19 +15,18 @@ namespace serve {
 /// given one, an ordered edge log.
 class PartitionService::LedgerSink : public AssignmentSink {
  public:
-  LedgerSink(std::unordered_map<Edge, std::vector<PartitionId>>* placements,
-             std::vector<Edge>* edge_log)
+  LedgerSink(EdgeLedger* placements, std::vector<Edge>* edge_log)
       : placements_(placements), edge_log_(edge_log) {}
 
   void Assign(const Edge& edge, PartitionId partition) override {
-    (*placements_)[edge].push_back(partition);
+    placements_->Push(edge, partition);
     if (edge_log_ != nullptr) {
       edge_log_->push_back(edge);
     }
   }
 
  private:
-  std::unordered_map<Edge, std::vector<PartitionId>>* placements_;
+  EdgeLedger* placements_;
   std::vector<Edge>* edge_log_;
 };
 
@@ -81,9 +80,10 @@ Status PartitionService::Bootstrap(EdgeStream& base_graph) {
   if (!snapshots_.empty()) {
     return Status::FailedPrecondition("Bootstrap() called twice");
   }
+  placements_.Reserve(base_graph.NumEdgesHint());
+  edge_log_.reserve(base_graph.NumEdgesHint());
   LedgerSink sink(&placements_, &edge_log_);
   TPSL_RETURN_IF_ERROR(partitioner_->Bootstrap(base_graph, sink));
-  ledger_entries_ = edge_log_.size();
   InstallTableLocked(BuildServingTable(*partitioner_, 1));
   ++epochs_published_;
   publishes_counter_->Increment();
@@ -100,8 +100,7 @@ StatusOr<PartitionId> PartitionService::AddEdge(const Edge& edge) {
   if (!placed.ok()) {
     return placed;
   }
-  placements_[edge].push_back(*placed);
-  ++ledger_entries_;
+  placements_.Push(edge, *placed);
   edge_log_.push_back(edge);
   RecordMutationLocked(edge, /*add=*/true);
   dirty_.push_back(edge.first);
@@ -117,17 +116,12 @@ Status PartitionService::RemoveEdge(const Edge& edge) {
   if (snapshots_.empty()) {
     return Status::FailedPrecondition("RemoveEdge() before Bootstrap()");
   }
-  auto it = placements_.find(edge);
-  if (it == placements_.end() || it->second.empty()) {
+  const PartitionId partition = placements_.Top(edge);
+  if (partition == kInvalidPartition) {
     return Status::NotFound("edge has no live placement");
   }
-  const PartitionId partition = it->second.back();
   TPSL_RETURN_IF_ERROR(partitioner_->RemoveEdge(edge, partition));
-  it->second.pop_back();
-  --ledger_entries_;
-  if (it->second.empty()) {
-    placements_.erase(it);
-  }
+  placements_.Pop(edge);
   ++removed_[edge];
   RecordMutationLocked(edge, /*add=*/false);
   // Replica bits shrink lazily, so no serving rows are dirtied — the
@@ -140,11 +134,11 @@ Status PartitionService::RemoveEdge(const Edge& edge) {
 StatusOr<PartitionId> PartitionService::LookupPlacement(
     const Edge& edge) const {
   std::lock_guard<std::mutex> lock(writer_mutex_);
-  auto it = placements_.find(edge);
-  if (it == placements_.end() || it->second.empty()) {
+  const PartitionId partition = placements_.Top(edge);
+  if (partition == kInvalidPartition) {
     return Status::NotFound("edge has no live placement");
   }
-  return it->second.back();
+  return partition;
 }
 
 Status PartitionService::Flush() {
@@ -282,9 +276,12 @@ void PartitionService::MaybeForkRebootstrapLocked() {
   pool->Submit([job, config, popts] {
     WallTimer timer;
     auto partitioner = std::make_unique<IncrementalPartitioner>(config, popts);
-    InMemoryEdgeStream stream(job->base_edges);  // copy: the job keeps the log
+    // The stream borrows the log for the run; the job keeps it after.
+    InMemoryEdgeStream stream(std::move(job->base_edges));
+    job->placements.Reserve(stream.NumEdgesHint());
     LedgerSink sink(&job->placements, /*edge_log=*/nullptr);
     Status status = partitioner->Bootstrap(stream, sink);
+    job->base_edges = std::move(stream).TakeEdges();
     std::lock_guard<std::mutex> jl(job->mutex);
     job->status = status;
     job->partitioner = std::move(partitioner);
@@ -315,11 +312,9 @@ Status PartitionService::AdoptRebootstrapLocked() {
 
   std::unique_ptr<IncrementalPartitioner> partitioner =
       std::move(job->partitioner);
-  std::unordered_map<Edge, std::vector<PartitionId>> placements =
-      std::move(job->placements);
+  EdgeLedger placements = std::move(job->placements);
   std::vector<Edge> edge_log = std::move(job->base_edges);
   std::unordered_map<Edge, uint32_t> removed;
-  uint64_t ledger_entries = edge_log.size();
 
   // Replay every mutation made while the bootstrap ran.
   for (const ReplayOp& op : replay_log_) {
@@ -329,21 +324,15 @@ Status PartitionService::AdoptRebootstrapLocked() {
         return Status::Internal("re-bootstrap replay rejected an add: " +
                                 placed.status().message());
       }
-      placements[op.edge].push_back(*placed);
-      ++ledger_entries;
+      placements.Push(op.edge, *placed);
       edge_log.push_back(op.edge);
     } else {
-      auto it = placements.find(op.edge);
-      if (it == placements.end() || it->second.empty()) {
+      const PartitionId partition = placements.Top(op.edge);
+      if (partition == kInvalidPartition) {
         return Status::Internal("re-bootstrap replay lost a removal target");
       }
-      const PartitionId partition = it->second.back();
       TPSL_RETURN_IF_ERROR(partitioner->RemoveEdge(op.edge, partition));
-      it->second.pop_back();
-      --ledger_entries;
-      if (it->second.empty()) {
-        placements.erase(it);
-      }
+      placements.Pop(op.edge);
       ++removed[op.edge];
     }
   }
@@ -352,7 +341,6 @@ Status PartitionService::AdoptRebootstrapLocked() {
   placements_ = std::move(placements);
   edge_log_ = std::move(edge_log);
   removed_ = std::move(removed);
-  ledger_entries_ = ledger_entries;
   dirty_.clear();
   pending_mutations_ = 0;
   replay_log_.clear();
@@ -427,13 +415,8 @@ PartitionId PartitionService::Reader::RouteEdge(const Edge& e) const {
 }
 
 uint64_t PartitionService::WriterStateBytesLocked() const {
-  // Ledger cost is estimated from entry counts (exact capacities would
-  // cost an O(|E|) walk per Stats call): one map node + one partition
-  // slot per live placement.
-  constexpr uint64_t kNodeOverhead =
-      sizeof(Edge) + sizeof(std::vector<PartitionId>) + 2 * sizeof(void*);
   return partitioner_->StateBytes() + edge_log_.capacity() * sizeof(Edge) +
-         ledger_entries_ * (kNodeOverhead + sizeof(PartitionId)) +
+         placements_.HeapBytes() +
          removed_.size() * (sizeof(Edge) + sizeof(uint32_t) +
                             2 * sizeof(void*)) +
          (snapshots_.empty() ? 0 : snapshots_.back()->HeapBytes());

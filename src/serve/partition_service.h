@@ -15,6 +15,7 @@
 #include "graph/edge_stream.h"
 #include "graph/types.h"
 #include "obs/metrics.h"
+#include "serve/edge_ledger.h"
 #include "serve/serving_table.h"
 #include "util/status.h"
 
@@ -188,7 +189,7 @@ class PartitionService {
     Status status = Status::OK();
     std::unique_ptr<IncrementalPartitioner> partitioner;
     std::vector<Edge> base_edges;  // compacted log, placement order
-    std::unordered_map<Edge, std::vector<PartitionId>> placements;
+    EdgeLedger placements;
     double fork_to_done_seconds = 0.0;
   };
 
@@ -224,8 +225,7 @@ class PartitionService {
   std::unique_ptr<IncrementalPartitioner> partitioner_;
   std::vector<Edge> edge_log_;  // placement order, removals not erased
   std::unordered_map<Edge, uint32_t> removed_;  // edge -> removed count
-  std::unordered_map<Edge, std::vector<PartitionId>> placements_;
-  uint64_t ledger_entries_ = 0;  // live placements across all ledger stacks
+  EdgeLedger placements_;
   std::vector<VertexId> dirty_;
   uint32_t pending_mutations_ = 0;
   uint64_t mutations_ = 0;

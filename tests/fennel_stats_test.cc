@@ -5,7 +5,6 @@
 #include "baselines/fennel.h"
 #include "graph/csr.h"
 #include "graph/generators.h"
-#include "graph/stats.h"
 
 namespace tpsl {
 namespace {
@@ -67,95 +66,6 @@ TEST(FennelTest, InvalidConfigRejected) {
   config.num_partitions = 2;
   config.gamma = 1.0;
   EXPECT_FALSE(FennelPartition(graph, config).ok());
-}
-
-TEST(DegreeStatsTest, UniformDegreesHaveZeroGini) {
-  const DegreeStats stats = ComputeDegreeStats({5, 5, 5, 5});
-  EXPECT_EQ(stats.max_degree, 5u);
-  EXPECT_DOUBLE_EQ(stats.mean_degree, 5.0);
-  EXPECT_NEAR(stats.gini, 0.0, 1e-9);
-}
-
-TEST(DegreeStatsTest, ExtremeSkewApproachesOne) {
-  std::vector<uint32_t> degrees(1000, 0);
-  degrees[0] = 100000;
-  const DegreeStats stats = ComputeDegreeStats(degrees);
-  EXPECT_GT(stats.gini, 0.99);
-  EXPECT_EQ(stats.max_degree, 100000u);
-}
-
-TEST(DegreeStatsTest, EmptyInput) {
-  const DegreeStats stats = ComputeDegreeStats({});
-  EXPECT_EQ(stats.max_degree, 0u);
-  EXPECT_DOUBLE_EQ(stats.gini, 0.0);
-}
-
-TEST(DegreeStatsTest, SocialGeneratorHasHeavyTailErDoesNot) {
-  SocialNetworkConfig social;
-  social.num_vertices = 1 << 13;
-  const auto social_edges = GenerateSocialNetwork(social);
-  ErdosRenyiConfig er;
-  er.num_vertices = 1 << 13;
-  er.num_edges = social_edges.size();
-  const auto er_edges = GenerateErdosRenyi(er);
-
-  const auto degree_stats = [](const std::vector<Edge>& edges) {
-    const CsrGraph graph = CsrGraph::FromEdges(edges);
-    std::vector<uint32_t> degrees(graph.num_vertices());
-    for (VertexId v = 0; v < graph.num_vertices(); ++v) {
-      degrees[v] = graph.degree(v);
-    }
-    return ComputeDegreeStats(degrees);
-  };
-  // The hub overlay concentrates on few vertices: the tail (max
-  // degree), not the bulk, carries the skew — max should dwarf ER's
-  // Poisson maximum while the means are comparable.
-  const DegreeStats social_stats = degree_stats(social_edges);
-  const DegreeStats er_stats = degree_stats(er_edges);
-  EXPECT_GT(social_stats.max_degree, 10 * er_stats.max_degree);
-  EXPECT_GT(social_stats.max_degree, 30 * social_stats.mean_degree);
-}
-
-TEST(ClusteringCoefficientTest, CliqueIsFullyClosed) {
-  // K5: every wedge closes.
-  std::vector<Edge> edges;
-  for (VertexId u = 0; u < 5; ++u) {
-    for (VertexId v = u + 1; v < 5; ++v) {
-      edges.push_back(Edge{u, v});
-    }
-  }
-  const CsrGraph graph = CsrGraph::FromEdges(edges);
-  EXPECT_DOUBLE_EQ(EstimateClusteringCoefficient(graph, 500, 1), 1.0);
-}
-
-TEST(ClusteringCoefficientTest, StarHasNoTriangles) {
-  std::vector<Edge> edges;
-  for (VertexId v = 1; v <= 20; ++v) {
-    edges.push_back(Edge{0, v});
-  }
-  const CsrGraph graph = CsrGraph::FromEdges(edges);
-  EXPECT_DOUBLE_EQ(EstimateClusteringCoefficient(graph, 500, 1), 0.0);
-}
-
-TEST(ClusteringCoefficientTest, SocialGeneratorIsLocallyDense) {
-  // The caveman-based social generator must out-cluster ER by an order
-  // of magnitude — the property the clustering phase exploits
-  // (DESIGN.md §4).
-  SocialNetworkConfig social;
-  social.num_vertices = 1 << 13;
-  const auto social_edges = GenerateSocialNetwork(social);
-  const CsrGraph social_graph = CsrGraph::FromEdges(social_edges);
-
-  ErdosRenyiConfig er;
-  er.num_vertices = 1 << 13;
-  er.num_edges = social_edges.size();
-  const CsrGraph er_graph = CsrGraph::FromEdges(GenerateErdosRenyi(er));
-
-  const double social_cc =
-      EstimateClusteringCoefficient(social_graph, 20000, 7);
-  const double er_cc = EstimateClusteringCoefficient(er_graph, 20000, 7);
-  EXPECT_GT(social_cc, 10 * er_cc);
-  EXPECT_GT(social_cc, 0.2);
 }
 
 }  // namespace

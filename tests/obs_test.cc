@@ -426,6 +426,35 @@ StatusOr<RunResult> RunOnRmat(const std::string& name, uint32_t scale,
   return RunPartitioner(**partitioner, stream, config);
 }
 
+/// The 2PS placement counters count what their names say: the first
+/// pass adds the edges it pre-partitions, the scoring pass the edges it
+/// scores, so both reconcile with the run's PartitionStats exactly.
+TEST(PlacementCounterTest, TwoPhaseCountersMatchPartitionStats) {
+  Counter* scored = MetricsRegistry::Default().GetCounter(
+      "partition.edges_scored");
+  Counter* prepartitioned = MetricsRegistry::Default().GetCounter(
+      "partition.prepartitioned_edges");
+  exec::ThreadPool pool(4);
+  for (const char* name : {"2PS-L", "2PS-HDRF"}) {
+    for (const uint32_t threads : {1u, 4u}) {
+      const uint64_t scored_before = scored->Total();
+      const uint64_t prepartitioned_before = prepartitioned->Total();
+      auto result = RunOnRmat(name, /*scale=*/12, threads, &pool);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      const PartitionStats& stats = result->stats;
+      EXPECT_GT(stats.remaining_edges, 0u);
+      EXPECT_GT(stats.prepartitioned_edges, 0u);
+      EXPECT_EQ(stats.prepartitioned_edges + stats.remaining_edges,
+                result->quality.num_edges);
+      EXPECT_EQ(scored->Total() - scored_before, stats.remaining_edges)
+          << name << " threads=" << threads;
+      EXPECT_EQ(prepartitioned->Total() - prepartitioned_before,
+                stats.prepartitioned_edges)
+          << name << " threads=" << threads;
+    }
+  }
+}
+
 using QualityGaugeTest = TraceQuiescent;
 
 /// The quality gauges describe the run they follow: the runner sets

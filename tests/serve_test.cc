@@ -1,15 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "dynamic/incremental_partitioner.h"
 #include "graph/generators.h"
 #include "graph/in_memory_edge_stream.h"
 #include "partition/assignment_sink.h"
+#include "serve/edge_ledger.h"
 #include "serve/partition_service.h"
 #include "serve/serve_scenario.h"
 #include "serve/serving_table.h"
@@ -71,6 +74,152 @@ std::vector<Edge> ProbeEdges(const std::vector<Edge>& base) {
     }
   }
   return probes;
+}
+
+using LedgerOracle = std::unordered_map<Edge, std::vector<PartitionId>>;
+
+struct LedgerRunCounts {
+  uint32_t max_depth = 0;
+  uint64_t readds = 0;  // pushes onto an edge whose stack was popped empty
+};
+
+/// Runs `ops` random Push/Pop/Top operations over edges with endpoints
+/// below `vertices` against a map-of-stacks oracle, checking every
+/// answer and the live count. Pushes and pops are equally likely and a
+/// stack never grows past 5, so stacks wander over depths 0-5.
+LedgerRunCounts RunLedgerAgainstOracle(EdgeLedger& ledger,
+                                       LedgerOracle& oracle,
+                                       VertexId vertices, int ops,
+                                       uint64_t seed) {
+  SplitMix64 rng(seed);
+  LedgerRunCounts counts;
+  uint64_t live = 0;
+  for (int i = 0; i < ops; ++i) {
+    const Edge e{static_cast<VertexId>(rng.NextBounded(vertices)),
+                 static_cast<VertexId>(rng.NextBounded(vertices))};
+    const bool seen = oracle.contains(e);
+    std::vector<PartitionId>& stack = oracle[e];
+    const PartitionId want_top =
+        stack.empty() ? kInvalidPartition : stack.back();
+    const uint64_t dice = rng.NextBounded(20);
+    if (dice < 9 && stack.size() < 5) {
+      const auto p = static_cast<PartitionId>(rng.NextBounded(64));
+      if (seen && stack.empty()) {
+        ++counts.readds;
+      }
+      ledger.Push(e, p);
+      stack.push_back(p);
+      ++live;
+      counts.max_depth =
+          std::max(counts.max_depth, static_cast<uint32_t>(stack.size()));
+    } else if (dice < 18) {
+      EXPECT_EQ(ledger.Pop(e), want_top) << "op " << i;
+      if (!stack.empty()) {
+        stack.pop_back();
+        --live;
+      }
+    } else {
+      EXPECT_EQ(ledger.Top(e), want_top) << "op " << i;
+    }
+    EXPECT_EQ(ledger.size(), live) << "op " << i;
+    if (::testing::Test::HasFailure()) {
+      return counts;
+    }
+  }
+  for (const auto& [e, stack] : oracle) {
+    EXPECT_EQ(ledger.Top(e), stack.empty() ? kInvalidPartition : stack.back())
+        << "edge (" << e.first << "," << e.second << ")";
+  }
+  return counts;
+}
+
+TEST(EdgeLedgerTest, MatchesMapOfStacksOracle) {
+  // 36 keys keep a 64-slot table near half full, so erases land inside
+  // collision chains; 4096 keys grow it from empty through each
+  // doubling to thousands of slots.
+  for (const VertexId vertices : {6u, 64u}) {
+    EdgeLedger ledger;
+    LedgerOracle oracle;
+    const LedgerRunCounts counts = RunLedgerAgainstOracle(
+        ledger, oracle, vertices, /*ops=*/100000, /*seed=*/vertices);
+    ASSERT_FALSE(HasFailure()) << "vertices=" << vertices;
+    EXPECT_EQ(counts.max_depth, 5u) << "vertices=" << vertices;
+    EXPECT_GT(counts.readds, 0u) << "vertices=" << vertices;
+  }
+}
+
+TEST(EdgeLedgerTest, BackwardShiftKeepsCollisionChainsIntact) {
+  // Pick keys for a 16-slot table by the ledger's home slot
+  // (Mix64 of the packed edge, masked): five share slot 13, three more
+  // home at 14, and three at 15, so the chain wraps past the end of the
+  // table. Erasing each one in turn must leave every other findable.
+  constexpr uint64_t kMask = 15;
+  std::vector<Edge> keys;
+  uint32_t want[16] = {};
+  want[13] = 5;
+  want[14] = 3;
+  want[15] = 3;
+  for (VertexId u = 0; keys.size() < 11; ++u) {
+    const Edge e{u, u + 1};
+    const uint64_t home =
+        Mix64((static_cast<uint64_t>(e.first) << 32) | e.second) & kMask;
+    if (want[home] > 0) {
+      --want[home];
+      keys.push_back(e);
+    }
+  }
+  for (size_t erased = 0; erased < keys.size(); ++erased) {
+    EdgeLedger ledger;
+    ledger.Reserve(keys.size());
+    const uint64_t bytes = ledger.HeapBytes();
+    for (size_t i = 0; i < keys.size(); ++i) {
+      ledger.Push(keys[i], static_cast<PartitionId>(i));
+    }
+    ASSERT_EQ(ledger.HeapBytes(), bytes) << "the table must not grow";
+    ASSERT_EQ(ledger.Pop(keys[erased]), erased);
+    EXPECT_EQ(ledger.Top(keys[erased]), kInvalidPartition);
+    EXPECT_EQ(ledger.Pop(keys[erased]), kInvalidPartition);
+    for (size_t i = 0; i < keys.size(); ++i) {
+      if (i != erased) {
+        EXPECT_EQ(ledger.Top(keys[i]), i) << "erased " << erased;
+      }
+    }
+    ledger.Push(keys[erased], 99);
+    EXPECT_EQ(ledger.Top(keys[erased]), 99u);
+    EXPECT_EQ(ledger.size(), keys.size());
+  }
+}
+
+TEST(EdgeLedgerTest, DistinctEdgesCostNoAllocationAndSentinelIsAbsent) {
+  EdgeLedger ledger;
+  EXPECT_EQ(ledger.Top(Edge{1, 2}), kInvalidPartition);
+  EXPECT_EQ(ledger.Pop(Edge{1, 2}), kInvalidPartition);
+  ledger.Reserve(3000);
+  const uint64_t bytes = ledger.HeapBytes();
+  // 3000 keys at load <= 3/4 need 4096 slots of 16 bytes.
+  EXPECT_EQ(bytes, 4096u * 16u);
+  for (VertexId v = 0; v < 3000; ++v) {
+    ledger.Push(Edge{v, v + 7}, v % 32);
+  }
+  EXPECT_EQ(ledger.HeapBytes(), bytes);
+  EXPECT_EQ(ledger.size(), 3000u);
+  // The empty-slot key never matches, even in a populated table.
+  EXPECT_EQ(ledger.Top(Edge{kInvalidVertex, kInvalidVertex}),
+            kInvalidPartition);
+  EXPECT_EQ(ledger.Pop(Edge{kInvalidVertex, kInvalidVertex}),
+            kInvalidPartition);
+  // A duplicate's below-top entry takes one 8-byte pool node, which a
+  // pop frees for the next duplicate.
+  ledger.Push(Edge{0, 7}, 5);
+  EXPECT_EQ(ledger.HeapBytes(), bytes + 8u);
+  EXPECT_EQ(ledger.Pop(Edge{0, 7}), 5u);
+  ledger.Push(Edge{1, 8}, 6);
+  EXPECT_EQ(ledger.HeapBytes(), bytes + 8u);
+  EXPECT_EQ(ledger.Pop(Edge{1, 8}), 6u);
+  EXPECT_EQ(ledger.Pop(Edge{1, 8}), 1u);
+  EXPECT_EQ(ledger.Pop(Edge{0, 7}), 0u);
+  EXPECT_EQ(ledger.Top(Edge{0, 7}), kInvalidPartition);
+  EXPECT_EQ(ledger.size(), 2998u);
 }
 
 TEST(ServingTableTest, BuildMatchesOracleEverywhere) {
@@ -353,6 +502,113 @@ TEST(PartitionServiceTest, MutationHardeningAndReaderSlots) {
   EXPECT_EQ(service.CreateReader().status().code(), StatusCode::kOutOfRange);
   r1->reset();  // releasing a slot makes it reusable
   EXPECT_TRUE(service.CreateReader().ok());
+}
+
+/// Records each edge's placements in order, as the service's ledger
+/// stacks them.
+class PlacementRecorder : public AssignmentSink {
+ public:
+  void Assign(const Edge& edge, PartitionId partition) override {
+    placements[edge].push_back(partition);
+  }
+  LedgerOracle placements;
+};
+
+TEST(PartitionServiceTest, DuplicateEdgesRemoveLifoAndCompactEarliestFirst) {
+  // Two 4-cliques at k=2 and alpha=1 bootstrap to loads 7/5, so
+  // repeated adds of one edge overflow and alternate partitions.
+  std::vector<Edge> base;
+  for (const VertexId offset : {0u, 4u}) {
+    for (VertexId u = 0; u < 4; ++u) {
+      for (VertexId v = u + 1; v < 4; ++v) {
+        base.push_back(Edge{offset + u, offset + v});
+      }
+    }
+  }
+  PartitionConfig config = Config(2);
+  config.balance_factor = 1.0;
+  PartitionService::Options options;
+  options.publish_batch_edges = 1 << 20;  // publish only on Flush()
+  options.rebootstrap_threshold = 0.0;    // the first publish forks
+  PartitionService service(config, options);
+  {
+    InMemoryEdgeStream stream(base);
+    ASSERT_TRUE(service.Bootstrap(stream).ok());
+  }
+
+  // `dup` is a base edge; three more adds stack on its bootstrap
+  // placement. Then four removals, a filler and a fifth dup.
+  const Edge dup{0, 1};
+  const Edge filler{4, 5};
+  std::vector<Edge> log = base;
+  std::vector<PartitionId> placed;
+  const auto bootstrapped = service.LookupPlacement(dup);
+  ASSERT_TRUE(bootstrapped.ok());
+  placed.push_back(*bootstrapped);
+  for (int i = 0; i < 3; ++i) {
+    const auto p = service.AddEdge(dup);
+    ASSERT_TRUE(p.ok());
+    placed.push_back(*p);
+    log.push_back(dup);
+  }
+  ASSERT_FALSE(placed[1] == placed[2] && placed[2] == placed[3])
+      << "precondition: the added dups must not all share a partition";
+
+  // Removal and lookup both see the most recent occurrence, LIFO, until
+  // none is left.
+  for (int i = 3; i >= 0; --i) {
+    const auto looked_up = service.LookupPlacement(dup);
+    ASSERT_TRUE(looked_up.ok());
+    EXPECT_EQ(*looked_up, placed[i]) << "occurrence " << i;
+    ASSERT_TRUE(service.RemoveEdge(dup).ok());
+  }
+  EXPECT_EQ(service.LookupPlacement(dup).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(service.RemoveEdge(dup).code(), StatusCode::kNotFound);
+  ASSERT_TRUE(service.AddEdge(filler).ok());
+  log.push_back(filler);
+  ASSERT_TRUE(service.AddEdge(dup).ok());
+  log.push_back(dup);
+
+  // The fork compacts the log by skipping the earliest occurrences of
+  // each removed edge: the four removals drop the base dup and the
+  // three added after it, and keep the fifth, after the filler.
+  std::vector<Edge> compacted;
+  int dups_to_skip = 4;
+  for (const Edge& e : log) {
+    if (e == dup && dups_to_skip > 0) {
+      --dups_to_skip;
+      continue;
+    }
+    compacted.push_back(e);
+  }
+  ASSERT_EQ(compacted.size(), base.size() + 1);
+  ASSERT_EQ(compacted.back(), dup);
+
+  ASSERT_TRUE(service.Flush().ok());  // publishes and forks
+  ASSERT_TRUE(service.RebootstrapInFlight());
+  ASSERT_TRUE(service.Flush().ok());  // waits for and adopts the fork
+  ASSERT_FALSE(service.RebootstrapInFlight());
+  ASSERT_EQ(service.Rebootstraps(), 1u);
+
+  IncrementalPartitioner oracle(config);
+  PlacementRecorder recorder;
+  {
+    InMemoryEdgeStream stream(compacted);
+    ASSERT_TRUE(oracle.Bootstrap(stream, recorder).ok());
+  }
+  const IncrementalPartitioner& adopted = service.partitioner_for_test();
+  EXPECT_EQ(adopted.num_edges(), oracle.num_edges());
+  EXPECT_EQ(adopted.loads(), oracle.loads());
+  for (const auto& [edge, partitions] : recorder.placements) {
+    const auto looked_up = service.LookupPlacement(edge);
+    ASSERT_TRUE(looked_up.ok());
+    EXPECT_EQ(*looked_up, partitions.back())
+        << "edge (" << edge.first << "," << edge.second << ")";
+  }
+  const auto snapshot = service.CurrentSnapshot();
+  ASSERT_NE(snapshot, nullptr);
+  ExpectTableMatchesOracle(*snapshot, oracle, compacted);
 }
 
 TEST(IncrementalStalenessTest, RemovalsCountAsDrift) {
