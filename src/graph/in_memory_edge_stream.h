@@ -38,12 +38,6 @@ class InMemoryEdgeStream : public EdgeStream {
 
   const std::vector<Edge>& edges() const { return edges_; }
 
-  /// Hands the edge vector back to the caller, leaving the stream empty.
-  std::vector<Edge> TakeEdges() && {
-    position_ = 0;
-    return std::move(edges_);
-  }
-
  private:
   std::vector<Edge> edges_;
   size_t position_ = 0;

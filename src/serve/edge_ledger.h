@@ -12,25 +12,29 @@
 namespace tpsl {
 namespace serve {
 
-/// The serving tier's edge -> placement ledger: for every live edge, the
-/// stack of partitions its occurrences were placed on, most recent on
-/// top, so duplicate edges are removed LIFO.
+/// The serving tier's edge -> occurrence ledger: for every live edge, a
+/// stack of uint32 values, one per live occurrence, newest on top.
+/// PartitionService stores the log position of each occurrence.
 ///
 /// One flat open-addressing table keyed by the packed edge
 /// (u << 32) | v: linear probing over a power-of-two capacity, Mix64
 /// hashing, growth at load 3/4, and backward-shift deletion, so probe
 /// chains do not degrade under a removal stream (there are no
-/// tombstones). A slot holds the top partition and a link to the
+/// tombstones). A slot holds the top value and a link to the
 /// below-top entries of a duplicate edge, which form a singly linked
-/// stack in one side pool of 8-byte nodes with a free list. Neither
-/// array allocates per edge; both only double. Pool nodes are indexed
-/// by uint32, so at most 2^32 - 1 below-top occurrences may be live.
+/// stack (newest to oldest) in one side pool of 8-byte nodes with a
+/// free list. Neither array allocates per edge; both only double. Pool
+/// nodes are indexed by uint32, so at most 2^32 - 1 below-top
+/// occurrences may be live.
 ///
 /// The empty-slot key is the packed (kInvalidVertex, kInvalidVertex),
 /// an edge no partitioner places: ComputeDegrees and AddEdge reject the
 /// sentinel. Looking it up finds nothing.
 class EdgeLedger {
  public:
+  /// The "no value" answer of Top() and the pops; never a stored value.
+  static constexpr uint32_t kNone = ~uint32_t{0};
+
   /// Sizes the table for `distinct_edges` keys without growing.
   void Reserve(uint64_t distinct_edges) {
     size_t capacity = kMinCapacity;
@@ -42,8 +46,16 @@ class EdgeLedger {
     }
   }
 
-  /// Records one more occurrence of `edge`, placed on `partition`.
-  void Push(const Edge& edge, PartitionId partition) {
+  /// Hints that `edge` is pushed soon: prefetches its home slot.
+  void Prefetch(const Edge& edge) const {
+    if (!slots_.empty()) {
+      __builtin_prefetch(&slots_[Home(Pack(edge))], /*rw=*/1, /*locality=*/3);
+    }
+  }
+
+  /// Records one more occurrence of `edge`, newest, holding `value`
+  /// (anything but kNone).
+  void Push(const Edge& edge, uint32_t value) {
     if ((used_ + 1) * 4 > slots_.size() * 3) {
       Rehash(slots_.empty() ? kMinCapacity : slots_.size() * 2);
     }
@@ -54,7 +66,7 @@ class EdgeLedger {
     }
     Slot& slot = slots_[i];
     if (slot.key == kEmptyKey) {
-      slot = Slot{key, partition, kNil};
+      slot = Slot{key, value, kNil};
       ++used_;
     } else {
       uint32_t node = free_;
@@ -65,44 +77,96 @@ class EdgeLedger {
         free_ = pool_[node].next;
       }
       pool_[node] = Below{slot.top, slot.below};
-      slot.top = partition;
+      slot.top = value;
       slot.below = node;
     }
     ++entries_;
   }
 
-  /// The most recent live placement of `edge`; kInvalidPartition if it
-  /// has none.
-  PartitionId Top(const Edge& edge) const {
+  /// The newest live value of `edge`; kNone if it has none.
+  uint32_t Top(const Edge& edge) const {
     const size_t i = Find(Pack(edge));
-    return i == kNotFound ? kInvalidPartition : slots_[i].top;
+    return i == kNotFound ? kNone : slots_[i].top;
   }
 
-  /// Removes and returns the most recent live placement of `edge`;
-  /// kInvalidPartition (and no change) if it has none.
-  PartitionId Pop(const Edge& edge) {
-    const uint64_t key = Pack(edge);
-    const size_t i = Find(key);
+  /// Calls `fn(value)` for each live value of `edge`, newest first.
+  template <typename Fn>
+  void ForEachValue(const Edge& edge, Fn&& fn) const {
+    const size_t i = Find(Pack(edge));
     if (i == kNotFound) {
-      return kInvalidPartition;
+      return;
+    }
+    fn(slots_[i].top);
+    for (uint32_t node = slots_[i].below; node != kNil;
+         node = pool_[node].next) {
+      fn(pool_[node].value);
+    }
+  }
+
+  /// Removes and returns the newest live value of `edge`; kNone (and
+  /// no change) if it has none.
+  uint32_t Pop(const Edge& edge) {
+    const size_t i = Find(Pack(edge));
+    if (i == kNotFound) {
+      return kNone;
     }
     Slot& slot = slots_[i];
-    const PartitionId top = slot.top;
+    const uint32_t top = slot.top;
     if (slot.below == kNil) {
       EraseAt(i);
-      --used_;
     } else {
       const uint32_t node = slot.below;
-      slot.top = pool_[node].partition;
+      slot.top = pool_[node].value;
       slot.below = pool_[node].next;
-      pool_[node].next = free_;
-      free_ = node;
+      FreeNode(node);
     }
     --entries_;
     return top;
   }
 
-  /// Live placements, duplicates counted.
+  /// Removes and returns the oldest live value of `edge`; kNone (and
+  /// no change) if it has none. Walks the edge's stack, so it costs its
+  /// duplicate depth.
+  uint32_t PopOldest(const Edge& edge) {
+    const size_t i = Find(Pack(edge));
+    if (i == kNotFound) {
+      return kNone;
+    }
+    Slot& slot = slots_[i];
+    uint32_t oldest;
+    if (slot.below == kNil) {
+      oldest = slot.top;
+      EraseAt(i);
+    } else {
+      uint32_t* link = &slot.below;
+      while (pool_[*link].next != kNil) {
+        link = &pool_[*link].next;
+      }
+      const uint32_t node = *link;
+      oldest = pool_[node].value;
+      *link = kNil;
+      FreeNode(node);
+    }
+    --entries_;
+    return oldest;
+  }
+
+  /// Replaces every live value v with `map(v)` in place, so each
+  /// stack keeps its order.
+  template <typename Map>
+  void RemapValues(Map&& map) {
+    for (Slot& slot : slots_) {
+      if (slot.key == kEmptyKey) {
+        continue;
+      }
+      slot.top = map(slot.top);
+      for (uint32_t node = slot.below; node != kNil; node = pool_[node].next) {
+        pool_[node].value = map(pool_[node].value);
+      }
+    }
+  }
+
+  /// Live values, duplicates counted.
   uint64_t size() const { return entries_; }
 
   /// Heap footprint: the slot array plus the side pool.
@@ -116,15 +180,15 @@ class EdgeLedger {
 
   struct Slot {
     uint64_t key;
-    PartitionId top;
+    uint32_t top;
     uint32_t below;  // pool node of the next-older occurrence, or kNil
   };
 
-  /// One below-top occurrence: its partition and the pool node of the
+  /// One below-top occurrence: its value and the pool node of the
   /// occurrence under it (kNil at the bottom). Free nodes chain through
   /// `next` from `free_`.
   struct Below {
-    PartitionId partition;
+    uint32_t value;
     uint32_t next;
   };
 
@@ -154,6 +218,11 @@ class EdgeLedger {
     }
   }
 
+  void FreeNode(uint32_t node) {
+    pool_[node].next = free_;
+    free_ = node;
+  }
+
   /// Empties slot `i`, then shifts later members of its probe chain
   /// back into the hole whenever that keeps them at or after their home
   /// slot, so every chain stays contiguous.
@@ -168,6 +237,7 @@ class EdgeLedger {
       }
     }
     slots_[hole].key = kEmptyKey;
+    --used_;
   }
 
   void Rehash(size_t capacity) {
@@ -189,7 +259,7 @@ class EdgeLedger {
   std::vector<Slot> slots_;
   size_t mask_ = 0;
   uint64_t used_ = 0;     // occupied slots (distinct live edges)
-  uint64_t entries_ = 0;  // live placements, duplicates counted
+  uint64_t entries_ = 0;  // live values, duplicates counted
   std::vector<Below> pool_;  // below-top occurrences of duplicate edges
   uint32_t free_ = kNil;     // head of the free-node chain in pool_
 };

@@ -10,24 +10,43 @@
 namespace tpsl {
 namespace serve {
 
-/// Records every bootstrap placement into a ledger (edge -> partition
-/// stack, LIFO so duplicate-edge removal is deterministic) and, when
-/// given one, an ordered edge log.
-class PartitionService::LedgerSink : public AssignmentSink {
+namespace {
+
+/// Log positions are the ledger's uint32 values, which exclude kNone.
+constexpr size_t kMaxLogPositions = EdgeLedger::kNone;
+
+/// Edges ahead whose ledger slot the bootstrap prefetches.
+constexpr size_t kLedgerPrefetchDistance = 8;
+
+/// Frees the newest of an edge's live occurrences under the LIFO rule
+/// and kills the oldest position, which earliest-first compaction
+/// skips: partitions shift one position newer along `chain` (the
+/// edge's live positions, newest first) and the oldest turns dead.
+void ShiftOutOldest(std::vector<PartitionId>& placed, const uint32_t* chain,
+                    size_t count) {
+  for (size_t i = 0; i + 1 < count; ++i) {
+    placed[chain[i]] = placed[chain[i + 1]];
+  }
+  placed[chain[count - 1]] = kInvalidPartition;
+}
+
+}  // namespace
+
+class PartitionService::LogSink : public AssignmentSink {
  public:
-  LedgerSink(EdgeLedger* placements, std::vector<Edge>* edge_log)
-      : placements_(placements), edge_log_(edge_log) {}
+  LogSink(std::vector<PartitionId>* partitions, std::vector<Edge>* edges)
+      : partitions_(partitions), edges_(edges) {}
 
   void Assign(const Edge& edge, PartitionId partition) override {
-    placements_->Push(edge, partition);
-    if (edge_log_ != nullptr) {
-      edge_log_->push_back(edge);
+    partitions_->push_back(partition);
+    if (edges_ != nullptr) {
+      edges_->push_back(edge);
     }
   }
 
  private:
-  EdgeLedger* placements_;
-  std::vector<Edge>* edge_log_;
+  std::vector<PartitionId>* partitions_;
+  std::vector<Edge>* edges_;
 };
 
 PartitionService::PartitionService(const PartitionConfig& config,
@@ -52,6 +71,8 @@ PartitionService::PartitionService(const PartitionConfig& config,
   mutation_hist_ = registry.GetHistogram("serve.mutation_seconds");
   publish_hist_ = registry.GetHistogram("serve.publish_seconds");
   rebootstrap_hist_ = registry.GetHistogram("serve.rebootstrap_seconds");
+  adopt_wait_hist_ = registry.GetHistogram("serve.adopt_wait_seconds");
+  fork_hist_ = registry.GetHistogram("serve.fork_seconds");
   epoch_gauge_ = registry.GetGauge("serve.epoch");
   epoch_lag_gauge_ = registry.GetGauge("serve.epoch_lag");
   snapshot_bytes_gauge_ = registry.GetGauge("serve.snapshot_bytes");
@@ -80,10 +101,22 @@ Status PartitionService::Bootstrap(EdgeStream& base_graph) {
   if (!snapshots_.empty()) {
     return Status::FailedPrecondition("Bootstrap() called twice");
   }
-  placements_.Reserve(base_graph.NumEdgesHint());
   edge_log_.reserve(base_graph.NumEdgesHint());
-  LedgerSink sink(&placements_, &edge_log_);
+  placed_.reserve(base_graph.NumEdgesHint());
+  LogSink sink(&placed_, &edge_log_);
   TPSL_RETURN_IF_ERROR(partitioner_->Bootstrap(base_graph, sink));
+  if (edge_log_.size() > kMaxLogPositions) {
+    return Status::OutOfRange("base graph exceeds the edge log's positions");
+  }
+  // Build the ledger after scoring, in one pass, rather than inserting
+  // at random from inside the scoring loop.
+  placements_.Reserve(edge_log_.size());
+  for (size_t pos = 0; pos < edge_log_.size(); ++pos) {
+    if (pos + kLedgerPrefetchDistance < edge_log_.size()) {
+      placements_.Prefetch(edge_log_[pos + kLedgerPrefetchDistance]);
+    }
+    placements_.Push(edge_log_[pos], static_cast<uint32_t>(pos));
+  }
   InstallTableLocked(BuildServingTable(*partitioner_, 1));
   ++epochs_published_;
   publishes_counter_->Increment();
@@ -96,13 +129,18 @@ StatusOr<PartitionId> PartitionService::AddEdge(const Edge& edge) {
   if (snapshots_.empty()) {
     return Status::FailedPrecondition("AddEdge() before Bootstrap()");
   }
+  if (edge_log_.size() >= kMaxLogPositions) {
+    return Status::OutOfRange("edge log positions exhausted");
+  }
   StatusOr<PartitionId> placed = partitioner_->AddEdge(edge);
   if (!placed.ok()) {
     return placed;
   }
-  placements_.Push(edge, *placed);
+  const auto pos = static_cast<uint32_t>(edge_log_.size());
   edge_log_.push_back(edge);
-  RecordMutationLocked(edge, /*add=*/true);
+  placed_.push_back(*placed);
+  placements_.Push(edge, pos);
+  RecordMutationLocked(edge, /*add=*/true, &pos, 1);
   dirty_.push_back(edge.first);
   dirty_.push_back(edge.second);
   TPSL_RETURN_IF_ERROR(MaybePublishLocked());
@@ -116,14 +154,15 @@ Status PartitionService::RemoveEdge(const Edge& edge) {
   if (snapshots_.empty()) {
     return Status::FailedPrecondition("RemoveEdge() before Bootstrap()");
   }
-  const PartitionId partition = placements_.Top(edge);
-  if (partition == kInvalidPartition) {
+  chain_.clear();
+  placements_.ForEachValue(edge, [&](uint32_t pos) { chain_.push_back(pos); });
+  if (chain_.empty()) {
     return Status::NotFound("edge has no live placement");
   }
-  TPSL_RETURN_IF_ERROR(partitioner_->RemoveEdge(edge, partition));
-  placements_.Pop(edge);
-  ++removed_[edge];
-  RecordMutationLocked(edge, /*add=*/false);
+  TPSL_RETURN_IF_ERROR(partitioner_->RemoveEdge(edge, placed_[chain_[0]]));
+  ShiftOutOldest(placed_, chain_.data(), chain_.size());
+  placements_.PopOldest(edge);
+  RecordMutationLocked(edge, /*add=*/false, chain_.data(), chain_.size());
   // Replica bits shrink lazily, so no serving rows are dirtied — the
   // next publish refreshes loads and the live edge count.
   TPSL_RETURN_IF_ERROR(MaybePublishLocked());
@@ -134,11 +173,11 @@ Status PartitionService::RemoveEdge(const Edge& edge) {
 StatusOr<PartitionId> PartitionService::LookupPlacement(
     const Edge& edge) const {
   std::lock_guard<std::mutex> lock(writer_mutex_);
-  const PartitionId partition = placements_.Top(edge);
-  if (partition == kInvalidPartition) {
+  const uint32_t pos = placements_.Top(edge);
+  if (pos == EdgeLedger::kNone) {
     return Status::NotFound("edge has no live placement");
   }
-  return partition;
+  return placed_[pos];
 }
 
 Status PartitionService::Flush() {
@@ -155,12 +194,18 @@ Status PartitionService::Flush() {
   return Status::OK();
 }
 
-void PartitionService::RecordMutationLocked(const Edge& edge, bool add) {
+void PartitionService::RecordMutationLocked(const Edge& edge, bool add,
+                                            const uint32_t* positions,
+                                            size_t count) {
   ++mutations_;
   ++pending_mutations_;
   mutations_counter_->Increment();
   if (job_ != nullptr) {
-    replay_log_.push_back(ReplayOp{add, edge});
+    replay_log_.push_back(
+        ReplayOp{add, edge, static_cast<uint32_t>(replay_positions_.size()),
+                 static_cast<uint32_t>(count)});
+    replay_positions_.insert(replay_positions_.end(), positions,
+                             positions + count);
   }
 }
 
@@ -250,22 +295,19 @@ void PartitionService::MaybeForkRebootstrapLocked() {
       partitioner_->StalenessRatio() <= options_.rebootstrap_threshold) {
     return;
   }
+  WallTimer timer;
   auto job = std::make_shared<RebootstrapJob>();
-  // Compact the live edge set in placement order: skip each logged edge
-  // as many times as it was removed. Deterministic, and the compacted
-  // log becomes the adopted partitioner's new edge log.
-  std::unordered_map<Edge, uint32_t> remaining = removed_;
+  // The compacted log is the live entries of the edge log, in placement
+  // order; it becomes the stream the fresh partitioner bootstraps on.
   job->base_edges.reserve(partitioner_->num_edges());
-  for (const Edge& e : edge_log_) {
-    auto it = remaining.find(e);
-    if (it != remaining.end() && it->second > 0) {
-      --it->second;
-      continue;
+  fork_positions_.reserve(partitioner_->num_edges());
+  for (size_t pos = 0; pos < placed_.size(); ++pos) {
+    if (placed_[pos] != kInvalidPartition) {
+      job->base_edges.push_back(edge_log_[pos]);
+      fork_positions_.push_back(static_cast<uint32_t>(pos));
     }
-    job->base_edges.push_back(e);
   }
   publishes_since_fork_ = 0;
-  replay_log_.clear();
   job_ = job;
   job_active_.store(true, std::memory_order_release);
 
@@ -274,88 +316,115 @@ void PartitionService::MaybeForkRebootstrapLocked() {
   const PartitionConfig config = config_;
   const IncrementalPartitioner::Options popts = options_.partitioner;
   pool->Submit([job, config, popts] {
-    WallTimer timer;
+    WallTimer job_timer;
     auto partitioner = std::make_unique<IncrementalPartitioner>(config, popts);
-    // The stream borrows the log for the run; the job keeps it after.
-    InMemoryEdgeStream stream(std::move(job->base_edges));
-    job->placements.Reserve(stream.NumEdgesHint());
-    LedgerSink sink(&job->placements, /*edge_log=*/nullptr);
-    Status status = partitioner->Bootstrap(stream, sink);
-    job->base_edges = std::move(stream).TakeEdges();
+    std::vector<PartitionId> partitions;
+    Status status;
+    {
+      InMemoryEdgeStream stream(std::move(job->base_edges));
+      partitions.reserve(stream.NumEdgesHint());
+      LogSink sink(&partitions, /*edges=*/nullptr);
+      status = partitioner->Bootstrap(stream, sink);
+    }
     std::lock_guard<std::mutex> jl(job->mutex);
     job->status = status;
     job->partitioner = std::move(partitioner);
-    job->fork_to_done_seconds = timer.ElapsedSeconds();
+    job->partitions = std::move(partitions);
+    job->fork_to_done_seconds = job_timer.ElapsedSeconds();
     job->done = true;
     job->done_cv.notify_all();
   });
+  fork_hist_->RecordSeconds(timer.ElapsedSeconds());
 }
 
 Status PartitionService::AdoptRebootstrapLocked() {
-  std::shared_ptr<RebootstrapJob> job = job_;
-  double fork_to_done_seconds;
-  Status status;
-  {
-    std::unique_lock<std::mutex> jl(job->mutex);
-    job->done_cv.wait(jl, [&] { return job->done; });
-    status = job->status;
-    fork_to_done_seconds = job->fork_to_done_seconds;
-  }
-  if (!status.ok()) {
-    // Keep serving the old state; the drift that triggered the fork is
-    // still there, so a later publish will retry.
-    job_.reset();
-    replay_log_.clear();
-    job_active_.store(false, std::memory_order_release);
-    return status;
-  }
-
-  std::unique_ptr<IncrementalPartitioner> partitioner =
-      std::move(job->partitioner);
-  EdgeLedger placements = std::move(job->placements);
-  std::vector<Edge> edge_log = std::move(job->base_edges);
-  std::unordered_map<Edge, uint32_t> removed;
-
-  // Replay every mutation made while the bootstrap ran.
-  for (const ReplayOp& op : replay_log_) {
-    if (op.add) {
-      StatusOr<PartitionId> placed = partitioner->AddEdge(op.edge);
-      if (!placed.ok()) {
-        return Status::Internal("re-bootstrap replay rejected an add: " +
-                                placed.status().message());
-      }
-      placements.Push(op.edge, *placed);
-      edge_log.push_back(op.edge);
-    } else {
-      const PartitionId partition = placements.Top(op.edge);
-      if (partition == kInvalidPartition) {
-        return Status::Internal("re-bootstrap replay lost a removal target");
-      }
-      TPSL_RETURN_IF_ERROR(partitioner->RemoveEdge(op.edge, partition));
-      placements.Pop(op.edge);
-      ++removed[op.edge];
-    }
-  }
-
-  partitioner_ = std::move(partitioner);
-  placements_ = std::move(placements);
-  edge_log_ = std::move(edge_log);
-  removed_ = std::move(removed);
-  dirty_.clear();
-  pending_mutations_ = 0;
-  replay_log_.clear();
+  const Status status = ReplayRebootstrapLocked(*job_);
+  // Adopted or not, the job is over. A failed one leaves the old state
+  // serving; the drift that triggered the fork is still there, so a
+  // later publish will retry.
   job_.reset();
+  fork_positions_ = {};
+  replay_log_.clear();
+  replay_positions_.clear();
   job_active_.store(false, std::memory_order_release);
+  TPSL_RETURN_IF_ERROR(status);
+
   rebootstraps_done_.fetch_add(1, std::memory_order_release);
   rebootstraps_counter_->Increment();
-  rebootstrap_hist_->RecordSeconds(fork_to_done_seconds);
-
   // The adopted state replaces every row, so publish a full rebuild.
   InstallTableLocked(BuildServingTable(
       *partitioner_, epoch_.load(std::memory_order_relaxed) + 1));
   ++epochs_published_;
   publishes_counter_->Increment();
   return Status::OK();
+}
+
+Status PartitionService::ReplayRebootstrapLocked(RebootstrapJob& job) {
+  WallTimer wait;
+  {
+    std::unique_lock<std::mutex> jl(job.mutex);
+    job.done_cv.wait(jl, [&] { return job.done; });
+  }
+  adopt_wait_hist_->RecordSeconds(wait.ElapsedSeconds());
+  TPSL_RETURN_IF_ERROR(job.status);
+  rebootstrap_hist_->RecordSeconds(job.fork_to_done_seconds);
+  if (job.partitions.size() != fork_positions_.size()) {
+    return Status::Internal("re-bootstrap placed a different edge count");
+  }
+
+  // A bootstrap places its stream in order, so the job's i-th partition
+  // belongs to the i-th position live at the fork. Positions added
+  // since are filled by the replay.
+  std::vector<PartitionId> placed(placed_.size(), kInvalidPartition);
+  for (size_t i = 0; i < fork_positions_.size(); ++i) {
+    placed[fork_positions_[i]] = job.partitions[i];
+  }
+  IncrementalPartitioner& partitioner = *job.partitioner;
+  for (const ReplayOp& op : replay_log_) {
+    const uint32_t* positions = replay_positions_.data() + op.begin;
+    if (op.add) {
+      StatusOr<PartitionId> added = partitioner.AddEdge(op.edge);
+      if (!added.ok()) {
+        return Status::Internal("re-bootstrap replay rejected an add: " +
+                                added.status().message());
+      }
+      placed[positions[0]] = *added;
+    } else {
+      const PartitionId partition = placed[positions[0]];
+      if (partition == kInvalidPartition) {
+        return Status::Internal("re-bootstrap replay lost a removal target");
+      }
+      TPSL_RETURN_IF_ERROR(partitioner.RemoveEdge(op.edge, partition));
+      ShiftOutOldest(placed, positions, op.count);
+    }
+  }
+
+  partitioner_ = std::move(job.partitioner);
+  placed_ = std::move(placed);
+  dirty_.clear();
+  pending_mutations_ = 0;
+  if (placed_.size() - placements_.size() > placements_.size()) {
+    RenumberLogLocked();
+  }
+  return Status::OK();
+}
+
+void PartitionService::RenumberLogLocked() {
+  // Drops the dead entries; live ones keep their order, so the
+  // position map is monotone and every ledger stack keeps its order.
+  std::vector<uint32_t> renumbered(placed_.size());
+  uint32_t live = 0;
+  for (size_t pos = 0; pos < placed_.size(); ++pos) {
+    renumbered[pos] = live;
+    if (placed_[pos] != kInvalidPartition) {
+      edge_log_[live] = edge_log_[pos];
+      placed_[live] = placed_[pos];
+      ++live;
+    }
+  }
+  edge_log_.resize(live);
+  placed_.resize(live);
+  placements_.RemapValues([&](uint32_t pos) { return renumbered[pos]; });
 }
 
 StatusOr<std::unique_ptr<PartitionService::Reader>>
@@ -416,9 +485,7 @@ PartitionId PartitionService::Reader::RouteEdge(const Edge& e) const {
 
 uint64_t PartitionService::WriterStateBytesLocked() const {
   return partitioner_->StateBytes() + edge_log_.capacity() * sizeof(Edge) +
-         placements_.HeapBytes() +
-         removed_.size() * (sizeof(Edge) + sizeof(uint32_t) +
-                            2 * sizeof(void*)) +
+         placed_.capacity() * sizeof(PartitionId) + placements_.HeapBytes() +
          (snapshots_.empty() ? 0 : snapshots_.back()->HeapBytes());
 }
 

@@ -7,7 +7,6 @@
 #include <limits>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "dynamic/incremental_partitioner.h"
@@ -41,12 +40,27 @@ namespace serve {
 ///    snapshots and frees one only after every pinned reader epoch has
 ///    advanced past it.
 ///
+/// Writer state: `edge_log_` holds every placed occurrence in
+/// placement order and `placed_` its partition, kInvalidPartition once
+/// removed. The EdgeLedger maps each edge to the log positions of its
+/// live occurrences, newest on top. A removal frees the newest
+/// occurrence's partition (LIFO) but kills the oldest position: the
+/// partitions shift one position newer along the edge's chain. So the
+/// live positions are always what compaction keeps (each removed edge
+/// skips its earliest occurrences), and their partitions are what a
+/// LIFO stack of placements would hold.
+///
 /// When StalenessRatio() crosses `rebootstrap_threshold`, the writer
-/// forks a compacted copy of the live edge log and re-bootstraps a
-/// fresh partitioner on the exec ThreadPool while continuing to serve
-/// and mutate the old state; mutations made in the interim are logged
-/// and replayed into the new partitioner at adoption, which publishes
-/// a fully rebuilt snapshot without ever dropping reads.
+/// forks a compacted copy of the live edge log (one sequential filter
+/// over `placed_`) and re-bootstraps a fresh partitioner on the exec
+/// ThreadPool while continuing to serve and mutate the old state. The
+/// job returns one partition per compacted edge. Adoption scatters
+/// them into a fresh `placed_` at the positions live at the fork and
+/// replays the interim mutations, each at the log positions it touched
+/// when it happened; the log and the ledger stay as they are. It then
+/// publishes a fully rebuilt snapshot without ever dropping reads.
+/// Only when dead log entries outnumber live ones at adoption does the
+/// writer drop them and renumber the ledger's positions.
 class PartitionService {
  public:
   struct Options {
@@ -125,11 +139,13 @@ class PartitionService {
   PartitionService& operator=(const PartitionService&) = delete;
 
   /// Runs the full 2PS-L bootstrap over the base graph, records every
-  /// placement in the serving ledger, and publishes epoch 1.
+  /// placement in the edge log and the serving ledger, and publishes
+  /// epoch 1. At most 2^32 - 1 placements fit the log.
   Status Bootstrap(EdgeStream& base_graph);
 
   /// Places one new edge and returns its partition. Self-loops and
-  /// sentinel vertex ids are rejected without mutating state.
+  /// sentinel vertex ids are rejected without mutating state, and so is
+  /// any add once the edge log holds 2^32 - 1 entries (OutOfRange).
   StatusOr<PartitionId> AddEdge(const Edge& edge);
 
   /// Removes one live occurrence of `edge` (the most recently placed
@@ -175,9 +191,15 @@ class PartitionService {
     std::atomic<uint64_t> pinned{kIdleSlot};
   };
 
+  /// One mutation made while a re-bootstrap runs, with the log
+  /// positions it touched: an add its own position, a removal its
+  /// edge's live positions (newest first) as they were when it
+  /// happened. The positions are replay_positions_[begin, begin+count).
   struct ReplayOp {
     bool add = false;
     Edge edge;
+    uint32_t begin = 0;
+    uint32_t count = 0;
   };
 
   /// Background re-bootstrap: a fresh partitioner over the compacted
@@ -188,22 +210,30 @@ class PartitionService {
     bool done = false;
     Status status = Status::OK();
     std::unique_ptr<IncrementalPartitioner> partitioner;
-    std::vector<Edge> base_edges;  // compacted log, placement order
-    EdgeLedger placements;
+    std::vector<Edge> base_edges;  // compacted log; the job consumes it
+    std::vector<PartitionId> partitions;  // one per compacted edge
     double fork_to_done_seconds = 0.0;
   };
 
-  /// Captures (edge -> partition) during a bootstrap into a ledger +
-  /// ordered edge log.
-  class LedgerSink;
+  /// Appends every bootstrap placement's partition and, when given
+  /// one, its edge to logs in placement order.
+  class LogSink;
 
   void InstallTableLocked(std::shared_ptr<const ServingTable> table);
   Status MaybePublishLocked();
   Status PublishLocked();
   void ReclaimLocked();
   void MaybeForkRebootstrapLocked();
+  /// Adopts the finished (or awaited) job and publishes, or drops it.
   Status AdoptRebootstrapLocked();
-  void RecordMutationLocked(const Edge& edge, bool add);
+  /// Waits for `job`, then installs its partitioner and a `placed_`
+  /// rebuilt from its placements and the replay. On failure the writer
+  /// state is untouched.
+  Status ReplayRebootstrapLocked(RebootstrapJob& job);
+  /// Drops dead log entries and renumbers the ledger's positions.
+  void RenumberLogLocked();
+  void RecordMutationLocked(const Edge& edge, bool add,
+                            const uint32_t* positions, size_t count);
   uint64_t WriterStateBytesLocked() const;
 
   PartitionConfig config_;
@@ -223,9 +253,10 @@ class PartitionService {
   // --- Writer state (writer_mutex_). ---
   mutable std::mutex writer_mutex_;
   std::unique_ptr<IncrementalPartitioner> partitioner_;
-  std::vector<Edge> edge_log_;  // placement order, removals not erased
-  std::unordered_map<Edge, uint32_t> removed_;  // edge -> removed count
-  EdgeLedger placements_;
+  std::vector<Edge> edge_log_;        // placement order, removals kept
+  std::vector<PartitionId> placed_;   // per log position; dead = invalid
+  EdgeLedger placements_;             // edge -> live log positions
+  std::vector<uint32_t> chain_;       // RemoveEdge scratch
   std::vector<VertexId> dirty_;
   uint32_t pending_mutations_ = 0;
   uint64_t mutations_ = 0;
@@ -233,7 +264,9 @@ class PartitionService {
   std::vector<std::shared_ptr<const ServingTable>> snapshots_;  // back=current
   std::shared_ptr<RebootstrapJob> job_;
   uint64_t publishes_since_fork_ = 0;
+  std::vector<uint32_t> fork_positions_;  // live at the fork, in order
   std::vector<ReplayOp> replay_log_;
+  std::vector<uint32_t> replay_positions_;
 
   // --- Cached obs handles (registry-owned; see src/obs/). ---
   obs::Counter* lookups_counter_;
@@ -243,6 +276,8 @@ class PartitionService {
   obs::Histogram* mutation_hist_;
   obs::Histogram* publish_hist_;
   obs::Histogram* rebootstrap_hist_;
+  obs::Histogram* adopt_wait_hist_;
+  obs::Histogram* fork_hist_;
   obs::Gauge* epoch_gauge_;
   obs::Gauge* epoch_lag_gauge_;
   obs::Gauge* snapshot_bytes_gauge_;

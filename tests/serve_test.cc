@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <thread>
 #include <unordered_map>
@@ -11,6 +12,7 @@
 #include "dynamic/incremental_partitioner.h"
 #include "graph/generators.h"
 #include "graph/in_memory_edge_stream.h"
+#include "obs/metrics.h"
 #include "partition/assignment_sink.h"
 #include "serve/edge_ledger.h"
 #include "serve/partition_service.h"
@@ -100,7 +102,7 @@ LedgerRunCounts RunLedgerAgainstOracle(EdgeLedger& ledger,
     const bool seen = oracle.contains(e);
     std::vector<PartitionId>& stack = oracle[e];
     const PartitionId want_top =
-        stack.empty() ? kInvalidPartition : stack.back();
+        stack.empty() ? EdgeLedger::kNone : stack.back();
     const uint64_t dice = rng.NextBounded(20);
     if (dice < 9 && stack.size() < 5) {
       const auto p = static_cast<PartitionId>(rng.NextBounded(64));
@@ -127,7 +129,7 @@ LedgerRunCounts RunLedgerAgainstOracle(EdgeLedger& ledger,
     }
   }
   for (const auto& [e, stack] : oracle) {
-    EXPECT_EQ(ledger.Top(e), stack.empty() ? kInvalidPartition : stack.back())
+    EXPECT_EQ(ledger.Top(e), stack.empty() ? EdgeLedger::kNone : stack.back())
         << "edge (" << e.first << "," << e.second << ")";
   }
   return counts;
@@ -177,8 +179,8 @@ TEST(EdgeLedgerTest, BackwardShiftKeepsCollisionChainsIntact) {
     }
     ASSERT_EQ(ledger.HeapBytes(), bytes) << "the table must not grow";
     ASSERT_EQ(ledger.Pop(keys[erased]), erased);
-    EXPECT_EQ(ledger.Top(keys[erased]), kInvalidPartition);
-    EXPECT_EQ(ledger.Pop(keys[erased]), kInvalidPartition);
+    EXPECT_EQ(ledger.Top(keys[erased]), EdgeLedger::kNone);
+    EXPECT_EQ(ledger.Pop(keys[erased]), EdgeLedger::kNone);
     for (size_t i = 0; i < keys.size(); ++i) {
       if (i != erased) {
         EXPECT_EQ(ledger.Top(keys[i]), i) << "erased " << erased;
@@ -192,8 +194,8 @@ TEST(EdgeLedgerTest, BackwardShiftKeepsCollisionChainsIntact) {
 
 TEST(EdgeLedgerTest, DistinctEdgesCostNoAllocationAndSentinelIsAbsent) {
   EdgeLedger ledger;
-  EXPECT_EQ(ledger.Top(Edge{1, 2}), kInvalidPartition);
-  EXPECT_EQ(ledger.Pop(Edge{1, 2}), kInvalidPartition);
+  EXPECT_EQ(ledger.Top(Edge{1, 2}), EdgeLedger::kNone);
+  EXPECT_EQ(ledger.Pop(Edge{1, 2}), EdgeLedger::kNone);
   ledger.Reserve(3000);
   const uint64_t bytes = ledger.HeapBytes();
   // 3000 keys at load <= 3/4 need 4096 slots of 16 bytes.
@@ -205,9 +207,9 @@ TEST(EdgeLedgerTest, DistinctEdgesCostNoAllocationAndSentinelIsAbsent) {
   EXPECT_EQ(ledger.size(), 3000u);
   // The empty-slot key never matches, even in a populated table.
   EXPECT_EQ(ledger.Top(Edge{kInvalidVertex, kInvalidVertex}),
-            kInvalidPartition);
+            EdgeLedger::kNone);
   EXPECT_EQ(ledger.Pop(Edge{kInvalidVertex, kInvalidVertex}),
-            kInvalidPartition);
+            EdgeLedger::kNone);
   // A duplicate's below-top entry takes one 8-byte pool node, which a
   // pop frees for the next duplicate.
   ledger.Push(Edge{0, 7}, 5);
@@ -218,8 +220,117 @@ TEST(EdgeLedgerTest, DistinctEdgesCostNoAllocationAndSentinelIsAbsent) {
   EXPECT_EQ(ledger.Pop(Edge{1, 8}), 6u);
   EXPECT_EQ(ledger.Pop(Edge{1, 8}), 1u);
   EXPECT_EQ(ledger.Pop(Edge{0, 7}), 0u);
-  EXPECT_EQ(ledger.Top(Edge{0, 7}), kInvalidPartition);
+  EXPECT_EQ(ledger.Top(Edge{0, 7}), EdgeLedger::kNone);
   EXPECT_EQ(ledger.size(), 2998u);
+}
+
+/// Runs random Push/Pop/PopOldest/ForEachValue/Top operations against
+/// a map of deques (front = oldest), with stacks wandering over depths
+/// 0-5, checking every answer and the live count.
+TEST(EdgeLedgerTest, PopOldestAndForEachValueMatchDequeOracle) {
+  for (const VertexId vertices : {6u, 64u}) {
+    EdgeLedger ledger;
+    std::unordered_map<Edge, std::deque<uint32_t>> oracle;
+    SplitMix64 rng(vertices + 1);
+    uint64_t live = 0;
+    uint32_t next_value = 0;
+    uint32_t depth_seen[6] = {};
+    for (int i = 0; i < 100000; ++i) {
+      const Edge e{static_cast<VertexId>(rng.NextBounded(vertices)),
+                   static_cast<VertexId>(rng.NextBounded(vertices))};
+      std::deque<uint32_t>& values = oracle[e];
+      const uint64_t dice = rng.NextBounded(20);
+      if (dice < 9 && values.size() < 5) {
+        ledger.Push(e, next_value);
+        values.push_back(next_value++);
+        ++live;
+      } else if (dice < 13) {
+        EXPECT_EQ(ledger.Pop(e),
+                  values.empty() ? EdgeLedger::kNone : values.back())
+            << "op " << i;
+        if (!values.empty()) {
+          values.pop_back();
+          --live;
+        }
+      } else if (dice < 18) {
+        EXPECT_EQ(ledger.PopOldest(e),
+                  values.empty() ? EdgeLedger::kNone : values.front())
+            << "op " << i;
+        if (!values.empty()) {
+          values.pop_front();
+          --live;
+        }
+      } else {
+        std::vector<uint32_t> newest_first;
+        ledger.ForEachValue(e, [&](uint32_t v) { newest_first.push_back(v); });
+        EXPECT_EQ(newest_first,
+                  std::vector<uint32_t>(values.rbegin(), values.rend()))
+            << "op " << i;
+        EXPECT_EQ(ledger.Top(e),
+                  values.empty() ? EdgeLedger::kNone : values.back())
+            << "op " << i;
+      }
+      ++depth_seen[values.size()];
+      ASSERT_EQ(ledger.size(), live) << "op " << i;
+      ASSERT_FALSE(HasFailure()) << "vertices=" << vertices;
+    }
+    for (uint32_t depth = 1; depth <= 5; ++depth) {
+      EXPECT_GT(depth_seen[depth], 0u) << "depth " << depth;
+    }
+    for (const auto& [e, values] : oracle) {
+      std::vector<uint32_t> newest_first;
+      ledger.ForEachValue(e, [&](uint32_t v) { newest_first.push_back(v); });
+      EXPECT_EQ(newest_first,
+                std::vector<uint32_t>(values.rbegin(), values.rend()));
+    }
+  }
+}
+
+TEST(EdgeLedgerTest, RemapValuesKeepsStackOrder) {
+  // Stacks of depth 1-4 hold values 0..N-1 in push order; a monotone
+  // map (v -> 3v + 1) must rewrite every value and keep each order.
+  EdgeLedger ledger;
+  std::unordered_map<Edge, std::vector<uint32_t>> oracle;  // oldest first
+  uint32_t value = 0;
+  for (uint32_t round = 0; round < 4; ++round) {
+    for (VertexId u = 0; u < 200; ++u) {
+      if (u % 4 >= round) {
+        const Edge e{u, u + 1};
+        ledger.Push(e, value);
+        oracle[e].push_back(value++);
+      }
+    }
+  }
+  // Free some pool nodes first: remapping must skip the free list, as
+  // a map that indexes a position array cannot take dead values.
+  for (VertexId u = 3; u < 200; u += 8) {
+    const Edge e{u, u + 1};
+    ASSERT_EQ(ledger.PopOldest(e), oracle[e].front());
+    oracle[e].erase(oracle[e].begin());
+  }
+  std::vector<bool> is_live(value, false);
+  for (const auto& [e, values] : oracle) {
+    for (const uint32_t v : values) {
+      is_live[v] = true;
+    }
+  }
+  uint64_t remapped = 0;
+  ledger.RemapValues([&](uint32_t v) {
+    EXPECT_TRUE(v < value && is_live[v]) << "remapped dead value " << v;
+    ++remapped;
+    return 3 * v + 1;
+  });
+  EXPECT_EQ(remapped, value - 25u);
+  EXPECT_EQ(ledger.size(), value - 25u);
+  for (const auto& [e, values] : oracle) {
+    std::vector<uint32_t> want;
+    for (auto it = values.rbegin(); it != values.rend(); ++it) {
+      want.push_back(3 * *it + 1);
+    }
+    std::vector<uint32_t> got;
+    ledger.ForEachValue(e, [&](uint32_t v) { got.push_back(v); });
+    EXPECT_EQ(got, want) << "edge (" << e.first << "," << e.second << ")";
+  }
 }
 
 TEST(ServingTableTest, BuildMatchesOracleEverywhere) {
@@ -514,9 +625,9 @@ class PlacementRecorder : public AssignmentSink {
   LedgerOracle placements;
 };
 
-TEST(PartitionServiceTest, DuplicateEdgesRemoveLifoAndCompactEarliestFirst) {
-  // Two 4-cliques at k=2 and alpha=1 bootstrap to loads 7/5, so
-  // repeated adds of one edge overflow and alternate partitions.
+/// Two 4-cliques. At k=2 and alpha=1 they bootstrap to loads 7/5, so
+/// repeated adds of one edge overflow and alternate partitions.
+std::vector<Edge> TwoCliques() {
   std::vector<Edge> base;
   for (const VertexId offset : {0u, 4u}) {
     for (VertexId u = 0; u < 4; ++u) {
@@ -525,6 +636,11 @@ TEST(PartitionServiceTest, DuplicateEdgesRemoveLifoAndCompactEarliestFirst) {
       }
     }
   }
+  return base;
+}
+
+TEST(PartitionServiceTest, DuplicateEdgesRemoveLifoAndCompactEarliestFirst) {
+  const std::vector<Edge> base = TwoCliques();
   PartitionConfig config = Config(2);
   config.balance_factor = 1.0;
   PartitionService::Options options;
@@ -609,6 +725,205 @@ TEST(PartitionServiceTest, DuplicateEdgesRemoveLifoAndCompactEarliestFirst) {
   const auto snapshot = service.CurrentSnapshot();
   ASSERT_NE(snapshot, nullptr);
   ExpectTableMatchesOracle(*snapshot, oracle, compacted);
+}
+
+/// Bootstraps an oracle partitioner over `log` and returns its loads
+/// and each edge's placements in log order.
+std::pair<std::vector<uint64_t>, LedgerOracle> OracleOver(
+    const PartitionConfig& config, const std::vector<Edge>& log) {
+  IncrementalPartitioner oracle(config);
+  PlacementRecorder recorder;
+  InMemoryEdgeStream stream(log);
+  EXPECT_TRUE(oracle.Bootstrap(stream, recorder).ok());
+  return {oracle.loads(), std::move(recorder.placements)};
+}
+
+TEST(PartitionServiceTest, InterleavedDuplicateRemovalCompactsEarliestFirst) {
+  // add d, add d, remove d, add d, with fillers in between: the removal
+  // frees the 2nd occurrence's partition (LIFO) but compaction drops the
+  // 1st occurrence (earliest first), so the 2nd and 3rd stay in the log
+  // and the 1st one's partition lives on at the 2nd one's position.
+  const std::vector<Edge> base = TwoCliques();
+  PartitionConfig config = Config(2);
+  config.balance_factor = 1.0;
+  PartitionService::Options options;
+  options.publish_batch_edges = 1 << 20;  // publish only on Flush()
+  options.rebootstrap_threshold = 0.0;    // the first publish forks
+  PartitionService service(config, options);
+  {
+    InMemoryEdgeStream stream(base);
+    ASSERT_TRUE(service.Bootstrap(stream).ok());
+  }
+  // Cross-clique edges, picked so the preconditions below hold.
+  const Edge d{0, 5};
+  const Edge fillers[] = {Edge{3, 6}, Edge{1, 6}, Edge{2, 6}};
+  std::vector<PartitionId> placed;
+  for (const Edge& e : {d, fillers[0], d}) {
+    const auto p = service.AddEdge(e);
+    ASSERT_TRUE(p.ok());
+    if (e == d) {
+      placed.push_back(*p);
+    }
+  }
+  ASSERT_NE(placed[0], placed[1])
+      << "precondition: the two dups must not share a partition";
+  ASSERT_TRUE(service.RemoveEdge(d).ok());
+  const auto after_removal = service.LookupPlacement(d);
+  ASSERT_TRUE(after_removal.ok());
+  EXPECT_EQ(*after_removal, placed[0]) << "removal must be LIFO";
+  for (const Edge& e : {fillers[1], d, fillers[2]}) {
+    ASSERT_TRUE(service.AddEdge(e).ok());
+  }
+
+  std::vector<Edge> compacted = base;  // earliest-first: drops the 1st d
+  for (const Edge& e : {fillers[0], d, fillers[1], d, fillers[2]}) {
+    compacted.push_back(e);
+  }
+  std::vector<Edge> lifo_compacted = base;  // drops the 2nd d instead
+  for (const Edge& e : {d, fillers[0], fillers[1], d, fillers[2]}) {
+    lifo_compacted.push_back(e);
+  }
+  const auto [loads, placements] = OracleOver(config, compacted);
+  const auto [lifo_loads, lifo_placements] = OracleOver(config, lifo_compacted);
+  ASSERT_TRUE(loads != lifo_loads || placements != lifo_placements)
+      << "precondition: the two compaction rules must be distinguishable";
+
+  ASSERT_TRUE(service.Flush().ok());  // publishes and forks
+  ASSERT_TRUE(service.RebootstrapInFlight());
+  // While the job runs, add d once more and remove it twice. Adoption
+  // replays each removal along the positions it touched.
+  ASSERT_TRUE(service.AddEdge(d).ok());
+  ASSERT_TRUE(service.RemoveEdge(d).ok());
+  ASSERT_TRUE(service.RemoveEdge(d).ok());
+  ASSERT_TRUE(service.Flush().ok());  // waits for and adopts the fork
+  ASSERT_EQ(service.Rebootstraps(), 1u);
+
+  // The oracle: a bootstrap over the compacted log, then the same
+  // interim mutations with a LIFO stack per edge.
+  IncrementalPartitioner oracle(config);
+  PlacementRecorder recorder;
+  {
+    InMemoryEdgeStream stream(compacted);
+    ASSERT_TRUE(oracle.Bootstrap(stream, recorder).ok());
+  }
+  std::vector<PartitionId>& d_stack = recorder.placements[d];
+  ASSERT_EQ(d_stack.size(), 2u);
+  const auto interim = oracle.AddEdge(d);
+  ASSERT_TRUE(interim.ok());
+  d_stack.push_back(*interim);
+  ASSERT_FALSE(d_stack[0] == d_stack[1] && d_stack[1] == d_stack[2])
+      << "precondition: d's live occurrences must not share a partition";
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(oracle.RemoveEdge(d, d_stack.back()).ok());
+    d_stack.pop_back();
+  }
+  EXPECT_EQ(service.partitioner_for_test().num_edges(), oracle.num_edges());
+  EXPECT_EQ(service.partitioner_for_test().loads(), oracle.loads());
+  for (const auto& [edge, partitions] : recorder.placements) {
+    const auto looked_up = service.LookupPlacement(edge);
+    ASSERT_TRUE(looked_up.ok());
+    EXPECT_EQ(*looked_up, partitions.back())
+        << "edge (" << edge.first << "," << edge.second << ")";
+  }
+  ASSERT_TRUE(service.RemoveEdge(d).ok());
+  EXPECT_EQ(service.RemoveEdge(d).code(), StatusCode::kNotFound);
+}
+
+TEST(PartitionServiceTest, RandomChurnAcrossRebootstraps) {
+  SocialNetworkConfig graph;
+  graph.num_vertices = 256;
+  graph.clique_size = 6;
+  graph.seed = 5;
+  const std::vector<Edge> base = GenerateSocialNetwork(graph);
+  for (const uint32_t adopt_after : {1u, 2u, 3u}) {
+    PartitionService::Options options;
+    options.publish_batch_edges = 7;
+    options.rebootstrap_threshold = 0.05;
+    options.adopt_after_publishes = adopt_after;
+    PartitionService service(Config(4), options);
+    {
+      InMemoryEdgeStream stream(base);
+      ASSERT_TRUE(service.Bootstrap(stream).ok());
+    }
+    // The model: one entry per live occurrence.
+    std::vector<Edge> live = base;
+    const auto expect_model = [&](const char* when) {
+      ASSERT_TRUE(service.Flush().ok()) << when;
+      EXPECT_EQ(service.GetStats().live_edges, live.size()) << when;
+      for (const Edge& e : live) {
+        ASSERT_TRUE(service.LookupPlacement(e).ok())
+            << when << ": edge (" << e.first << "," << e.second << ")";
+      }
+    };
+    SplitMix64 rng(adopt_after);
+    for (int op = 1; op <= 4000; ++op) {
+      const uint64_t dice = rng.NextBounded(100);
+      if (dice < 40 && !live.empty()) {
+        const size_t pick = rng.NextBounded(live.size());
+        ASSERT_TRUE(service.RemoveEdge(live[pick]).ok()) << "op " << op;
+        live[pick] = live.back();
+        live.pop_back();
+      } else if (dice < 65 && !live.empty()) {
+        const Edge dup = live[rng.NextBounded(live.size())];
+        ASSERT_TRUE(service.AddEdge(dup).ok()) << "op " << op;
+        live.push_back(dup);
+      } else {
+        const VertexId u = static_cast<VertexId>(rng.NextBounded(320));
+        const VertexId v = static_cast<VertexId>(rng.NextBounded(320));
+        if (u != v) {
+          ASSERT_TRUE(service.AddEdge(Edge{u, v}).ok()) << "op " << op;
+          live.push_back(Edge{u, v});
+        }
+      }
+      if (op % 400 == 0) {
+        expect_model("churn");
+      }
+    }
+    EXPECT_GE(service.Rebootstraps(), 3u) << "adopt_after=" << adopt_after;
+    // Draining leaves mostly dead log entries, so adoptions renumber.
+    while (!live.empty()) {
+      ASSERT_TRUE(service.RemoveEdge(live.back()).ok());
+      live.pop_back();
+      if (live.size() % 500 == 0) {
+        expect_model("drain");
+      }
+    }
+    const PartitionService::Stats stats = service.GetStats();
+    EXPECT_EQ(stats.live_edges, 0u);
+    EXPECT_EQ(stats.max_load, 0u);
+    EXPECT_FALSE(HasFailure()) << "adopt_after=" << adopt_after;
+  }
+}
+
+TEST(PartitionServiceTest, RebootstrapRecordsForkWaitAndRunTimes) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
+  const char* const kHistograms[] = {"serve.fork_seconds",
+                                     "serve.adopt_wait_seconds",
+                                     "serve.rebootstrap_seconds"};
+  std::vector<uint64_t> before;
+  for (const char* name : kHistograms) {
+    before.push_back(registry.GetHistogram(name)->Summarize().count);
+  }
+  const auto edges = BaseGraph();
+  PartitionService::Options options;
+  options.publish_batch_edges = 1;
+  options.rebootstrap_threshold = 0.0;  // the first publish forks
+  options.adopt_after_publishes = 1;    // and the next one adopts
+  PartitionService service(Config(8), options);
+  {
+    InMemoryEdgeStream stream(edges);
+    ASSERT_TRUE(service.Bootstrap(stream).ok());
+  }
+  ASSERT_TRUE(service.AddEdge(Edge{1, kBaseVertices + 1}).ok());
+  ASSERT_TRUE(service.RebootstrapInFlight());
+  ASSERT_TRUE(service.AddEdge(Edge{2, kBaseVertices + 2}).ok());
+  ASSERT_FALSE(service.RebootstrapInFlight());
+  ASSERT_EQ(service.Rebootstraps(), 1u);
+  for (size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(registry.GetHistogram(kHistograms[i])->Summarize().count,
+              before[i] + 1)
+        << kHistograms[i];
+  }
 }
 
 TEST(IncrementalStalenessTest, RemovalsCountAsDrift) {
