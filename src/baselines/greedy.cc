@@ -28,6 +28,7 @@ Status GreedyPartitioner::Partition(EdgeStream& stream,
   PhaseTimer timer(&out, "partitioning");
   ScoreTables tables(degrees.num_vertices(), config.num_partitions,
                      config.PartitionCapacity(degrees.num_edges));
+  const LentReplicas lent(sink, tables.replicas());
   out.state_bytes =
       tables.HeapBytes() + degrees.degrees.size() * sizeof(uint32_t);
 

@@ -35,6 +35,7 @@ Status HdrfPartitioner::Partition(EdgeStream& stream,
   ScoreTables tables(num_vertices, config.num_partitions,
                      config.PartitionCapacity(degrees.num_edges));
   std::vector<uint32_t> partial_degree(num_vertices, 0);
+  const LentReplicas lent(sink, tables.replicas());
   out.state_bytes =
       tables.HeapBytes() + partial_degree.size() * sizeof(uint32_t);
 

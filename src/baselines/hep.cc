@@ -11,8 +11,9 @@
 namespace tpsl {
 namespace {
 
-/// Forwards expansion assignments while maintaining the shared score
-/// tables (replication matrix + loads) used by the streaming phase.
+/// Forwards every assignment while committing it to the score tables
+/// (replica matrix + loads), so the matrix lent to the sink holds
+/// exactly the assigned edges.
 class StateTrackingSink : public AssignmentSink {
  public:
   StateTrackingSink(AssignmentSink* inner, ScoreTables* tables)
@@ -69,6 +70,7 @@ Status HepPartitioner::Partition(EdgeStream& stream,
 
   ScoreTables tables(degrees.num_vertices(), k, capacity);
   StateTrackingSink tracking_sink(&sink, &tables);
+  const LentReplicas lent(sink, tables.replicas());
 
   // --- In-memory phase: collect and expand the low-degree edges. ---
   std::vector<Edge> low_edges;

@@ -8,7 +8,7 @@
 #include "graph/degrees.h"
 #include "graph/types.h"
 #include "partition/dense_bitset.h"
-#include "partition/replication_table.h"
+#include "partition/replica_matrix.h"
 #include "partition/score_tables.h"
 #include "util/random.h"
 #include "util/timer.h"
@@ -84,10 +84,10 @@ KernelResult TwopsPick(uint32_t k, uint64_t seed, uint64_t ops) {
   WallTimer timer;
   for (const Item& item : work) {
     const PartitionId p = state.Place(
-        item.e, state.PickLinear(item.e, degrees.degree(item.e.first),
-                                 degrees.degree(item.e.second),
-                                 volumes[item.p1], volumes[item.p2], item.p1,
-                                 item.p2));
+        item.e, PickLinear<ReplicaMatrix::Access::kRelaxed>(
+                    state.replicas, item.e, degrees.degree(item.e.first),
+                    degrees.degree(item.e.second), volumes[item.p1],
+                    volumes[item.p2], item.p1, item.p2));
     checksum = HashCombine(checksum, p);
   }
   return {timer.ElapsedSeconds(), ops, checksum};
@@ -147,11 +147,11 @@ KernelResult BitsetOps(uint64_t seed, uint64_t sweeps) {
   return {seconds, sweeps * 4 * (kBitsetBits / 64), checksum};
 }
 
-/// ReplicationTable random set/test mix — the bit-matrix access
+/// ReplicaMatrix random set/test mix — the bit-matrix access
 /// pattern of every stateful scoring loop, without the arithmetic.
 KernelResult ReplicaSetTest(uint32_t k, uint64_t seed, uint64_t ops) {
   SplitMix64 rng(seed);
-  ReplicationTable replicas(kNumVertices, k);
+  ReplicaMatrix replicas(kNumVertices, k);
   struct Item {
     VertexId v;
     PartitionId set_p;

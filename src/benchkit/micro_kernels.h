@@ -16,7 +16,7 @@ namespace benchkit {
 ///   twops_pick       2PS-L two-candidate pick + placement (Phase2State)
 ///   hdrf_pick        HDRF full-k argmax pick + commit
 ///   bitset_ops       DenseBitset popcount / intersection / or sweeps
-///   replica_set_test ReplicationTable random set/test mix
+///   replica_set_test ReplicaMatrix random set/test mix
 const std::vector<std::string>& MicroKernelNames();
 
 /// Times the partitioner-state kernel's hot loops on synthetic seeded

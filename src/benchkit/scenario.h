@@ -23,7 +23,7 @@ enum class ScenarioKind {
   /// and `k` are placeholders for record identity.
   kIngestScan,
   /// Kernel-level throughput of the shared partitioner-state layer
-  /// (ScoreTables picks, DenseBitset word ops, ReplicationTable
+  /// (ScoreTables picks, DenseBitset word ops, ReplicaMatrix
   /// set/test) on synthetic seeded state — no dataset, no partitioner;
   /// `partitioner` and `dataset` are placeholders for record identity.
   /// See benchkit/micro_kernels.h.

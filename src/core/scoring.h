@@ -4,13 +4,13 @@
 #include <cstdint>
 
 #include "graph/types.h"
-#include "partition/replication_table.h"
+#include "partition/replica_matrix.h"
 
 namespace tpsl {
 
 /// Scoring functions for stateful streaming edge partitioning.
 ///
-/// TwopsScore implements the paper's new constant-time scoring function
+/// PickLinear implements the paper's new constant-time scoring function
 /// (§III-B Step 3): degree-weighted replication affinity plus a
 /// cluster-volume affinity, evaluated on exactly two candidate
 /// partitions. HdrfScore implements the classic HDRF function (Petroni
@@ -38,17 +38,25 @@ inline double TwopsClusterTerm(bool cluster_on_p, uint64_t own_volume,
   return static_cast<double>(own_volume) / static_cast<double>(volume_sum);
 }
 
-/// Full 2PS-L score s(u, v, p) for one candidate partition.
-inline double TwopsScore(const ReplicationTable& replicas, VertexId u,
-                         VertexId v, uint32_t du, uint32_t dv,
-                         uint64_t vol_cu, uint64_t vol_cv, bool cu_on_p,
-                         bool cv_on_p, PartitionId p) {
+/// 2PS-L constant-time pick over the two candidate partitions of an
+/// edge whose endpoints' clusters map to p1 != p2: s(u, v, p) is both
+/// endpoints' replication terms on p plus the cluster-volume term of the
+/// endpoint whose cluster maps to p. Ties go to p1 (score1 >= score2).
+/// A parallel run's workers Test the shared matrix with relaxed loads.
+template <ReplicaMatrix::Access kAccess = ReplicaMatrix::Access::kPlain>
+PartitionId PickLinear(const ReplicaMatrix& replicas, const Edge& e,
+                       uint32_t du, uint32_t dv, uint64_t vol1,
+                       uint64_t vol2, PartitionId p1, PartitionId p2) {
   const uint64_t degree_sum = static_cast<uint64_t>(du) + dv;
-  const uint64_t volume_sum = vol_cu + vol_cv;
-  return TwopsReplicationTerm(replicas.Test(u, p), du, degree_sum) +
-         TwopsReplicationTerm(replicas.Test(v, p), dv, degree_sum) +
-         TwopsClusterTerm(cu_on_p, vol_cu, volume_sum) +
-         TwopsClusterTerm(cv_on_p, vol_cv, volume_sum);
+  const uint64_t volume_sum = vol1 + vol2;
+  const auto score = [&](PartitionId p, uint64_t own_volume) {
+    return TwopsReplicationTerm(replicas.Test<kAccess>(e.first, p), du,
+                                degree_sum) +
+           TwopsReplicationTerm(replicas.Test<kAccess>(e.second, p), dv,
+                                degree_sum) +
+           TwopsClusterTerm(true, own_volume, volume_sum);
+  };
+  return score(p1, vol1) >= score(p2, vol2) ? p1 : p2;
 }
 
 /// HDRF degree-weighted replication score C_REP(u, v, p).

@@ -117,18 +117,12 @@ Status TwoPhasePartitioner::Partition(EdgeStream& stream,
                     clustering.HeapBytes() + schedule.HeapBytes() +
                     state.HeapBytes();
 
-  // One v2p matrix per run: the sink reads `state.replicas` instead of
-  // rebuilding it, and gets it back on every return path before
-  // `state` dies.
-  struct LentReplicas {
-    AssignmentSink& sink;
-    ~LentReplicas() { sink.LendReplicas(nullptr); }
-  } lent{sink};
-  sink.LendReplicas(&state.replicas.bits());
+  const LentReplicas lent(sink, state.replicas);
 
   // Two passes classify every edge the same way. Step 2 places edges
-  // whose endpoints share a cluster or whose clusters are mapped to the
-  // same partition (lines 16-26); step 3 scores the rest (lines 27-44).
+  // whose endpoints' clusters are mapped to the same partition, which
+  // includes endpoints sharing a cluster (lines 16-26); step 3 scores
+  // the rest (lines 27-44).
   const bool linear = options_.scoring == ScoringMode::kLinear;
   for (const bool prepartition : {true, false}) {
     TPSL_RETURN_IF_ERROR(ParallelPass(
@@ -138,7 +132,7 @@ Status TwoPhasePartitioner::Partition(EdgeStream& stream,
           const ClusterId c2 = clustering.vertex_cluster[e.second];
           const PartitionId p1 = schedule.cluster_partition[c1];
           const PartitionId p2 = schedule.cluster_partition[c2];
-          if ((c1 == c2 || p1 == p2) != prepartition) {
+          if ((p1 == p2) != prepartition) {
             return kInvalidPartition;  // The other pass places it.
           }
           if (prepartition) {
@@ -157,8 +151,9 @@ Status TwoPhasePartitioner::Partition(EdgeStream& stream,
           const uint64_t vol2 = options_.use_cluster_volume_term
                                     ? clustering.cluster_volumes[c2]
                                     : 0;
-          return state.Place(e,
-                             state.PickLinear(e, du, dv, vol1, vol2, p1, p2));
+          return state.Place(
+              e, PickLinear<ReplicaMatrix::Access::kRelaxed>(
+                     state.replicas, e, du, dv, vol1, vol2, p1, p2));
         },
         prepartition ? &out.prepartitioned_edges : &out.remaining_edges,
         prepartition ? PrepartitionedEdgesCounter() : ScoredEdgesCounter()));

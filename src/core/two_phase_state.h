@@ -9,53 +9,10 @@
 #include "core/scoring.h"
 #include "graph/degrees.h"
 #include "graph/types.h"
-#include "partition/dense_bitset.h"
+#include "partition/replica_matrix.h"
 #include "util/random.h"
 
 namespace tpsl {
-
-/// The run's vertex-to-partition replication matrix (`v2p`), hosted on
-/// a DenseBitset in ReplicationTable's vertex-major layout (row v is
-/// the k bits at v·k), so the quality sink can read it as lent. Unless
-/// `shared`, one worker owns it and Set is a plain load and store:
-/// exact without the lock-prefixed RMW. When shared, the words are
-/// accessed through relaxed std::atomic_ref and readers may observe
-/// slightly stale bits (benign: only affects scoring quality, never
-/// correctness).
-class AtomicReplicationBits {
- public:
-  AtomicReplicationBits(VertexId num_vertices, uint32_t num_partitions,
-                        bool shared)
-      : num_partitions_(num_partitions),
-        shared_(shared),
-        bits_(static_cast<uint64_t>(num_vertices) * num_partitions) {}
-
-  bool Test(VertexId v, PartitionId p) const {
-    // A relaxed load is a plain load on a single owner.
-    return bits_.Test<DenseBitset::Access::kRelaxed>(Index(v, p));
-  }
-
-  void Set(VertexId v, PartitionId p) {
-    if (shared_) {
-      bits_.Set<DenseBitset::Access::kRelaxed>(Index(v, p));
-    } else {
-      bits_.Set(Index(v, p));
-    }
-  }
-
-  const DenseBitset& bits() const { return bits_; }
-
-  uint64_t HeapBytes() const { return bits_.HeapBytes(); }
-
- private:
-  uint64_t Index(VertexId v, PartitionId p) const {
-    return static_cast<uint64_t>(v) * num_partitions_ + p;
-  }
-
-  uint32_t num_partitions_;
-  bool shared_;
-  DenseBitset bits_;
-};
 
 /// Claims one load slot of a partition if it is below `capacity`: by
 /// CAS when `shared`, by a plain load and store for a single worker.
@@ -78,9 +35,12 @@ inline bool TryClaim(std::atomic<uint64_t>& load, uint64_t capacity,
   return false;
 }
 
-/// 2PS-L Phase-2 state of the engine's workers: the replication bits
-/// and the partition loads, claimed (by CAS when `shared` by several
-/// workers) before an edge is committed.
+/// 2PS-L Phase-2 state of the engine's workers: the run's replica
+/// matrix and the partition loads, claimed (by CAS when `shared` by
+/// several workers) before an edge is committed. Workers Test the
+/// matrix with relaxed loads and Set it relaxed only when shared; stale
+/// bits seen under concurrency affect scoring quality, never
+/// correctness.
 struct Phase2State {
   Phase2State(const DegreeTable& degree_table, uint32_t num_partitions,
               uint64_t partition_capacity, uint64_t hash_seed,
@@ -134,24 +94,6 @@ struct Phase2State {
     }
   }
 
-  /// 2PS-L constant-time pick: scores exactly the two candidate
-  /// partitions (§III-B Step 3), ties going to p1 (score1 >= score2).
-  PartitionId PickLinear(const Edge& e, uint32_t du, uint32_t dv,
-                         uint64_t vol1, uint64_t vol2, PartitionId p1,
-                         PartitionId p2) const {
-    const uint64_t degree_sum = static_cast<uint64_t>(du) + dv;
-    const uint64_t volume_sum = vol1 + vol2;
-    const double score1 =
-        TwopsReplicationTerm(replicas.Test(e.first, p1), du, degree_sum) +
-        TwopsReplicationTerm(replicas.Test(e.second, p1), dv, degree_sum) +
-        TwopsClusterTerm(true, vol1, volume_sum);
-    const double score2 =
-        TwopsReplicationTerm(replicas.Test(e.first, p2), du, degree_sum) +
-        TwopsReplicationTerm(replicas.Test(e.second, p2), dv, degree_sum) +
-        TwopsClusterTerm(true, vol2, volume_sum);
-    return score1 >= score2 ? p1 : p2;
-  }
-
   /// 2PS-HDRF: HDRF over all k partitions with relaxed (stale-tolerant)
   /// load reads. Capacity is left to the overflow chain of Place.
   PartitionId PickHdrf(const Edge& e, uint32_t du, uint32_t dv,
@@ -171,8 +113,10 @@ struct Phase2State {
       const uint64_t load =
           std::min(loads[p].load(std::memory_order_relaxed), max_load);
       const double score =
-          HdrfReplicationScore(replicas.Test(e.first, p),
-                               replicas.Test(e.second, p), du, dv) +
+          HdrfReplicationScore(
+              replicas.Test<ReplicaMatrix::Access::kRelaxed>(e.first, p),
+              replicas.Test<ReplicaMatrix::Access::kRelaxed>(e.second, p), du,
+              dv) +
           HdrfBalanceScore(load, max_load, min_load, lambda);
       if (score > best_score) {
         best_score = score;
@@ -187,7 +131,7 @@ struct Phase2State {
   }
 
   const DegreeTable& degrees;
-  AtomicReplicationBits replicas;
+  ReplicaMatrix replicas;
   std::vector<std::atomic<uint64_t>> loads;
   const uint64_t capacity;
   const uint64_t seed;

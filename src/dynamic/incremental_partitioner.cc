@@ -32,7 +32,7 @@ Status IncrementalPartitioner::Bootstrap(EdgeStream& base_graph,
   vertex_cluster_ = std::move(clustering.vertex_cluster);
   cluster_volumes_ = std::move(clustering.cluster_volumes);
   cluster_partition_ = schedule.cluster_partition;
-  replicas_ = std::make_unique<ReplicationTable>(
+  replicas_ = std::make_unique<ReplicaMatrix>(
       static_cast<VertexId>(degrees_.size()), config_.num_partitions);
   loads_.assign(config_.num_partitions, 0);
   num_edges_ = degree_table.num_edges;
@@ -72,21 +72,14 @@ StatusOr<PartitionId> IncrementalPartitioner::PlaceEdge(const Edge& e) {
   const PartitionId p2 = cluster_partition_[c2];
   const uint64_t capacity = Capacity();
 
-  PartitionId target;
-  if (c1 == c2 || p1 == p2) {
-    target = p1;  // Pre-partitioning case of Algorithm 2.
-  } else {
-    const uint32_t du = degrees_[e.first];
-    const uint32_t dv = degrees_[e.second];
+  PartitionId target = p1;  // Pre-partitioning case of Algorithm 2.
+  if (p1 != p2) {
     const uint64_t vol1 =
         options_.use_cluster_volume_term ? cluster_volumes_[c1] : 0;
     const uint64_t vol2 =
         options_.use_cluster_volume_term ? cluster_volumes_[c2] : 0;
-    const double score1 = TwopsScore(*replicas_, e.first, e.second, du, dv,
-                                     vol1, vol2, true, false, p1);
-    const double score2 = TwopsScore(*replicas_, e.first, e.second, du, dv,
-                                     vol1, vol2, false, true, p2);
-    target = score1 >= score2 ? p1 : p2;
+    target = PickLinear(*replicas_, e, degrees_[e.first], degrees_[e.second],
+                        vol1, vol2, p1, p2);
   }
   if (loads_[target] >= capacity) {
     // Overflow chain: degree-based hash, then least loaded.

@@ -10,7 +10,7 @@
 #include "graph/degrees.h"
 #include "graph/edge_stream.h"
 #include "partition/partitioner.h"
-#include "partition/replication_table.h"
+#include "partition/replica_matrix.h"
 #include "util/status.h"
 
 namespace tpsl {
@@ -23,7 +23,7 @@ namespace tpsl {
 ///
 /// Bootstrap() runs the full two-phase algorithm on a base graph and
 /// retains all Phase-1/Phase-2 state (degrees, vertex clustering,
-/// cluster-to-partition schedule, replication table, loads). AddEdge()
+/// cluster-to-partition schedule, replica matrix, loads). AddEdge()
 /// then places arriving edges in O(1):
 ///  * unseen vertices join the cluster of their first neighbor,
 ///  * the edge is scored on the two candidate partitions with the
@@ -76,7 +76,7 @@ class IncrementalPartitioner {
     return static_cast<double>(drift) / static_cast<double>(num_edges_);
   }
 
-  /// Live replication factor from the maintained table.
+  /// Live replication factor from the maintained matrix.
   double CurrentReplicationFactor() const {
     return replicas_ == nullptr ? 0.0 : replicas_->ReplicationFactor();
   }
@@ -86,9 +86,9 @@ class IncrementalPartitioner {
   bool bootstrapped() const { return bootstrapped_; }
   const PartitionConfig& config() const { return config_; }
 
-  /// Maintained replication table; null before Bootstrap(). Rows are an
+  /// Maintained replica matrix; null before Bootstrap(). Rows are an
   /// upper bound after removals (bits are shrunk lazily).
-  const ReplicationTable* replicas() const { return replicas_.get(); }
+  const ReplicaMatrix* replicas() const { return replicas_.get(); }
 
   /// Heap footprint of the retained incremental state.
   uint64_t StateBytes() const {
@@ -131,7 +131,7 @@ class IncrementalPartitioner {
   std::vector<ClusterId> vertex_cluster_;
   std::vector<uint64_t> cluster_volumes_;
   std::vector<PartitionId> cluster_partition_;
-  std::unique_ptr<ReplicationTable> replicas_;
+  std::unique_ptr<ReplicaMatrix> replicas_;
   std::vector<uint64_t> loads_;
 };
 

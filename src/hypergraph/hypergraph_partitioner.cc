@@ -17,10 +17,10 @@ HypergraphQuality ComputeHypergraphQuality(
   quality.partition_sizes.assign(num_partitions, 0);
   quality.num_hyperedges = hypergraph.edges.size();
 
-  // Dense vertex covers on the kernel's bit matrix: Set() is
-  // idempotent and maintains per-partition cover counts and the
-  // covered-vertex count incrementally, so no hash sets are needed.
-  ReplicationTable covers(hypergraph.NumVertices(), num_partitions);
+  // Dense vertex covers on the kernel's replica matrix: Set() is
+  // idempotent and the totals are counted by sweeping it, so no hash
+  // sets are needed.
+  ReplicaMatrix covers(hypergraph.NumVertices(), num_partitions);
   for (size_t i = 0; i < hypergraph.edges.size(); ++i) {
     const PartitionId p = assignment[i];
     ++quality.partition_sizes[p];

@@ -11,7 +11,7 @@
 
 namespace tpsl {
 
-class DenseBitset;
+class ReplicaMatrix;
 
 /// One (edge -> partition) decision, the unit of the batched sink
 /// protocol below.
@@ -56,15 +56,14 @@ class AssignmentSink {
   /// bitsets or writer buffers alive.
   virtual uint64_t StateBytes() const { return 0; }
 
-  /// Lends the partitioner's own `v2p` replication matrix for the rest
-  /// of its run, or takes it back with nullptr. The matrix is
-  /// vertex-major with num_partitions bits per row (bit v·k + p set iff
-  /// vertex v has a replica on partition p). A lender calls this before
-  /// its first assignment, sets both endpoints' bits of every edge it
-  /// assigns, and takes the matrix back before it is freed. A sink that
-  /// would otherwise rebuild the same matrix reads the lent one.
-  /// Default: ignored.
-  virtual void LendReplicas(const DenseBitset* /*replicas*/) {}
+  /// Lends the partitioner's own replica matrix (`v2p`, k bits per
+  /// vertex) for the rest of its run, or takes it back with nullptr. A
+  /// lender sets exactly both endpoints' bits of every edge it assigns
+  /// and no others, lends before its first assignment and takes the
+  /// matrix back before it is freed: use the LentReplicas guard below.
+  /// A sink that would otherwise build the same matrix reads the lent
+  /// one. Default: ignored.
+  virtual void LendReplicas(const ReplicaMatrix* /*replicas*/) {}
 
   /// Sticky sink health. Assign()/AssignBatch() have no error channel
   /// (scoring cannot abort mid-batch), so sinks that can fail — a
@@ -73,6 +72,24 @@ class AssignmentSink {
   /// every pipeline sink after the pass; a run whose spill silently
   /// dropped edges must not report success.
   virtual Status Health() const { return Status::OK(); }
+};
+
+/// Lends `replicas` to `sink` for the guard's lifetime, so a run holds
+/// one matrix. Declared after the matrix, it takes the matrix back on
+/// every return path before the matrix dies.
+class LentReplicas {
+ public:
+  LentReplicas(AssignmentSink& sink, const ReplicaMatrix& replicas)
+      : sink_(sink) {
+    sink_.LendReplicas(&replicas);
+  }
+  ~LentReplicas() { sink_.LendReplicas(nullptr); }
+
+  LentReplicas(const LentReplicas&) = delete;
+  LentReplicas& operator=(const LentReplicas&) = delete;
+
+ private:
+  AssignmentSink& sink_;
 };
 
 /// Counts edges per partition; the cheapest sink for quality metrics.
@@ -157,7 +174,7 @@ class TeeSink : public AssignmentSink {
     }
   }
 
-  void LendReplicas(const DenseBitset* replicas) override {
+  void LendReplicas(const ReplicaMatrix* replicas) override {
     for (AssignmentSink* sink : sinks_) {
       sink->LendReplicas(replicas);
     }

@@ -96,7 +96,7 @@ StatusOr<RunResult> RunPipeline(Partitioner& partitioner, EdgeStream& stream,
   // any downstream state.
   TPSL_RETURN_IF_ERROR(pipeline.Health());
   // Whole-run state: the partitioner's own accounting plus the live
-  // sink-side state (loads, the quality sink's replication matrix when
+  // sink-side state (loads, the quality sink's replica matrix when
   // none was lent, writer buffers, any opted-in edge lists) —
   // snapshot before Finish() releases the writer.
   result.stats.state_bytes += pipeline.StateBytes();

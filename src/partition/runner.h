@@ -68,14 +68,15 @@ struct RunOptions {
 /// spill writer on request, at every thread count. Quality is computed
 /// single-pass by the QualitySink while assignments stream through, and
 /// validation reads that sink's loads — the default path holds no edge
-/// lists, so out-of-core runs stay out of core end to end. A partitioner that lends its replica
-/// matrix (2PS-L, 2PS-HDRF) is the run's only `v2p` matrix; the sink
-/// then holds loads only. Sets the `quality.replication_factor` and
-/// `quality.max_load_skew` gauges from the final quality.
-/// `stats.state_bytes` covers the whole run: partitioner state plus
-/// sink-side state (loads, the replication matrix of a non-lending run,
-/// writer buffers, opted-in edge lists). That state is freed, and
-/// handed back to the OS, before the call returns.
+/// lists, so out-of-core runs stay out of core end to end. A partitioner
+/// that keeps a replica matrix lends it, so it is the run's only `v2p`
+/// matrix and the sink holds loads only. Sets the
+/// `quality.replication_factor` and `quality.max_load_skew` gauges from
+/// the final quality. `stats.state_bytes` covers the whole run:
+/// partitioner state plus sink-side state (loads, the sink's own
+/// replica matrix when none was lent, writer buffers, opted-in edge
+/// lists). That state is freed, and handed back to the OS, before the
+/// call returns.
 StatusOr<RunResult> RunPartitioner(Partitioner& partitioner,
                                    EdgeStream& stream,
                                    const PartitionConfig& config,

@@ -9,7 +9,7 @@
 #include "graph/types.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "partition/replication_table.h"
+#include "partition/replica_matrix.h"
 #include "util/status.h"
 
 namespace tpsl {
@@ -21,7 +21,7 @@ namespace tpsl {
 ///
 /// Layout is deliberately flat — the HDRF idiom (Petroni et al.,
 /// CIKM'15) where the score decomposes into per-partition arrays:
-///   * `v2p` replication bit matrix (ReplicationTable on DenseBitset),
+///   * `v2p` replica matrix (ReplicaMatrix, owned, plain access),
 ///   * per-partition edge loads |p_i| with the running max.
 /// Scoring helpers preserve each caller's exact iteration order and
 /// tie-breaking, so migrating a partitioner onto the kernel is
@@ -44,8 +44,8 @@ class ScoreTables {
   }
   uint64_t capacity() const { return capacity_; }
 
-  ReplicationTable& replicas() { return replicas_; }
-  const ReplicationTable& replicas() const { return replicas_; }
+  ReplicaMatrix& replicas() { return replicas_; }
+  const ReplicaMatrix& replicas() const { return replicas_; }
 
   const std::vector<uint64_t>& loads() const { return loads_; }
   uint64_t load(PartitionId p) const { return loads_[p]; }
@@ -193,7 +193,7 @@ class ScoreTables {
   }
 
  private:
-  ReplicationTable replicas_;
+  ReplicaMatrix replicas_;
   std::vector<uint64_t> loads_;
   uint64_t capacity_;
   uint64_t max_load_ = 0;

@@ -9,7 +9,7 @@
 namespace tpsl {
 
 QualitySink::QualitySink(uint32_t num_partitions)
-    : num_partitions_(num_partitions), loads_(num_partitions, 0) {}
+    : loads_(num_partitions, 0), own_(0, num_partitions) {}
 
 void QualitySink::AssignBatch(const Assignment* batch, size_t count) {
   if (count == 0) {
@@ -28,12 +28,9 @@ void QualitySink::AssignBatch(const Assignment* batch, size_t count) {
     if (!own_replicas) {
       continue;  // the lender's matrix holds this edge's replicas
     }
-    if (top >= num_vertices_) {
-      num_vertices_ = top + 1;
-      bits_.Resize(static_cast<uint64_t>(num_vertices_) * num_partitions_);
-    }
-    bits_.Set(static_cast<uint64_t>(e.first) * num_partitions_ + p);
-    bits_.Set(static_cast<uint64_t>(e.second) * num_partitions_ + p);
+    own_.GrowVertices(top + 1);
+    own_.Set(e.first, p);
+    own_.Set(e.second, p);
   }
   if (obs::TracingEnabled()) {
     const uint64_t before = assigned_;
@@ -45,11 +42,11 @@ void QualitySink::AssignBatch(const Assignment* batch, size_t count) {
   }
 }
 
-void QualitySink::LendReplicas(const DenseBitset* replicas) {
+void QualitySink::LendReplicas(const ReplicaMatrix* replicas) {
   if (replicas == nullptr && lent_ != nullptr) {
     // The lender's passes are over and its matrix is about to go.
-    lent_tallies_ = ReplicaTallies{lent_->Count(),
-                                   lent_->CountNonEmptyRows(num_partitions_)};
+    lent_tallies_ =
+        ReplicaTallies{lent_->TotalReplicas(), lent_->CoveredVertices()};
   }
   lent_ = replicas;
 }
@@ -58,10 +55,10 @@ void QualitySink::SampleQuality() {
   const int64_t start_ns = obs::TraceNowNanos();
   PartitionQuality quality;
   if (lent_ != nullptr) {
-    using Access = DenseBitset::Access;
-    quality = QualityFromTallies(
-        loads_, lent_->Count<Access::kRelaxed>(),
-        lent_->CountNonEmptyRows<Access::kRelaxed>(num_partitions_));
+    using Access = ReplicaMatrix::Access;
+    quality = QualityFromTallies(loads_,
+                                 lent_->TotalReplicas<Access::kRelaxed>(),
+                                 lent_->CoveredVertices<Access::kRelaxed>());
   } else {
     quality = Quality();
   }
@@ -77,8 +74,8 @@ PartitionQuality QualitySink::Quality() const {
     return QualityFromTallies(loads_, lent_tallies_->replicas,
                               lent_tallies_->covered);
   }
-  return QualityFromTallies(loads_, bits_.Count(),
-                            bits_.CountNonEmptyRows(num_partitions_));
+  return QualityFromTallies(loads_, own_.TotalReplicas(),
+                            own_.CoveredVertices());
 }
 
 Status QualitySink::Health() const {
@@ -91,7 +88,7 @@ Status QualitySink::Health() const {
 }
 
 uint64_t QualitySink::StateBytes() const {
-  return bits_.HeapBytes() + loads_.capacity() * sizeof(uint64_t);
+  return own_.HeapBytes() + loads_.capacity() * sizeof(uint64_t);
 }
 
 }  // namespace tpsl

@@ -7,8 +7,8 @@
 
 #include "graph/types.h"
 #include "partition/assignment_sink.h"
-#include "partition/dense_bitset.h"
 #include "partition/metrics.h"
+#include "partition/replica_matrix.h"
 #include "util/status.h"
 
 namespace tpsl {
@@ -20,18 +20,17 @@ namespace tpsl {
 ///
 /// The sink always counts per-partition edge loads itself, so
 /// validation never rests on the partitioner's own load counters.
-/// Replicas come from one `v2p` matrix per run: a partitioner that
-/// lends its own (LendReplicas; 2PS-L and 2PS-HDRF do) is read, and
-/// the sink then holds O(k) loads only. For every other partitioner
-/// (DBH, Hash, Grid, ...) the sink keeps its own vertex-major bit
-/// matrix, O(|V|·k / 8), grown lazily.
+/// Replicas come from one ReplicaMatrix per run: a partitioner that
+/// keeps one lends it (LendReplicas; 2PS-L, 2PS-HDRF, HDRF, Greedy,
+/// ADWISE and HEP do), and the sink then holds O(k) loads only. For a
+/// partitioner that keeps none (Hash, DBH, Grid, NE, ...) the sink
+/// grows its own matrix, O(|V|·k / 8).
 ///
 /// Like every sink it is called by one thread at a time (see
-/// AssignmentSink). Quality() computes total replicas as the matrix
-/// popcount and covered vertices as its count of non-empty rows, then
-/// derives the rest through QualityFromTallies, ComputeQuality's own
-/// arithmetic, so the two agree to the last bit (the property suites
-/// assert exact equality).
+/// AssignmentSink). Quality() asks the matrix for its total replicas
+/// and covered vertices, then derives the rest through
+/// QualityFromTallies, ComputeQuality's own arithmetic, so the two agree
+/// to the last bit (the property suites assert exact equality).
 class QualitySink : public AssignmentSink {
  public:
   /// Each time the sink has absorbed another 2^kSampleIntervalLog2
@@ -55,7 +54,7 @@ class QualitySink : public AssignmentSink {
   /// While a matrix is lent the sink sets no replica bits. Taking it
   /// back (nullptr) counts its replicas and covered vertices once, so
   /// Quality() no longer needs it.
-  void LendReplicas(const DenseBitset* replicas) override;
+  void LendReplicas(const ReplicaMatrix* replicas) override;
 
   /// Per-partition edge loads counted so far.
   const std::vector<uint64_t>& Loads() const { return loads_; }
@@ -80,17 +79,13 @@ class QualitySink : public AssignmentSink {
   /// setting bits while this one delivers.
   void SampleQuality();
 
-  const uint32_t num_partitions_;
   std::vector<uint64_t> loads_;
-  // Own matrix, row v = k bits at v·k like ReplicationTable; used only
-  // while nothing is lent.
-  DenseBitset bits_;
-  VertexId num_vertices_ = 0;
+  ReplicaMatrix own_;  // grown per edge, only while nothing is lent
   uint64_t assigned_ = 0;  // counted only while tracing
   bool saw_invalid_vertex_ = false;
   // Set by the lender before its passes start and cleared after they
   // end.
-  const DenseBitset* lent_ = nullptr;
+  const ReplicaMatrix* lent_ = nullptr;
   std::optional<ReplicaTallies> lent_tallies_;  // taken at release
 };
 

@@ -2,7 +2,7 @@
 
 #include <cstdint>
 
-#include "partition/replication_table.h"
+#include "partition/replica_matrix.h"
 
 namespace tpsl {
 
@@ -10,11 +10,11 @@ StatusOr<PartitionTopology> DiscoverTopology(
     const std::vector<EdgeStream*>& partitions, bool with_degrees) {
   PartitionTopology topology;
   topology.partition_edges.assign(partitions.size(), 0);
-  // Mirror accounting on the kernel's replication matrix: Set() is
+  // Mirror accounting on the kernel's replica matrix: Set() is
   // idempotent per (vertex, partition), so each partition's pass can
   // just mark both endpoints; replicas, covered vertices and mirrors
-  // fall out of the incremental counts.
-  ReplicationTable replicas(0, static_cast<uint32_t>(partitions.size()));
+  // are counted from the matrix at the end.
+  ReplicaMatrix replicas(0, static_cast<uint32_t>(partitions.size()));
   for (uint32_t p = 0; p < partitions.size(); ++p) {
     TPSL_RETURN_IF_ERROR(ForEachEdge(*partitions[p], [&](const Edge& e) {
       const VertexId top = std::max(e.first, e.second);

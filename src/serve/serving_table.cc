@@ -45,7 +45,7 @@ PartitionId RouteFromLookups(const VertexLookup& a, const VertexLookup& b,
 }
 
 void WriteRowFromState(uint64_t* row, uint32_t words_per_row,
-                       const ReplicationTable& replicas, VertexId v,
+                       const ReplicaMatrix& replicas, VertexId v,
                        uint32_t k) {
   for (uint32_t w = 0; w < words_per_row; ++w) {
     row[w] = 0;
@@ -128,7 +128,7 @@ uint64_t ServingTable::HeapBytes() const {
 
 std::shared_ptr<const ServingTable> BuildServingTable(
     const IncrementalPartitioner& state, uint64_t epoch) {
-  const ReplicationTable* replicas = state.replicas();
+  const ReplicaMatrix* replicas = state.replicas();
   const VertexId n = replicas == nullptr ? 0 : replicas->num_vertices();
   const uint32_t k = state.config().num_partitions;
   auto table = std::shared_ptr<ServingTable>(
@@ -160,7 +160,7 @@ std::shared_ptr<const ServingTable> PatchServingTable(
     const std::shared_ptr<const ServingTable>& prev,
     const IncrementalPartitioner& state,
     const std::vector<VertexId>& dirty_vertices, uint64_t epoch) {
-  const ReplicationTable* replicas = state.replicas();
+  const ReplicaMatrix* replicas = state.replicas();
   const VertexId n = replicas == nullptr ? 0 : replicas->num_vertices();
   const uint32_t k = state.config().num_partitions;
   auto table = std::shared_ptr<ServingTable>(
@@ -201,7 +201,7 @@ std::shared_ptr<const ServingTable> PatchServingTable(
   return table;
 }
 
-VertexLookup OracleLookupVertex(const ReplicationTable& replicas, VertexId v) {
+VertexLookup OracleLookupVertex(const ReplicaMatrix& replicas, VertexId v) {
   VertexLookup result;
   if (v >= replicas.num_vertices()) {
     return result;
@@ -218,7 +218,7 @@ VertexLookup OracleLookupVertex(const ReplicationTable& replicas, VertexId v) {
   return result;
 }
 
-PartitionId OracleRouteEdge(const ReplicationTable& replicas, const Edge& e,
+PartitionId OracleRouteEdge(const ReplicaMatrix& replicas, const Edge& e,
                             uint64_t seed) {
   const VertexLookup a = OracleLookupVertex(replicas, e.first);
   const VertexLookup b = OracleLookupVertex(replicas, e.second);

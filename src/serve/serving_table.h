@@ -7,7 +7,7 @@
 
 #include "dynamic/incremental_partitioner.h"
 #include "graph/types.h"
-#include "partition/replication_table.h"
+#include "partition/replica_matrix.h"
 
 namespace tpsl {
 namespace serve {
@@ -61,7 +61,7 @@ class ServingTable {
   ///  * one known -> that endpoint's primary,
   ///  * neither known -> seeded hash of the (min,max) vertex pair.
   /// Deterministic for a given snapshot; OracleRouteEdge() implements
-  /// the identical rule over live ReplicationTable state.
+  /// the identical rule over live ReplicaMatrix state.
   PartitionId RouteEdge(const Edge& e) const;
 
   /// Logical heap size of this snapshot (chunks counted in full even
@@ -111,10 +111,10 @@ std::shared_ptr<const ServingTable> PatchServingTable(
     const std::vector<VertexId>& dirty_vertices, uint64_t epoch);
 
 /// Reference implementations of the lookup/routing rules over live
-/// ReplicationTable state — the oracle the property tests compare
+/// ReplicaMatrix state — the oracle the property tests compare
 /// ServingTable snapshots against.
-VertexLookup OracleLookupVertex(const ReplicationTable& replicas, VertexId v);
-PartitionId OracleRouteEdge(const ReplicationTable& replicas, const Edge& e,
+VertexLookup OracleLookupVertex(const ReplicaMatrix& replicas, VertexId v);
+PartitionId OracleRouteEdge(const ReplicaMatrix& replicas, const Edge& e,
                             uint64_t seed);
 
 }  // namespace serve

@@ -3,11 +3,13 @@
 #include <string>
 #include <vector>
 
+#include "baselines/registry.h"
+#include "graph/generators.h"
 #include "graph/in_memory_edge_stream.h"
 #include "partition/assignment_sink.h"
 #include "partition/metrics.h"
 #include "partition/partitioner.h"
-#include "partition/replication_table.h"
+#include "partition/replica_matrix.h"
 #include "partition/runner.h"
 #include "partition/sink_pipeline.h"
 
@@ -36,44 +38,69 @@ TEST(PartitionConfigTest, CapacityWithKOne) {
   EXPECT_GE(config.PartitionCapacity(50), 50u);
 }
 
-TEST(ReplicationTableTest, SetIsIdempotent) {
-  ReplicationTable table(10, 4);
-  EXPECT_FALSE(table.Test(3, 2));
-  table.Set(3, 2);
-  EXPECT_TRUE(table.Test(3, 2));
-  EXPECT_EQ(table.TotalReplicas(), 1u);
-  table.Set(3, 2);
-  EXPECT_EQ(table.TotalReplicas(), 1u);
-  EXPECT_EQ(table.CoveredVertices(), 1u);
+TEST(ReplicaMatrixTest, SetIsIdempotent) {
+  for (const bool shared : {false, true}) {
+    ReplicaMatrix matrix(10, 4, shared);
+    EXPECT_FALSE(matrix.Test(3, 2));
+    matrix.Set(3, 2);
+    EXPECT_TRUE(matrix.Test(3, 2));
+    EXPECT_TRUE(matrix.Test<ReplicaMatrix::Access::kRelaxed>(3, 2));
+    EXPECT_EQ(matrix.TotalReplicas(), 1u);
+    matrix.Set(3, 2);
+    EXPECT_EQ(matrix.TotalReplicas(), 1u);
+    EXPECT_EQ(matrix.CoveredVertices(), 1u);
+  }
 }
 
-TEST(ReplicationTableTest, CoverAndReplicaBookkeeping) {
-  ReplicationTable table(5, 3);
-  table.Set(0, 0);
-  table.Set(0, 1);
-  table.Set(0, 2);
-  table.Set(1, 1);
-  EXPECT_EQ(table.TotalReplicas(), 4u);
-  EXPECT_EQ(table.CoveredVertices(), 2u);
+TEST(ReplicaMatrixTest, CoverAndReplicaBookkeeping) {
+  ReplicaMatrix matrix(5, 3);
+  matrix.Set(0, 0);
+  matrix.Set(0, 1);
+  matrix.Set(0, 2);
+  matrix.Set(1, 1);
+  EXPECT_EQ(matrix.TotalReplicas(), 4u);
+  EXPECT_EQ(matrix.CoveredVertices(), 2u);
   // RF = (3 + 1) / 2 covered vertices.
-  EXPECT_DOUBLE_EQ(table.ReplicationFactor(), 2.0);
+  EXPECT_DOUBLE_EQ(matrix.ReplicationFactor(), 2.0);
 }
 
-TEST(ReplicationTableTest, EmptyTableHasZeroRf) {
-  ReplicationTable table(10, 4);
-  EXPECT_DOUBLE_EQ(table.ReplicationFactor(), 0.0);
-  EXPECT_EQ(table.CoveredVertices(), 0u);
+TEST(ReplicaMatrixTest, EmptyMatrixHasZeroRf) {
+  ReplicaMatrix matrix(10, 4);
+  EXPECT_DOUBLE_EQ(matrix.ReplicationFactor(), 0.0);
+  EXPECT_EQ(matrix.CoveredVertices(), 0u);
 }
 
-TEST(ReplicationTableTest, LargeIndicesDoNotAlias) {
-  // Bit-matrix indexing across word boundaries.
-  ReplicationTable table(1000, 37);
-  table.Set(999, 36);
-  table.Set(998, 0);
-  EXPECT_TRUE(table.Test(999, 36));
-  EXPECT_TRUE(table.Test(998, 0));
-  EXPECT_FALSE(table.Test(999, 35));
-  EXPECT_FALSE(table.Test(998, 36));
+TEST(ReplicaMatrixTest, LargeIndicesDoNotAlias) {
+  // Row indexing across word boundaries.
+  ReplicaMatrix matrix(1000, 37);
+  matrix.Set(999, 36);
+  matrix.Set(998, 0);
+  EXPECT_TRUE(matrix.Test(999, 36));
+  EXPECT_TRUE(matrix.Test(998, 0));
+  EXPECT_FALSE(matrix.Test(999, 35));
+  EXPECT_FALSE(matrix.Test(998, 36));
+}
+
+TEST(ReplicaMatrixTest, GrowVerticesKeepsRowsAndZeroesNewOnes) {
+  // The quality sink's own matrix starts empty and grows per edge.
+  ReplicaMatrix matrix(0, 3);
+  EXPECT_EQ(matrix.HeapBytes(), 0u);
+  matrix.GrowVertices(2);
+  matrix.Set(1, 2);
+  matrix.GrowVertices(1);  // never shrinks
+  EXPECT_EQ(matrix.num_vertices(), 2u);
+  matrix.GrowVertices(100);
+  EXPECT_EQ(matrix.num_vertices(), 100u);
+  EXPECT_TRUE(matrix.Test(1, 2));
+  for (VertexId v = 2; v < 100; ++v) {
+    for (PartitionId p = 0; p < 3; ++p) {
+      EXPECT_FALSE(matrix.Test(v, p)) << v << "," << p;
+    }
+  }
+  matrix.Set(99, 0);
+  EXPECT_EQ(matrix.TotalReplicas(), 2u);
+  EXPECT_EQ(matrix.CoveredVertices(), 2u);
+  EXPECT_EQ(matrix.HeapBytes(), (100 * 3 + 63) / 64 * sizeof(uint64_t));
 }
 
 TEST(SinkTest, CountingSinkCounts) {
@@ -362,7 +389,7 @@ TEST(RunnerTest, SinkStateCountsTowardStateBytes) {
   InMemoryEdgeStream stream_a(edges);
   auto streaming = RunPartitioner(partitioner, stream_a, config, options);
   ASSERT_TRUE(streaming.ok());
-  // The quality sink's replication bitsets are real state: reported.
+  // The quality sink's own replica matrix is real state: reported.
   EXPECT_GT(streaming->stats.state_bytes, 0u);
 
   InMemoryEdgeStream stream_b(edges);
@@ -372,6 +399,52 @@ TEST(RunnerTest, SinkStateCountsTowardStateBytes) {
   // Opting into materialization must show up in the accounting.
   EXPECT_GT(kept->stats.state_bytes,
             streaming->stats.state_bytes + 200 * sizeof(Edge) - 1);
+}
+
+/// Every partitioner that keeps a replica matrix lends it, so a run
+/// holds one: the quality sink keeps its k loads only, and its quality
+/// still equals the oracle to the last bit.
+TEST(LentReplicasTest, EveryLenderLeavesTheSinkItsLoadsOnly) {
+  RmatConfig graph;
+  graph.scale = 10;
+  graph.edge_factor = 8;
+  const std::vector<Edge> edges = GenerateRmat(graph);
+  constexpr uint32_t kPartitions = 16;
+  PartitionConfig config;
+  config.num_partitions = kPartitions;
+  for (const char* name :
+       {"2PS-L", "2PS-HDRF", "HDRF", "Greedy", "ADWISE", "HEP-10"}) {
+    auto partitioner = MakePartitioner(name);
+    ASSERT_TRUE(partitioner.ok()) << name;
+    InMemoryEdgeStream stream(edges);
+
+    // The runner's pipeline, driven directly so its sink can be asked.
+    QualitySink sink(kPartitions);
+    TeeSink pipeline{&sink};
+    PartitionStats own;
+    ASSERT_TRUE((*partitioner)->Partition(stream, config, pipeline, &own).ok())
+        << name;
+    EXPECT_EQ(sink.StateBytes(), kPartitions * sizeof(uint64_t)) << name;
+
+    auto run = RunPartitioner(**partitioner, stream, config);
+    ASSERT_TRUE(run.ok()) << name << ": " << run.status().ToString();
+    EXPECT_EQ(run->stats.state_bytes, own.state_bytes + pipeline.StateBytes())
+        << name;
+
+    RunOptions keep;
+    keep.keep_partitions = true;
+    auto kept = RunPartitioner(**partitioner, stream, config, keep);
+    ASSERT_TRUE(kept.ok()) << name << ": " << kept.status().ToString();
+    const PartitionQuality oracle = ComputeQuality(kept->partitions);
+    EXPECT_EQ(kept->quality.replication_factor, oracle.replication_factor)
+        << name;
+    EXPECT_EQ(kept->quality.measured_alpha, oracle.measured_alpha) << name;
+    EXPECT_EQ(kept->quality.num_covered_vertices, oracle.num_covered_vertices)
+        << name;
+    EXPECT_EQ(kept->quality.partition_sizes, oracle.partition_sizes) << name;
+    EXPECT_EQ(sink.Quality().replication_factor, oracle.replication_factor)
+        << name;
+  }
 }
 
 /// Stream whose pass "fails" after a few edges: Next() returns 0 and

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/scoring.h"
-#include "partition/replication_table.h"
+#include "partition/replica_matrix.h"
 
 namespace tpsl {
 namespace {
@@ -31,26 +31,32 @@ TEST(TwopsScoringTest, ClusterTermProportionalToVolume) {
 }
 
 TEST(TwopsScoringTest, FullScoreRange) {
-  // Max per endpoint: g < 2, sc <= 1 -> total < 6 for two endpoints.
-  ReplicationTable replicas(4, 2);
-  replicas.Set(0, 0);
-  replicas.Set(1, 0);
-  const double score =
-      TwopsScore(replicas, 0, 1, 1, 1, 50, 50, true, true, 0);
+  // A scored candidate gets both endpoints' replication terms (each
+  // below 2) and one cluster term (at most 1): below 5. Both clusters
+  // on one partition is the pre-partition case, which is never scored.
+  const double score = TwopsReplicationTerm(true, 1, 2) +
+                       TwopsReplicationTerm(true, 1, 2) +
+                       TwopsClusterTerm(true, 50, 100);
   EXPECT_GT(score, 0.0);
-  EXPECT_LT(score, 6.0);
+  EXPECT_LT(score, 5.0);
 }
 
 TEST(TwopsScoringTest, PrefersPartitionWithBothReplicas) {
-  ReplicationTable replicas(4, 2);
+  ReplicaMatrix replicas(4, 2);
   replicas.Set(0, 0);
   replicas.Set(1, 0);
   replicas.Set(0, 1);  // only one endpoint on partition 1
-  const double both =
-      TwopsScore(replicas, 0, 1, 5, 5, 10, 10, true, false, 0);
-  const double one =
-      TwopsScore(replicas, 0, 1, 5, 5, 10, 10, false, true, 1);
-  EXPECT_GT(both, one);
+  const Edge e{0, 1};
+  EXPECT_EQ(PickLinear(replicas, e, 5, 5, 10, 10, /*p1=*/0, /*p2=*/1), 0u);
+  EXPECT_EQ(PickLinear(replicas, e, 5, 5, 10, 10, /*p1=*/1, /*p2=*/0), 0u);
+}
+
+TEST(TwopsScoringTest, TiesGoToFirstCandidate) {
+  ReplicaMatrix replicas(4, 2);
+  const Edge e{2, 3};
+  EXPECT_EQ(PickLinear(replicas, e, 3, 3, 7, 7, /*p1=*/1, /*p2=*/0), 1u);
+  // Otherwise the larger cluster volume decides.
+  EXPECT_EQ(PickLinear(replicas, e, 3, 3, 7, 8, /*p1=*/1, /*p2=*/0), 0u);
 }
 
 TEST(HdrfScoringTest, NoReplicasNoScore) {

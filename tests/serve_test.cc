@@ -46,7 +46,7 @@ PartitionConfig Config(uint32_t k) {
 void ExpectTableMatchesOracle(const ServingTable& table,
                               const IncrementalPartitioner& state,
                               const std::vector<Edge>& probe_edges) {
-  const ReplicationTable& replicas = *state.replicas();
+  const ReplicaMatrix& replicas = *state.replicas();
   ASSERT_EQ(table.num_vertices(), replicas.num_vertices());
   for (VertexId v = 0; v < table.num_vertices(); ++v) {
     const VertexLookup got = table.LookupVertex(v);

@@ -14,6 +14,7 @@
 // with the loop below printing digests (family, k, name fixed), and
 // say so loudly in the PR — this table moving is the whole point of
 // the test.
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -21,6 +22,7 @@
 
 #include "baselines/registry.h"
 #include "core/two_phase_partitioner.h"
+#include "dynamic/incremental_partitioner.h"
 #include "graph/generators.h"
 #include "graph/in_memory_edge_stream.h"
 #include "graph/types.h"
@@ -275,6 +277,32 @@ const OptionRow kOptionRows[] = {
     {"no-volume-term", "uniform", 32, 0x1ec58a0f4e110dddULL},
 };
 
+/// IncrementalPartitioner placements: Bootstrap on the first 90% of a
+/// family, then AddEdge the rest in stream order. Every third added edge
+/// points its second endpoint at a vertex the bootstrap never saw, and
+/// every seventh its first one too, so the state grows and new clusters
+/// are founded. The digest folds the bootstrap's assignment stream, then
+/// each AddEdge placement. Captured before the 2PS-L score and the
+/// replica matrix were shared with the batch partitioner (default
+/// PartitionConfig otherwise).
+struct IncrementalRow {
+  const char* family;
+  uint32_t k;
+  uint64_t digest;
+};
+
+const IncrementalRow kIncrementalRows[] = {
+    {"social", 2, 0x992cfc6c4c297542ULL},
+    {"social", 5, 0x1b4dad653c48fee8ULL},
+    {"social", 32, 0x5dc51352a28ae724ULL},
+    {"community", 2, 0xd0eb02a6f7ed75fcULL},
+    {"community", 5, 0x526b376c20ae175bULL},
+    {"community", 32, 0x3af52cfa383bbc8dULL},
+    {"uniform", 2, 0xaf9577917ef23e52ULL},
+    {"uniform", 5, 0x0ab76222e73c68deULL},
+    {"uniform", 32, 0x565e1405683e7ad6ULL},
+};
+
 /// Every name MakePartitioner accepts. The registry has no single
 /// enumerator; the published rosters (Fig. 4 + streaming) plus Hash and
 /// the two "(par)" aliases cover it, and the coverage test cross-checks
@@ -369,6 +397,42 @@ TEST(StateKernelIdentityTest, TwoPhaseOptionStreamsMatchCapturedDigests) {
       EXPECT_EQ(sink.digest(), row->digest)
           << row->option << " k=" << row->k << " family=" << family;
     }
+  }
+}
+
+TEST(StateKernelIdentityTest, IncrementalPlacementsMatchCapturedDigests) {
+  for (const IncrementalRow& row : kIncrementalRows) {
+    const std::vector<Edge> edges = MakeFamily(row.family);
+    const size_t split = edges.size() * 9 / 10;
+    VertexId num_vertices = 0;
+    for (const Edge& e : edges) {
+      num_vertices = std::max({num_vertices, e.first + 1, e.second + 1});
+    }
+    InMemoryEdgeStream base(
+        std::vector<Edge>(edges.begin(), edges.begin() + split));
+    PartitionConfig config;
+    config.num_partitions = row.k;
+    IncrementalPartitioner partitioner(config);
+    ChecksumSink sink;
+    ASSERT_TRUE(partitioner.Bootstrap(base, sink).ok());
+    for (size_t i = split; i < edges.size(); ++i) {
+      Edge e = edges[i];
+      if (i % 3 == 0) {
+        e.second += num_vertices;
+      }
+      if (i % 7 == 0) {
+        e.first += num_vertices;
+      }
+      if (e.first == e.second) {
+        continue;
+      }
+      const StatusOr<PartitionId> placed = partitioner.AddEdge(e);
+      ASSERT_TRUE(placed.ok()) << placed.status().ToString();
+      sink.Assign(e, *placed);
+    }
+    EXPECT_EQ(sink.digest(), row.digest)
+        << "family=" << row.family << " k=" << row.k << " digest=0x"
+        << std::hex << sink.digest();
   }
 }
 
