@@ -42,7 +42,7 @@ int main() {
     tpsl::RunOptions options;
     options.validate = false;
     // Spill instead of keep_partitions: partitions land on disk as one
-    // binary edge list each, ready for the processing layer.
+    // compressed edge-block file each, ready for the processing layer.
     options.spill_dir = "/tmp/tpsl_e2e_spill";
     options.spill_stem = name;
     auto run_or =

@@ -1,8 +1,8 @@
 // Command-line partitioner: the paper's deployment workflow as a tool.
 // Reads a graph from a binary (.bin) or ASCII (.txt) edge list,
 // partitions it out-of-core with the selected algorithm, writes one
-// binary edge list per partition plus a manifest, and prints the
-// quality report.
+// compressed edge-block file per partition plus a manifest, and prints
+// the quality report.
 //
 // Usage:
 //   partition_cli <input> <output-prefix> [--partitioner=2PS-L] [--k=32]

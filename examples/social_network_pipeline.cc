@@ -4,7 +4,7 @@
 // factor vs run-time, the paper's central trade-off — quality is
 // computed by the runner's streaming sink, so the sweep never
 // materializes a partitioning — and then re-runs the winner with the
-// spill sink to write per-partition binary edge lists, the hand-off
+// spill sink to write per-partition compressed edge files, the hand-off
 // format for a downstream loader.
 #include <cstdio>
 #include <string>

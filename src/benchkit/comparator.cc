@@ -141,16 +141,16 @@ ToleranceSpec DefaultToleranceFor(const std::string& metric) {
     return {.rel = 0.0, .abs_floor = 0.0, .upper_only = false,
             .informational = true, .higher_is_better = true};
   }
-  if (metric.starts_with("phase_seconds/") || metric == "peak_rss_bytes" ||
-      metric == "spill_bytes_written") {
+  if (metric.starts_with("phase_seconds/") || metric == "peak_rss_bytes") {
     return {.rel = 0.0, .abs_floor = 0.0, .upper_only = false,
             .informational = true};
   }
-  if (metric == "bytes_read") {
-    // The compressed-I/O gate (disk-backed scenarios): on-disk bytes
-    // crossing the storage boundary per run. Deterministic given
-    // (encoder, dataset), so the band is tight; one-sided, so a better
-    // encoder passes as IMPROVED while a regression back toward
+  if (metric == "bytes_read" || metric == "spill_bytes_written") {
+    // The compressed-I/O gates (disk-backed scenarios): on-disk bytes
+    // crossing the storage boundary per run, read in and spilled back
+    // out. Deterministic given (encoder, dataset, and for the spill the
+    // threads=1 placement), so the band is tight; one-sided, so a
+    // better encoder passes as IMPROVED while a regression back toward
     // full-width I/O fails.
     return {.rel = 0.02, .abs_floor = 0.0, .upper_only = true,
             .informational = false};
@@ -240,6 +240,9 @@ std::vector<std::string> GatedMetricsForScenario(const Scenario& scenario) {
       if (scenario.kind == ScenarioKind::kDiskPartition) {
         candidates.push_back("max_rss_bytes");
         candidates.push_back("bytes_read");
+        if (scenario.spill) {
+          candidates.push_back("spill_bytes_written");
+        }
       }
       break;
     case ScenarioKind::kIngestScan:

@@ -69,8 +69,8 @@ struct Scenario {
   /// the tier-1 --smoke sweep unless explicitly selected.
   bool large = false;
   /// kDiskPartition only: stream the assignments back to disk through
-  /// the PartitionedWriter spill sink (one binary edge list per
-  /// partition) — the paper's full out-of-core loop, storage to
+  /// the PartitionedWriter spill sink (one compressed edge-block file
+  /// per partition) — the paper's full out-of-core loop, storage to
   /// storage. Spilled files are deleted after measurement; the record
   /// carries "spill_bytes_written".
   bool spill = false;

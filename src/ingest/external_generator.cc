@@ -170,26 +170,25 @@ StatusOr<GenerateFileResult> GenerateRawFile(const DatasetRecipe& recipe,
 StatusOr<GenerateFileResult> GenerateCompressedFile(
     const DatasetRecipe& recipe, const std::string& path, size_t chunk_edges) {
   const std::string tmp_path = path + ".tmp";
-  TPSL_ASSIGN_OR_RETURN(std::unique_ptr<io::CompressedEdgeWriter> writer,
-                        io::CompressedEdgeWriter::Open(tmp_path));
+  io::CompressedEdgeWriter writer(tmp_path);
 
   WallTimer timer;
-  const Status generate_status =
-      RunGenerator(recipe, chunk_edges,
-                   [&writer](const Edge* edges, size_t count) {
-                     writer->Append(edges, count);
-                   });
-  // The writer tracks the logical (decoded-edge) digest itself; grab
-  // the totals before Finish() seals the file.
-  Status status = generate_status;
-  const Status finish_status = writer->Finish();
+  Status status = writer.Health();
+  if (status.ok()) {
+    status = RunGenerator(recipe, chunk_edges,
+                          [&writer](const Edge* edges, size_t count) {
+                            writer.Append(0, edges, count);
+                          });
+  }
+  // The writer tracks the logical (decoded-edge) digest itself; its
+  // totals are final once Finish() has sealed the file.
+  const Status finish_status = writer.Finish();
   if (status.ok()) {
     status = finish_status;
   }
-  const uint64_t num_edges = writer->edges_written();
-  const uint64_t file_bytes = writer->bytes_written();
-  const uint64_t edge_digest = writer->edge_checksum();
-  writer.reset();
+  const uint64_t num_edges = writer.edges_written(0);
+  const uint64_t file_bytes = writer.bytes_written();
+  const uint64_t edge_digest = writer.edge_checksum(0);
 
   GenerateFileResult result;
   if (status.ok()) {

@@ -55,7 +55,7 @@ struct GenerateFileResult {
 /// Streams the recipe's edges straight to `path`, using one chunk
 /// buffer of `chunk_edges` edges. `format` picks the on-disk encoding:
 /// the raw (uint32, uint32) edge list, or the compressed edge-block
-/// format (io/edge_block_format.h) through the double-buffered async
+/// format (io/edge_block_format.h) through a one-file
 /// CompressedEdgeWriter. Writes to `path + ".tmp"` and renames on
 /// success, so a crashed or failed generation never leaves a
 /// plausible-looking partial dataset behind.

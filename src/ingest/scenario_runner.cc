@@ -129,8 +129,8 @@ StatusOr<BenchRecord> RunDiskPartition(const Scenario& scenario,
 
   // Spill scenarios run the paper's full out-of-core loop: the
   // streaming sink pipeline writes assignments straight back to disk
-  // (one binary edge list per partition) instead of keeping anything
-  // edge-sized resident.
+  // (one compressed edge-block file per partition) instead of keeping
+  // anything edge-sized resident.
   RunOptions run_options;
   if (scenario.spill) {
     run_options.spill_dir = context.spill_dir;

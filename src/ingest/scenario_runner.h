@@ -39,7 +39,8 @@ struct ScenarioRunContext {
 ///     "io_passes" (partitioner passes over the file, deterministic),
 ///     "max_rss_bytes" (gated upper-only — the out-of-core honesty
 ///     check that resident memory stays bounded), and for spill
-///     scenarios "spill_bytes_written" (informational)
+///     scenarios "spill_bytes_written" (gated upper-only, like
+///     "bytes_read")
 ///   kIngestScan: "seconds" (fastest prefetched scan), "num_edges",
 ///     "file_bytes" (deterministic), "edges_per_second",
 ///     "mb_per_second", "plain_seconds" (informational)

@@ -1,11 +1,11 @@
 #ifndef TPSL_IO_COMPRESSED_EDGE_WRITER_H_
 #define TPSL_IO_COMPRESSED_EDGE_WRITER_H_
 
+#include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
-#include <condition_variable>
 #include <deque>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -16,95 +16,127 @@
 #include "util/status.h"
 
 namespace tpsl {
+namespace obs {
+class Histogram;
+}  // namespace obs
+
 namespace io {
 
 /// Streaming writer for the compressed edge-block format
-/// (io/edge_block_format.h). Appends edges, cuts a block whenever the
-/// accumulation buffer fills, and hands the encoded bytes to a
-/// background thread for fwrite — so the producer encodes the next
-/// block while the previous one is in flight to disk (double
-/// buffering). Finish() flushes the tail block, writes the trailer,
-/// and closes the file.
+/// (io/edge_block_format.h) over one or more files that share one block
+/// capacity: the one-file writer behind WriteEdgeFile and the ingest
+/// generator, and the k spill files behind PartitionedWriter.
 ///
-/// Write/close failures latch into sticky Health(); Append() becomes a
-/// no-op once unhealthy and Finish() reports the first error. The
-/// running FNV-1a digest over the decoded edge bytes (the catalog's
-/// logical checksum) is maintained inline and sealed into the trailer.
+/// Append() only copies edges into the file's current raw block. A full
+/// block is swapped for a free one from a small shared pool and queued.
+/// One background thread takes the queue in FIFO order, so each file's
+/// blocks land in order: it folds the block into that file's FNV-1a
+/// digest of the decoded edge bytes (the catalog's logical checksum),
+/// encodes it into its own buffer, fwrites it and returns the block to
+/// the pool. Finish() queues the tail blocks, joins the thread, seals
+/// every file with its trailer and closes it.
+///
+/// Open/write/close failures latch into sticky Health() and an atomic
+/// flag the per-edge path reads: Append() becomes a no-op once
+/// unhealthy and Finish() reports the first error.
 class CompressedEdgeWriter {
  public:
-  struct Options {
-    uint32_t block_edges = kDefaultBlockEdges;
-    /// Encoded buffers in rotation between producer and writer thread.
-    /// 2 = classic double buffering.
-    size_t write_buffers = 2;
-  };
+  /// Opens (truncates) every path and writes its header. Failures latch
+  /// into Health(); check it before appending.
+  CompressedEdgeWriter(const std::vector<std::string>& paths,
+                       uint32_t block_edges);
+  /// One file with the whole-file block size.
+  explicit CompressedEdgeWriter(const std::string& path)
+      : CompressedEdgeWriter(std::vector<std::string>{path},
+                             kDefaultBlockEdges) {}
 
-  static StatusOr<std::unique_ptr<CompressedEdgeWriter>> Open(
-      const std::string& path, const Options& options);
-  static StatusOr<std::unique_ptr<CompressedEdgeWriter>> Open(
-      const std::string& path) {
-    return Open(path, Options());
-  }
-
-  /// Joins the writer thread and closes the file. Prefer calling
-  /// Finish() explicitly: a file abandoned without Finish() has no
-  /// trailer and will not open.
+  /// Drains the queue and closes every file. Prefer calling Finish()
+  /// explicitly: a file abandoned without Finish() has no trailer and
+  /// will not open.
   ~CompressedEdgeWriter();
 
   CompressedEdgeWriter(const CompressedEdgeWriter&) = delete;
   CompressedEdgeWriter& operator=(const CompressedEdgeWriter&) = delete;
 
-  void Append(const Edge* edges, size_t count);
-  void Append(const std::vector<Edge>& edges) {
-    Append(edges.data(), edges.size());
+  /// Appends `count` edges to file `file`. One appending thread at a
+  /// time.
+  void Append(size_t file, const Edge* edges, size_t count) {
+    if (finished_ || failed_.load(std::memory_order_relaxed)) {
+      return;
+    }
+    File& f = files_[file];
+    f.edges += count;
+    for (size_t i = 0; i < count; ++i) {
+      f.block[f.fill++] = edges[i];
+      if (f.fill == block_edges_) {
+        QueueBlock(file, /*replace=*/true);
+      }
+    }
   }
 
-  /// Flushes, writes the trailer, closes. Exactly-once; returns the
-  /// sticky health (first error wins).
-  Status Finish();
+  /// Flushes the tail blocks, writes every trailer and closes every
+  /// file. Exactly once; returns the sticky health (first error wins).
+  /// Records one sample per sealed file (trailer write plus close) into
+  /// `seal_seconds` when given.
+  Status Finish(obs::Histogram* seal_seconds = nullptr);
+  bool finished() const { return finished_; }
 
   /// Sticky writer health: open/write/close errors observed so far.
   Status Health() const;
 
-  uint64_t edges_written() const { return edges_written_; }
-  /// Compressed bytes (header + blocks so far; after Finish() this is
-  /// the final file size including the trailer).
+  /// Edges appended to `file` so far.
+  uint64_t edges_written(size_t file) const { return files_[file].edges; }
+
+  // The writer thread folds and encodes queued blocks, so the next two
+  // are final only after Finish().
+
+  /// Compressed bytes of every file: headers, blocks and trailers.
   uint64_t bytes_written() const { return bytes_written_; }
-  /// FNV-1a 64 digest of the decoded edge bytes appended so far.
-  uint64_t edge_checksum() const { return edge_checksum_; }
+  /// FNV-1a 64 digest of the decoded edge bytes of `file`.
+  uint64_t edge_checksum(size_t file) const { return files_[file].checksum; }
+
+  /// Resident state: one stdio buffer per open file, the raw blocks
+  /// (one per file plus the pool) and the encode buffer.
+  uint64_t StateBytes() const;
 
  private:
-  CompressedEdgeWriter(std::FILE* file, const Options& options);
+  struct File {
+    std::FILE* stream = nullptr;
+    Edge* block = nullptr;  // current raw block
+    size_t fill = 0;
+    uint64_t edges = 0;
+    uint64_t checksum = kFnv1a64OffsetBasis;  // writer thread until Finish
+  };
+  struct Pending {
+    size_t file;
+    Edge* block;
+    size_t count;
+  };
 
-  void FlushBlock();
+  /// Queues `file`'s current block; with `replace`, waits for a free
+  /// pool block to continue appending into.
+  void QueueBlock(size_t file, bool replace);
   void WriterLoop();
-  /// Blocks until a free encode buffer is available; returns its index.
-  size_t AcquireBuffer();
+  void StopWriterThread();
+  void Fail(Status status);
 
-  std::FILE* file_;
-  const Options options_;
-
-  std::vector<Edge> block_;  // accumulation buffer (decoded edges)
-  size_t block_fill_ = 0;
-
-  uint64_t edges_written_ = 0;
+  const std::vector<std::string> paths_;
+  const size_t block_edges_;
+  std::vector<File> files_;
+  std::vector<Edge> blocks_;      // backing store of every raw block
+  std::vector<uint8_t> encoded_;  // the writer thread's encode buffer
   uint64_t bytes_written_ = 0;
-  uint64_t edge_checksum_ = kFnv1a64OffsetBasis;
   bool finished_ = false;
 
-  // Producer/writer-thread handshake.
-  struct Pending {
-    size_t buffer;
-    size_t bytes;
-  };
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;
   std::condition_variable free_cv_;
-  std::vector<std::vector<uint8_t>> buffers_;
-  std::vector<size_t> free_buffers_;
+  std::vector<Edge*> free_blocks_;
   std::deque<Pending> queue_;
   bool stop_ = false;
   Status status_;  // sticky; guarded by mutex_
+  /// Lock-free mirror of "status_ is non-OK" for the per-edge path.
+  std::atomic<bool> failed_{false};
   std::thread writer_;
 };
 

@@ -70,10 +70,9 @@ Status WriteEdgeFile(const std::string& path, const std::vector<Edge>& edges,
   if (format == EdgeFileFormat::kRaw) {
     return WriteBinaryEdgeList(path, edges);
   }
-  TPSL_ASSIGN_OR_RETURN(std::unique_ptr<CompressedEdgeWriter> writer,
-                        CompressedEdgeWriter::Open(path));
-  writer->Append(edges);
-  return writer->Finish();
+  CompressedEdgeWriter writer(path);
+  writer.Append(0, edges.data(), edges.size());
+  return writer.Finish();
 }
 
 }  // namespace io

@@ -1,7 +1,6 @@
 #include "partition/partitioned_writer.h"
 
-#include <cerrno>
-#include <cstring>
+#include <cstdio>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -9,11 +8,6 @@
 namespace tpsl {
 
 namespace {
-
-/// Encoded-block buffers rotating between the assigning thread and the
-/// writer thread. Two keeps the classic double buffer; a couple more
-/// absorb bursts where several partitions fill their block at once.
-constexpr size_t kWriteBuffers = 4;
 
 obs::Counter* SpillBytesCounter() {
   static obs::Counter* counter =
@@ -27,213 +21,49 @@ obs::Histogram* SpillFlushHist() {
   return hist;
 }
 
+std::string PartFilePath(const std::string& prefix, PartitionId p) {
+  return prefix + ".part" + std::to_string(p) + ".bin";
+}
+
+std::vector<std::string> PartFilePaths(const std::string& prefix,
+                                       uint32_t num_partitions) {
+  std::vector<std::string> paths;
+  for (PartitionId p = 0; p < num_partitions; ++p) {
+    paths.push_back(PartFilePath(prefix, p));
+  }
+  return paths;
+}
+
 }  // namespace
 
 PartitionedWriter::PartitionedWriter(const std::string& prefix,
-                                     uint32_t num_partitions,
-                                     uint32_t block_edges)
+                                     uint32_t num_partitions)
     : prefix_(prefix),
-      block_edges_(block_edges),
-      parts_(num_partitions),
-      edge_counts_(num_partitions, 0) {
-  uint8_t header[io::kEdgeFileHeaderBytes];
-  io::EdgeFileHeader file_header;
-  file_header.max_block_edges = block_edges_;
-  io::EncodeFileHeader(file_header, header);
-  for (uint32_t p = 0; p < num_partitions; ++p) {
-    const std::string path = PartitionPath(p);
-    parts_[p].file = std::fopen(path.c_str(), "wb");
-    if (parts_[p].file == nullptr) {
-      status_ = Status::IoError("cannot open " + path + ": " +
-                                std::strerror(errno));
-      failed_.store(true, std::memory_order_relaxed);
-      return;
-    }
-    if (std::fwrite(header, 1, sizeof(header), parts_[p].file) !=
-        sizeof(header)) {
-      status_ = Status::IoError("header write failed for " + path + ": " +
-                                std::strerror(errno));
-      failed_.store(true, std::memory_order_relaxed);
-      return;
-    }
-    parts_[p].block.resize(block_edges_);
-    bytes_written_ += sizeof(header);
-  }
-  buffers_.resize(kWriteBuffers);
-  for (size_t i = 0; i < kWriteBuffers; ++i) {
-    buffers_[i].resize(io::MaxEncodedBlockBytes(block_edges_));
-    free_buffers_.push_back(i);
-  }
-  writer_ = std::thread([this] { WriterLoop(); });
-  writer_running_ = true;
-}
-
-PartitionedWriter::~PartitionedWriter() {
-  StopWriterThread();
-  for (Part& part : parts_) {
-    if (part.file != nullptr) {
-      std::fclose(part.file);
-    }
-  }
-}
-
-void PartitionedWriter::StopWriterThread() {
-  if (!writer_running_) {
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stop_ = true;
-  }
-  work_cv_.notify_all();
-  writer_.join();
-  writer_running_ = false;
-}
-
-void PartitionedWriter::WriterLoop() {
-  for (;;) {
-    Pending pending;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        return;  // stop with a drained queue
-      }
-      pending = queue_.front();
-      queue_.pop_front();
-    }
-    const bool ok =
-        std::fwrite(buffers_[pending.buffer].data(), 1, pending.bytes,
-                    parts_[pending.part].file) == pending.bytes;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (!ok && status_.ok()) {
-        status_ = Status::IoError("block write failed for " +
-                                  PartitionPath(pending.part) + ": " +
-                                  std::strerror(errno));
-        failed_.store(true, std::memory_order_relaxed);
-      }
-      free_buffers_.push_back(pending.buffer);
-    }
-    free_cv_.notify_all();
-  }
-}
-
-size_t PartitionedWriter::AcquireBuffer() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  free_cv_.wait(lock, [this] { return !free_buffers_.empty(); });
-  const size_t buffer = free_buffers_.back();
-  free_buffers_.pop_back();
-  return buffer;
-}
+      num_partitions_(num_partitions),
+      files_(PartFilePaths(prefix, num_partitions), io::kSpillBlockEdges) {}
 
 std::string PartitionedWriter::PartitionPath(PartitionId p) const {
-  return prefix_ + ".part" + std::to_string(p) + ".bin";
+  return PartFilePath(prefix_, p);
 }
 
-void PartitionedWriter::FlushPart(PartitionId p) {
-  Part& part = parts_[p];
-  if (part.fill == 0) {
-    return;
+std::vector<uint64_t> PartitionedWriter::edge_counts() const {
+  std::vector<uint64_t> counts(num_partitions_);
+  for (PartitionId p = 0; p < num_partitions_; ++p) {
+    counts[p] = files_.edges_written(p);
   }
-  // The per-partition digest over decoded edge bytes seals into the
-  // trailer; one resumable FNV pass per block keeps it off the
-  // per-edge path.
-  part.edge_checksum = io::Fnv1a64(part.block.data(),
-                                   part.fill * sizeof(Edge),
-                                   part.edge_checksum);
-  const size_t buffer = AcquireBuffer();
-  const size_t bytes =
-      io::EncodeEdgeBlock(part.block.data(), part.fill,
-                          buffers_[buffer].data());
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    queue_.push_back(Pending{p, buffer, bytes});
-  }
-  work_cv_.notify_all();
-  bytes_written_ += bytes;
-  part.fill = 0;
-}
-
-void PartitionedWriter::Assign(const Edge& edge, PartitionId partition) {
-  if (failed_.load(std::memory_order_relaxed)) {
-    return;
-  }
-  Part& part = parts_[partition];
-  part.block[part.fill++] = edge;
-  ++edge_counts_[partition];
-  if (part.fill == block_edges_) {
-    FlushPart(partition);
-  }
-}
-
-uint64_t PartitionedWriter::StateBytes() const {
-  uint64_t open_files = 0;
-  uint64_t block_bytes = 0;
-  for (const Part& part : parts_) {
-    open_files += part.file != nullptr ? 1 : 0;
-    block_bytes += part.block.capacity() * sizeof(Edge);
-  }
-  uint64_t pool_bytes = 0;
-  for (const std::vector<uint8_t>& buffer : buffers_) {
-    pool_bytes += buffer.capacity();
-  }
-  // stdio allocates one BUFSIZ buffer per stream on first write.
-  return open_files * static_cast<uint64_t>(BUFSIZ) + block_bytes +
-         pool_bytes + parts_.capacity() * sizeof(Part) +
-         edge_counts_.capacity() * sizeof(uint64_t);
-}
-
-Status PartitionedWriter::Health() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return status_;
+  return counts;
 }
 
 Status PartitionedWriter::Finish() {
-  if (finished_) {
+  if (files_.finished()) {
     return Status::FailedPrecondition("Finish() called twice");
   }
-  finished_ = true;
   obs::TraceSpan span("spill.finish", "sink");
-  for (PartitionId p = 0; p < parts_.size(); ++p) {
-    FlushPart(p);
-  }
-  // Tail blocks must be on disk before the trailers go in behind them.
-  StopWriterThread();
-  for (size_t p = 0; p < parts_.size(); ++p) {
-    Part& part = parts_[p];
-    if (part.file == nullptr) {
-      continue;
-    }
-    // Per-partition seal+close latency: the write-back tail the
-    // paper's out-of-core loop pays after the last edge is assigned.
-    const int64_t flush_start_ns = obs::TraceNowNanos();
-    io::EdgeFileTrailer trailer;
-    trailer.num_edges = edge_counts_[p];
-    trailer.edge_checksum = part.edge_checksum;
-    uint8_t bytes[io::kEdgeFileTrailerBytes];
-    io::EncodeFileTrailer(trailer, bytes);
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (std::fwrite(bytes, 1, sizeof(bytes), part.file) != sizeof(bytes) &&
-        status_.ok()) {
-      status_ = Status::IoError(
-          "trailer write failed for " +
-          PartitionPath(static_cast<PartitionId>(p)) + ": " +
-          std::strerror(errno));
-      failed_.store(true, std::memory_order_relaxed);
-    }
-    bytes_written_ += sizeof(bytes);
-    if (std::fclose(part.file) != 0 && status_.ok()) {
-      status_ = Status::IoError("close failed for " +
-                                PartitionPath(static_cast<PartitionId>(p)));
-      failed_.store(true, std::memory_order_relaxed);
-    }
-    part.file = nullptr;
-    SpillFlushHist()->RecordNanos(
-        static_cast<uint64_t>(obs::TraceNowNanos() - flush_start_ns));
-  }
-  SpillBytesCounter()->Add(bytes_written_);
-  Status status = Health();
+  // One spill.flush_seconds sample per file: its seal+close latency,
+  // the write-back tail the paper's out-of-core loop pays after the
+  // last edge is assigned.
+  Status status = files_.Finish(SpillFlushHist());
+  SpillBytesCounter()->Add(files_.bytes_written());
   if (!status.ok()) {
     return status;
   }
@@ -242,12 +72,12 @@ Status PartitionedWriter::Finish() {
   if (manifest == nullptr) {
     return Status::IoError("cannot open " + manifest_path);
   }
-  std::fprintf(manifest, "partitions %zu\n", parts_.size());
+  std::fprintf(manifest, "partitions %u\n", num_partitions_);
   std::fprintf(manifest, "format blocks1\n");
-  for (size_t p = 0; p < parts_.size(); ++p) {
-    std::fprintf(manifest, "part %zu edges %llu file %s\n", p,
-                 static_cast<unsigned long long>(edge_counts_[p]),
-                 PartitionPath(static_cast<PartitionId>(p)).c_str());
+  for (PartitionId p = 0; p < num_partitions_; ++p) {
+    std::fprintf(manifest, "part %u edges %llu file %s\n", p,
+                 static_cast<unsigned long long>(files_.edges_written(p)),
+                 PartitionPath(p).c_str());
   }
   if (std::fclose(manifest) != 0) {
     return Status::IoError("close failed for " + manifest_path);

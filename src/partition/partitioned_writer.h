@@ -1,16 +1,10 @@
 #ifndef TPSL_PARTITION_PARTITIONED_WRITER_H_
 #define TPSL_PARTITION_PARTITIONED_WRITER_H_
 
-#include <atomic>
-#include <condition_variable>
-#include <cstdio>
-#include <deque>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "io/edge_block_format.h"
+#include "io/compressed_edge_writer.h"
 #include "partition/assignment_sink.h"
 #include "util/status.h"
 
@@ -25,11 +19,10 @@ namespace tpsl {
 /// closes it, and writes a plain-text manifest `<prefix>.manifest`
 /// with per-partition edge counts.
 ///
-/// Assignments accumulate into one block buffer per partition; a full
-/// block is encoded on the assigning thread and handed to a single
-/// background writer thread, so encoding the next block overlaps the
-/// fwrite of the previous one (double-buffered through a small pool of
-/// encoded-block buffers shared across partitions).
+/// The files go through one io::CompressedEdgeWriter with spill-sized
+/// blocks (io::kSpillBlockEdges): Assign() only appends the edge to its
+/// partition's raw block, and the writer's background thread hashes,
+/// encodes and writes full blocks.
 ///
 /// Every fwrite/fclose result is checked; the first failure (e.g. a
 /// full disk) latches into sticky Health(), further assignments are
@@ -38,22 +31,18 @@ namespace tpsl {
 class PartitionedWriter : public AssignmentSink {
  public:
   /// Opens `num_partitions` output files. Check status() before use.
-  /// `block_edges` is the compression block capacity per partition.
-  PartitionedWriter(const std::string& prefix, uint32_t num_partitions,
-                    uint32_t block_edges = io::kSpillBlockEdges);
-  ~PartitionedWriter() override;
-
-  PartitionedWriter(const PartitionedWriter&) = delete;
-  PartitionedWriter& operator=(const PartitionedWriter&) = delete;
+  PartitionedWriter(const std::string& prefix, uint32_t num_partitions);
 
   /// Non-OK if any file failed to open or a write failed so far.
   Status status() const { return Health(); }
 
   /// Sticky spill health (open/write/close failures, including those
   /// observed on the background writer thread).
-  Status Health() const override;
+  Status Health() const override { return files_.Health(); }
 
-  void Assign(const Edge& edge, PartitionId partition) override;
+  void Assign(const Edge& edge, PartitionId partition) override {
+    files_.Append(partition, &edge, 1);
+  }
 
   /// Flushes tail blocks, seals every file with its trailer, closes
   /// them and writes the manifest. Must be called exactly once;
@@ -63,56 +52,23 @@ class PartitionedWriter : public AssignmentSink {
   /// Path of partition p's file.
   std::string PartitionPath(PartitionId p) const;
 
-  const std::vector<uint64_t>& edge_counts() const { return edge_counts_; }
+  /// Edges assigned to each partition.
+  std::vector<uint64_t> edge_counts() const;
 
-  /// Compressed bytes streamed to disk so far (headers and, after
-  /// Finish(), trailers included) — the bytes the device actually saw.
-  uint64_t bytes_written() const { return bytes_written_; }
+  /// Compressed bytes streamed to disk (headers, blocks and trailers) —
+  /// the bytes the device actually saw. Final only after Finish().
+  uint64_t bytes_written() const { return files_.bytes_written(); }
 
-  /// The writer's resident state: one stdio buffer and one block
-  /// buffer per partition plus the shared encoded-buffer pool — O(k),
-  /// independent of |E|. Part of the whole-run state accounting when
-  /// the writer is the spill sink.
-  uint64_t StateBytes() const override;
+  /// The writer's resident state: one stdio buffer and one raw block
+  /// per partition plus the writer's block pool and encode buffer —
+  /// O(k), independent of |E|. Part of the whole-run state accounting
+  /// when the writer is the spill sink.
+  uint64_t StateBytes() const override { return files_.StateBytes(); }
 
  private:
-  struct Part {
-    std::FILE* file = nullptr;
-    std::vector<Edge> block;
-    size_t fill = 0;
-    uint64_t edge_checksum = io::kFnv1a64OffsetBasis;
-  };
-
-  struct Pending {
-    uint32_t part;
-    size_t buffer;
-    size_t bytes;
-  };
-
-  void FlushPart(PartitionId p);
-  size_t AcquireBuffer();
-  void WriterLoop();
-  void StopWriterThread();
-
-  std::string prefix_;
-  const uint32_t block_edges_;
-  std::vector<Part> parts_;
-  std::vector<uint64_t> edge_counts_;
-  uint64_t bytes_written_ = 0;
-  bool finished_ = false;
-
-  mutable std::mutex mutex_;
-  std::condition_variable work_cv_;
-  std::condition_variable free_cv_;
-  std::vector<std::vector<uint8_t>> buffers_;
-  std::vector<size_t> free_buffers_;
-  std::deque<Pending> queue_;
-  bool stop_ = false;
-  Status status_;  // sticky; guarded by mutex_
-  /// Lock-free mirror of "status_ is non-OK" for the per-edge path.
-  std::atomic<bool> failed_{false};
-  std::thread writer_;
-  bool writer_running_ = false;
+  const std::string prefix_;
+  const uint32_t num_partitions_;
+  io::CompressedEdgeWriter files_;
 };
 
 }  // namespace tpsl

@@ -55,9 +55,9 @@ struct RunOptions {
   /// loads, right after the pass and before the spill is finalized).
   bool validate = true;
   /// Non-empty: add a PartitionedWriter spill sink that streams every
-  /// assignment to one binary edge list per partition under this
-  /// directory (created if missing). RunResult::spill describes the
-  /// files.
+  /// assignment to one compressed edge-block file per partition under
+  /// this directory (created if missing). RunResult::spill describes
+  /// the files.
   std::string spill_dir;
   /// File-name stem for the spilled partition files.
   std::string spill_stem = "partitions";

@@ -331,6 +331,37 @@ TEST(ComparatorTest, MaxRssGatesOutOfCoreRegressions) {
   EXPECT_FALSE(comparison.passed);
 }
 
+TEST(ComparatorTest, SpillBytesGatedLikeBytesRead) {
+  // Compressed bytes spilled back to disk are deterministic at
+  // threads=1 given the encoder and the dataset: the same tight
+  // one-sided band as bytes_read.
+  const ToleranceSpec read = DefaultToleranceFor("bytes_read");
+  const ToleranceSpec spill = DefaultToleranceFor("spill_bytes_written");
+  EXPECT_FALSE(spill.informational);
+  EXPECT_TRUE(spill.upper_only);
+  EXPECT_EQ(spill.rel, read.rel);
+  EXPECT_EQ(spill.abs_floor, read.abs_floor);
+
+  BenchRecord baseline = MakeRecord();
+  baseline.SetMetric("spill_bytes_written", 184638656.0);
+  BenchRecord within = baseline;
+  within.SetMetric("spill_bytes_written", 184638656.0 * 1.015);
+  EXPECT_TRUE(CompareRecord(baseline, within).passed);
+  // A better encoder is an improvement, never a failure.
+  BenchRecord smaller = baseline;
+  smaller.SetMetric("spill_bytes_written", 184638656.0 * 0.8);
+  EXPECT_TRUE(CompareRecord(baseline, smaller).passed);
+  BenchRecord larger = baseline;
+  larger.SetMetric("spill_bytes_written", 184638656.0 * 1.03);
+  EXPECT_FALSE(CompareRecord(baseline, larger).passed);
+
+  const Scenario* scenario = FindScenario("2psl_rmat_s22_k32_spill");
+  ASSERT_NE(scenario, nullptr);
+  const std::vector<std::string> gated = GatedMetricsForScenario(*scenario);
+  EXPECT_NE(std::find(gated.begin(), gated.end(), "spill_bytes_written"),
+            gated.end());
+}
+
 TEST(ComparatorTest, ParallelWallTimeIsGatedOneSided) {
   // A gross wall-time blowup at threads=4 is a regression (a parallel
   // path that re-serialized shows up as a multiple); the engine clamps

@@ -154,13 +154,13 @@ TEST(EdgeBlockFormatTest, LogicalChecksumMatchesRawDigest) {
       Fnv1a64(edges.data(), edges.size() * sizeof(Edge));
 
   const std::string path = TempPath("digest");
-  auto writer = CompressedEdgeWriter::Open(path);
-  ASSERT_TRUE(writer.ok());
-  (*writer)->Append(edges);
-  ASSERT_TRUE((*writer)->Finish().ok());
-  EXPECT_EQ((*writer)->edge_checksum(), raw_digest);
-  EXPECT_EQ((*writer)->edges_written(), edges.size());
-  EXPECT_EQ((*writer)->bytes_written(), FileBytes(path));
+  CompressedEdgeWriter writer(path);
+  ASSERT_TRUE(writer.Health().ok());
+  writer.Append(0, edges.data(), edges.size());
+  ASSERT_TRUE(writer.Finish().ok());
+  EXPECT_EQ(writer.edge_checksum(0), raw_digest);
+  EXPECT_EQ(writer.edges_written(0), edges.size());
+  EXPECT_EQ(writer.bytes_written(), FileBytes(path));
   std::remove(path.c_str());
 }
 

@@ -20,8 +20,8 @@
 //                     parallel 2PS-L over each dataset on N execution-
 //                     engine workers and report time + replication
 //   --spill=DIR       with --bench --threads: stream the partition
-//                     assignments back to DIR as one binary edge list
-//                     per partition (the full storage-to-storage
+//                     assignments back to DIR as one compressed edge
+//                     file per partition (the full storage-to-storage
 //                     out-of-core loop); reports bytes written
 //   --trace=FILE      record spans while running (any mode) and export
 //                     Chrome trace-event JSON to FILE on exit (load in
