@@ -31,9 +31,9 @@ int main() {
   const double gib =
       static_cast<double>(edges_or->size() * sizeof(tpsl::Edge)) / (1 << 30);
 
-  // Partition straight from the mapping: blocks decode ahead of the
-  // consumer and consumed pages are dropped, so resident memory stays
-  // bounded no matter how large the file is.
+  // Partition straight from the mapping: blocks decode as the
+  // partitioner reads them and consumed pages are dropped, so resident
+  // memory stays bounded no matter how large the file is.
   auto file_or = tpsl::io::MmapEdgeStream::Open(path);
   if (!file_or.ok()) {
     std::fprintf(stderr, "%s\n", file_or.status().ToString().c_str());

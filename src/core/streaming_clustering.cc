@@ -130,14 +130,10 @@ StatusOr<Clustering> ParallelStreamingClustering(
     state.max_volume = std::numeric_limits<uint64_t>::max();
   }
 
-  exec::ParallelForEdgesOptions options;
-  options.batch_size = exec.batch_size;
-  options.workers = exec.ResolveThreads();
-  state.shared = options.workers > 1;
-  exec::ThreadPool& pool = exec.pool_or_global();
+  state.shared = exec.Workers() > 1;
   for (uint32_t pass = 0; pass < config.num_passes; ++pass) {
     TPSL_RETURN_IF_ERROR(exec::ParallelForEdges(
-        stream, pool, options,
+        stream, exec,
         [&state](const Edge* edges, size_t count) -> Status {
           // In-batch software prefetch: the random accesses are the
           // v2c/vol rows of both endpoints a few edges ahead, same

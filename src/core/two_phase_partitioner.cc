@@ -33,11 +33,8 @@ Status ParallelPass(EdgeStream& stream, const exec::ExecContext& exec,
                     uint64_t* placed, obs::Counter* placed_counter) {
   std::mutex sink_mutex;
   uint64_t total = 0;  // guarded by sink_mutex
-  exec::ParallelForEdgesOptions options;
-  options.batch_size = exec.batch_size;
-  options.workers = exec.ResolveThreads();
   TPSL_RETURN_IF_ERROR(exec::ParallelForEdges(
-      stream, exec.pool_or_global(), options,
+      stream, exec,
       [&](const Edge* edges, size_t count) -> Status {
         obs::TraceSpan span("score.batch", "partition");
         std::vector<Assignment> results;
@@ -111,7 +108,7 @@ Status TwoPhasePartitioner::Partition(EdgeStream& stream,
 
   Phase2State state(degrees, config.num_partitions,
                     config.PartitionCapacity(degrees.num_edges), config.seed,
-                    /*shared=*/config.exec.ResolveThreads() > 1);
+                    /*shared=*/config.exec.Workers() > 1);
 
   out.state_bytes = degrees.degrees.size() * sizeof(uint32_t) +
                     clustering.HeapBytes() + schedule.HeapBytes() +

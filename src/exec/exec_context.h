@@ -1,6 +1,7 @@
 #ifndef TPSL_EXEC_EXEC_CONTEXT_H_
 #define TPSL_EXEC_EXEC_CONTEXT_H_
 
+#include <algorithm>
 #include <cstdint>
 
 #include "exec/thread_pool.h"
@@ -19,7 +20,8 @@ struct ExecContext {
   /// loop), so parallelism is always opted into.
   uint32_t threads = 1;
 
-  /// Edges per dispatched work unit of ParallelForEdges.
+  /// Edges per Next() batch of ParallelForEdges (a block stream's
+  /// parallel pass batches by its blocks instead).
   uint32_t batch_size = 8192;
 
   /// The pool to run on; nullptr = the lazily started process-wide
@@ -31,9 +33,17 @@ struct ExecContext {
     return pool != nullptr ? *pool : ThreadPool::Global();
   }
 
-  /// The effective worker count (see ResolveThreadCount).
+  /// The requested thread count, resolved (see ResolveThreadCount).
   uint32_t ResolveThreads(uint32_t cap = 0) const {
     return ResolveThreadCount(threads, cap);
+  }
+
+  /// The workers a ParallelForEdges pass really runs: the resolved
+  /// thread count clamped to the pool's size, since in-flight batches
+  /// beyond the pool buy no concurrency. 1 means the inline, in-order
+  /// path, so engine state shared by workers can use plain stores.
+  uint32_t Workers() const {
+    return std::min(ResolveThreads(), pool_or_global().num_threads());
   }
 };
 

@@ -1,6 +1,5 @@
 #include "exec/parallel_for_edges.h"
 
-#include <algorithm>
 #include <condition_variable>
 #include <exception>
 #include <mutex>
@@ -40,106 +39,32 @@ Status InlineForEdges(EdgeStream& stream, uint32_t batch_size,
   return stream.Health();
 }
 
-/// The block fast path for compressed streams: the reader hands out
-/// raw encoded blocks (a pointer into the mapped file — no copy) and
-/// each worker decodes its block into a private buffer before running
-/// `fn`, so decompression scales with the worker count instead of
-/// serializing on the reading thread. The batch size is the on-disk
-/// block size; the free list bounds in-flight blocks exactly like the
-/// generic path bounds batches. The stream must already be Reset().
-Status BlockForEdges(EdgeStream& stream, BlockEdgeStream& blocks,
-                     ThreadPool& pool, uint32_t workers,
-                     const EdgeBatchFn& fn) {
-  std::vector<std::vector<Edge>> buffers(
-      workers, std::vector<Edge>(blocks.MaxBlockEdges()));
-  std::mutex mutex;
-  std::condition_variable buffer_free_cv;
-  std::vector<uint32_t> free_ids;
-  free_ids.reserve(workers);
-  for (uint32_t id = 0; id < workers; ++id) {
-    free_ids.push_back(id);
-  }
-  Status first_error;
-
-  TaskGroup group(pool);
-  for (;;) {
-    uint32_t id;
-    {
-      std::unique_lock<std::mutex> lock(mutex);
-      buffer_free_cv.wait(lock, [&] { return !free_ids.empty(); });
-      if (!first_error.ok()) {
-        break;
-      }
-      id = free_ids.back();
-      free_ids.pop_back();
-    }
-    BlockEdgeStream::EncodedBlock block;
-    if (!blocks.NextEncodedBlock(&block)) {
-      std::lock_guard<std::mutex> lock(mutex);
-      free_ids.push_back(id);
-      break;
-    }
-    group.Submit([&, id, block]() {
-      Status status = blocks.DecodeBlock(block, buffers[id].data());
-      if (status.ok()) {
-        try {
-          status = fn(buffers[id].data(), block.num_edges);
-        } catch (...) {
-          status = StatusFromCurrentException();
-        }
-      }
-      {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (!status.ok() && first_error.ok()) {
-          first_error = std::move(status);
-        }
-        free_ids.push_back(id);
-      }
-      buffer_free_cv.notify_one();
-    });
-  }
-  group.Wait();
-
-  if (!first_error.ok()) {
-    return first_error;
-  }
-  return stream.Health();
-}
-
 }  // namespace
 
-Status ParallelForEdges(EdgeStream& stream, ThreadPool& pool,
-                        const ParallelForEdgesOptions& options,
+Status ParallelForEdges(EdgeStream& stream, const ExecContext& exec,
                         const EdgeBatchFn& fn) {
-  if (options.batch_size == 0) {
+  if (exec.batch_size == 0) {
     return Status::InvalidArgument("batch_size must be positive");
   }
-  // Clamp to the pool: more in-flight batches than pool threads buys
-  // no concurrency, only queue/buffer overhead — and on a one-thread
-  // pool it would pay the full dispatch machinery for a sequential
-  // run. The clamp makes any single-threaded pool take the
-  // deterministic inline path regardless of the requested count.
-  const uint32_t requested =
-      options.workers != 0 ? options.workers : pool.num_threads();
-  const uint32_t workers = std::min(requested, pool.num_threads());
+  const uint32_t workers = exec.Workers();
   if (workers <= 1) {
-    return InlineForEdges(stream, options.batch_size, fn);
+    return InlineForEdges(stream, exec.batch_size, fn);
   }
 
   TPSL_RETURN_IF_ERROR(stream.Reset());
 
-  // Compressed block streams skip the Next() funnel entirely: encoded
-  // blocks go to the workers and are decoded there (same edges, same
-  // per-batch grouping as the stream's own block decode, so threads=1
-  // equivalence is preserved by the inline path above, not here).
-  if (auto* blocks = dynamic_cast<BlockEdgeStream*>(&stream)) {
-    return BlockForEdges(stream, *blocks, pool, workers, fn);
-  }
+  // Compressed block streams skip the Next() funnel: the reader hands
+  // out encoded blocks (a pointer into the mapped file, no copy) and
+  // each worker decodes its block into its own buffer. Same edges;
+  // threads=1 equivalence is kept by the inline path above.
+  auto* blocks = dynamic_cast<BlockEdgeStream*>(&stream);
+  const size_t buffer_edges =
+      blocks != nullptr ? blocks->MaxBlockEdges() : exec.batch_size;
 
   // One reusable buffer per in-flight batch. The free list doubles as
   // the in-flight bound: the reader blocks when all buffers are out.
-  std::vector<std::vector<Edge>> buffers(
-      workers, std::vector<Edge>(options.batch_size));
+  std::vector<std::vector<Edge>> buffers(workers,
+                                         std::vector<Edge>(buffer_edges));
   std::mutex mutex;
   std::condition_variable buffer_free_cv;
   std::vector<uint32_t> free_ids;
@@ -149,7 +74,7 @@ Status ParallelForEdges(EdgeStream& stream, ThreadPool& pool,
   }
   Status first_error;  // latched by whichever worker fails first
 
-  TaskGroup group(pool);
+  TaskGroup group(exec.pool_or_global());
   for (;;) {
     uint32_t id;
     {
@@ -161,19 +86,31 @@ Status ParallelForEdges(EdgeStream& stream, ThreadPool& pool,
       id = free_ids.back();
       free_ids.pop_back();
     }
-    const size_t n =
-        stream.Next(buffers[id].data(), buffers[id].size());
+    // A batch is an encoded block the worker decodes into buffers[id],
+    // or a Next() fill of it.
+    BlockEdgeStream::EncodedBlock block;
+    size_t n = 0;
+    if (blocks != nullptr) {
+      n = blocks->NextEncodedBlock(&block) ? block.num_edges : 0;
+    } else {
+      n = stream.Next(buffers[id].data(), buffers[id].size());
+    }
     if (n == 0) {
       std::lock_guard<std::mutex> lock(mutex);
       free_ids.push_back(id);
       break;
     }
-    group.Submit([&, id, n]() {
+    group.Submit([&, id, n, block]() {
       Status status;
-      try {
-        status = fn(buffers[id].data(), n);
-      } catch (...) {
-        status = StatusFromCurrentException();
+      if (blocks != nullptr) {
+        status = blocks->DecodeBlock(block, buffers[id].data());
+      }
+      if (status.ok()) {
+        try {
+          status = fn(buffers[id].data(), n);
+        } catch (...) {
+          status = StatusFromCurrentException();
+        }
       }
       {
         std::lock_guard<std::mutex> lock(mutex);

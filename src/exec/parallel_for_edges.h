@@ -4,25 +4,12 @@
 #include <cstdint>
 #include <functional>
 
-#include "exec/thread_pool.h"
+#include "exec/exec_context.h"
 #include "graph/edge_stream.h"
 #include "util/status.h"
 
 namespace tpsl {
 namespace exec {
-
-struct ParallelForEdgesOptions {
-  /// Edges per dispatched batch.
-  uint32_t batch_size = 8192;
-  /// Concurrency bound: at most this many batches are in flight at
-  /// once, so at most this many pool workers serve this stream (the
-  /// pool may be bigger and shared). 0 = the pool's thread count;
-  /// 1 = the deterministic inline path. Clamped to the pool's thread
-  /// count — extra in-flight batches beyond the pool cannot run
-  /// anyway, and the clamp lets a single-threaded pool skip the
-  /// dispatch machinery entirely (the fast-path bypass).
-  uint32_t workers = 0;
-};
 
 /// The per-batch worker callback: `edges[0..count)` is one batch, valid
 /// for the duration of the call. Called concurrently from pool threads
@@ -32,26 +19,28 @@ struct ParallelForEdgesOptions {
 /// internal-error Status.
 using EdgeBatchFn = std::function<Status(const Edge* edges, size_t count)>;
 
-/// One full pass over `stream`, fanned out to `pool` workers in
-/// batches — the shared stream driver under the parallel partitioners.
+/// One full pass over `stream`, fanned out to `exec`'s pool in batches
+/// — the shared stream driver under the parallel partitioners.
 ///
 /// The calling thread is the single reader: it Reset()s the stream and
-/// pulls batches in order, so any EdgeStream works, including the
-/// ingest layer's PrefetchingEdgeStream (whose background reader then
-/// overlaps disk I/O with worker compute). In-flight batches are
-/// bounded by `workers` buffers, so memory is O(workers × batch_size)
+/// pulls batches in order. A batch is either a Next() fill of
+/// `exec.batch_size` edges, or — for a BlockEdgeStream such as the
+/// mmap reader — one encoded block that the worker decodes itself, so
+/// decompression scales with the worker count instead of serializing
+/// on the reader. At most ExecContext::Workers() batches are in
+/// flight, each in its own buffer, so memory is O(workers × batch)
 /// regardless of stream length.
 ///
 /// Error handling mirrors EdgeStream's sticky-Health contract: a
 /// stream failing mid-pass looks like a short EOF to the reader, so
 /// after the pass the stream's Health() is checked and returned.
-/// Worker Status failures are latched first-wins and win over Health.
+/// Worker Status failures (the callback's, or a block's decode) are
+/// latched first-wins and win over Health.
 ///
-/// With an effective worker count of 1 the pool is bypassed entirely:
-/// batches are processed inline, in stream order — bit-deterministic,
-/// which the threads=1 parallel partitioners rely on.
-Status ParallelForEdges(EdgeStream& stream, ThreadPool& pool,
-                        const ParallelForEdgesOptions& options,
+/// With one effective worker the pool is bypassed entirely: batches
+/// come from Next() and are processed inline, in stream order —
+/// bit-deterministic, which the threads=1 partitioners rely on.
+Status ParallelForEdges(EdgeStream& stream, const ExecContext& exec,
                         const EdgeBatchFn& fn);
 
 }  // namespace exec

@@ -421,10 +421,8 @@ Status VerifyCompressedDataset(const CatalogEntry& entry,
                              " (corrupt file?)");
     }
   }
-  io::MmapEdgeStream::Options options;
-  options.decode_ahead = false;
   TPSL_ASSIGN_OR_RETURN(std::unique_ptr<io::MmapEdgeStream> stream,
-                        io::MmapEdgeStream::Open(path, options));
+                        io::MmapEdgeStream::Open(path));
   Fnv1a64 hash;
   uint64_t count = 0;
   TPSL_RETURN_IF_ERROR(ForEachEdge(*stream, [&](const Edge& edge) {

@@ -1,7 +1,9 @@
 #include "ingest/prefetching_edge_stream.h"
 
 #include <cstring>
+#include <utility>
 
+#include "io/edge_file.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
@@ -235,6 +237,19 @@ Status PrefetchingEdgeStream::Health() const {
     return inner_->Health();
   }
   return Status::OK();
+}
+
+StatusOr<std::unique_ptr<EdgeStream>> OpenDatasetStream(
+    const std::string& path) {
+  TPSL_ASSIGN_OR_RETURN(const io::EdgeFileFormat format,
+                        io::SniffEdgeFileFormat(path));
+  TPSL_ASSIGN_OR_RETURN(std::unique_ptr<EdgeStream> stream,
+                        io::OpenEdgeFile(path));
+  if (format == io::EdgeFileFormat::kRaw) {
+    return std::unique_ptr<EdgeStream>(
+        std::make_unique<PrefetchingEdgeStream>(std::move(stream)));
+  }
+  return stream;
 }
 
 }  // namespace ingest

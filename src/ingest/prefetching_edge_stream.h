@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -104,6 +105,13 @@ class PrefetchingEdgeStream : public EdgeStream {
   /// Inner Io() as of the last slot the consumer fully drained.
   StreamIoStats drained_inner_io_;
 };
+
+/// Opens a dataset file for a streaming pass: io::OpenEdgeFile's
+/// reader, with a raw file wrapped in this prefetching reader so its
+/// freads overlap compute. A compressed file keeps the thread-free
+/// mmap reader, whose blocks a parallel pass decodes in its workers.
+StatusOr<std::unique_ptr<EdgeStream>> OpenDatasetStream(
+    const std::string& path);
 
 }  // namespace ingest
 }  // namespace tpsl

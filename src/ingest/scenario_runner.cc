@@ -5,13 +5,11 @@
 
 #include "baselines/registry.h"
 #include "exec/thread_pool.h"
-#include "graph/binary_edge_list.h"
 #include "benchkit/micro_kernels.h"
 #include "benchkit/obs_kernels.h"
 #include "benchkit/runner.h"
 #include "ingest/catalog.h"
 #include "io/edge_file.h"
-#include "io/mmap_edge_stream.h"
 #include "obs/metrics.h"
 #include "ingest/prefetching_edge_stream.h"
 #include "partition/runner.h"
@@ -68,26 +66,6 @@ BenchRecord MakeRecordShell(const Scenario& scenario,
   return record;
 }
 
-/// Opens the dataset with overlap appropriate to its sniffed format:
-/// compressed files get the decode-ahead mmap reader (decode of block
-/// i+1 overlaps consumption of block i, and under a parallel engine
-/// the workers decode blocks themselves); raw files keep the
-/// prefetching double-buffer reader over fread.
-StatusOr<std::unique_ptr<EdgeStream>> OpenDiskStream(const std::string& path,
-                                                     size_t buffer_edges) {
-  TPSL_ASSIGN_OR_RETURN(const io::EdgeFileFormat format,
-                        io::SniffEdgeFileFormat(path));
-  if (format == io::EdgeFileFormat::kCompressedBlocks) {
-    TPSL_ASSIGN_OR_RETURN(std::unique_ptr<io::MmapEdgeStream> stream,
-                          io::MmapEdgeStream::Open(path));
-    return std::unique_ptr<EdgeStream>(std::move(stream));
-  }
-  TPSL_ASSIGN_OR_RETURN(std::unique_ptr<BinaryFileEdgeStream> file_stream,
-                        BinaryFileEdgeStream::Open(path));
-  return std::unique_ptr<EdgeStream>(std::make_unique<PrefetchingEdgeStream>(
-      std::move(file_stream), buffer_edges));
-}
-
 /// The stream's on-disk I/O account folded into record metrics:
 /// per-pass and per-run byte totals (compressed bytes for compressed
 /// files — the bytes that actually crossed the storage boundary) plus
@@ -118,13 +96,14 @@ StatusOr<BenchRecord> RunDiskPartition(const Scenario& scenario,
   const bool rss_scoped = ResetPeakRss();
   TPSL_ASSIGN_OR_RETURN(
       std::unique_ptr<EdgeStream> stream,
-      OpenDiskStream(dataset.path, context.prefetch_buffer_edges));
+      OpenDatasetStream(dataset.path));
 
   PartitionConfig config;
   config.num_partitions = scenario.k;
   config.seed = scenario.seed;
-  // The execution engine under the partitioner: its workers pull
-  // batches off the prefetching reader, so disk I/O overlaps scoring.
+  // The execution engine under the partitioner: at t>1 its workers
+  // decode compressed blocks themselves; a raw file's prefetching
+  // reader overlaps its freads with scoring at any thread count.
   config.exec.threads = EffectiveThreads(scenario, context);
 
   // Spill scenarios run the paper's full out-of-core loop: the
@@ -213,13 +192,14 @@ StatusOr<BenchRecord> RunIngestScan(const Scenario& scenario,
 
   const int repeats = context.options.repeats > 0 ? context.options.repeats
                                                   : 1;
-  // Baseline for comparison: the same scan without prefetching. Runs
-  // first so the prefetched number cannot be flattered by a cold page
-  // cache on the plain pass.
+  // Baseline for comparison: the same scan without prefetching (for a
+  // compressed file both scans use the same synchronous mmap reader).
+  // Runs first so the prefetched number cannot be flattered by a cold
+  // page cache on the plain pass.
   double plain_seconds = 0.0;
   {
     // Sniffing open: a synchronous reader for either format (raw fread
-    // or mmap block decode, no overlap).
+    // or mmap block decode).
     TPSL_ASSIGN_OR_RETURN(std::unique_ptr<EdgeStream> plain,
                           io::OpenEdgeFile(dataset.path));
     for (int repeat = 0; repeat < repeats; ++repeat) {
@@ -242,7 +222,7 @@ StatusOr<BenchRecord> RunIngestScan(const Scenario& scenario,
 
   TPSL_ASSIGN_OR_RETURN(
       std::unique_ptr<EdgeStream> stream,
-      OpenDiskStream(dataset.path, context.prefetch_buffer_edges));
+      OpenDatasetStream(dataset.path));
   // Repeat-scoped obs snapshots: the registry is reset before each
   // prefetched scan (so the plain scans never count), and the record
   // carries the snapshot of the scan whose time it reports.

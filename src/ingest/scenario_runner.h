@@ -1,7 +1,6 @@
 #ifndef TPSL_INGEST_SCENARIO_RUNNER_H_
 #define TPSL_INGEST_SCENARIO_RUNNER_H_
 
-#include <cstddef>
 #include <string>
 
 #include "benchkit/record.h"
@@ -20,8 +19,6 @@ struct ScenarioRunContext {
   std::string catalog_path = "bench/catalog.json";
   std::string dataset_dir = "bench/.datasets";
   benchkit::RunScenarioOptions options;
-  /// Per-buffer size of the double-buffered prefetching reader.
-  size_t prefetch_buffer_edges = 256 * 1024;
   /// Where spill-to-disk scenarios write their partition files
   /// (deleted after measurement). Deliberately not under dataset_dir:
   /// CI caches the dataset dir and must not cache transient spill.
@@ -30,9 +27,10 @@ struct ScenarioRunContext {
 
 /// Kind-dispatching scenario runner: in-memory scenarios delegate to
 /// benchkit::RunScenario; kDiskPartition streams the catalog dataset
-/// through BinaryFileEdgeStream + PrefetchingEdgeStream into the
-/// partitioner; kIngestScan measures raw prefetched scan throughput
-/// (and a plain unprefetched scan for comparison).
+/// through OpenDatasetStream (the mmap reader for compressed files,
+/// PrefetchingEdgeStream over fread for raw ones) into the
+/// partitioner; kIngestScan measures that stream's scan throughput
+/// (and a plain io::OpenEdgeFile scan for comparison).
 ///
 /// Disk records add metrics on top of benchkit's usual set:
 ///   kDiskPartition: "io_bytes_per_pass" (= file bytes, deterministic),

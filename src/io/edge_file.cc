@@ -43,10 +43,8 @@ StatusOr<std::unique_ptr<EdgeStream>> OpenEdgeFile(const std::string& path) {
   TPSL_ASSIGN_OR_RETURN(const EdgeFileFormat format,
                         SniffEdgeFileFormat(path));
   if (format == EdgeFileFormat::kCompressedBlocks) {
-    MmapEdgeStream::Options options;
-    options.decode_ahead = false;
     TPSL_ASSIGN_OR_RETURN(std::unique_ptr<MmapEdgeStream> stream,
-                          MmapEdgeStream::Open(path, options));
+                          MmapEdgeStream::Open(path));
     return std::unique_ptr<EdgeStream>(std::move(stream));
   }
   TPSL_ASSIGN_OR_RETURN(std::unique_ptr<BinaryFileEdgeStream> stream,

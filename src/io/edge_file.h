@@ -29,9 +29,9 @@ const char* EdgeFileFormatName(EdgeFileFormat format);
 StatusOr<EdgeFileFormat> SniffEdgeFileFormat(const std::string& path);
 
 /// Opens `path` with the reader matching its sniffed format: a
-/// BinaryFileEdgeStream for raw files, a synchronous MmapEdgeStream
-/// for compressed ones. Callers that want decode-ahead or prefetching
-/// wrap or open the concrete type themselves.
+/// BinaryFileEdgeStream for raw files, an MmapEdgeStream for
+/// compressed ones. Callers that want raw reads prefetched use
+/// ingest::OpenDatasetStream.
 StatusOr<std::unique_ptr<EdgeStream>> OpenEdgeFile(const std::string& path);
 
 /// Reads a whole file of either format into memory.

@@ -10,9 +10,15 @@
 
 namespace tpsl {
 namespace io {
+namespace {
+
+/// Free-behind granularity of the consumed map prefix.
+constexpr size_t kFreeBehindBytes = 8u << 20;
+
+}  // namespace
 
 StatusOr<std::unique_ptr<MmapEdgeStream>> MmapEdgeStream::Open(
-    const std::string& path, const Options& options) {
+    const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) {
     return Status::IoError("open failed: " + path + ": " +
@@ -42,7 +48,6 @@ StatusOr<std::unique_ptr<MmapEdgeStream>> MmapEdgeStream::Open(
 
   std::unique_ptr<MmapEdgeStream> stream(new MmapEdgeStream());
   stream->path_ = path;
-  stream->options_ = options;
   stream->base_ = static_cast<const uint8_t*>(map);
   stream->file_bytes_ = size;
   stream->blocks_end_ = size - kEdgeFileTrailerBytes;
@@ -55,22 +60,17 @@ StatusOr<std::unique_ptr<MmapEdgeStream>> MmapEdgeStream::Open(
   if (!status.ok()) {
     return Status(status.code(), path + ": " + status.message());
   }
-  for (Slot& slot : stream->slots_) {
-    slot.edges.resize(stream->header_.max_block_edges);
-  }
   stream->decode_buf_.resize(stream->header_.max_block_edges);
   return stream;
 }
 
 MmapEdgeStream::~MmapEdgeStream() {
-  StopWorker();
   if (base_ != nullptr) {
     ::munmap(const_cast<uint8_t*>(base_), file_bytes_);
   }
 }
 
 Status MmapEdgeStream::Reset() {
-  StopWorker();
   std::lock_guard<std::mutex> lock(mutex_);
   if (!status_.ok()) {
     // A failed stream stays failed: restarting could silently deliver
@@ -83,15 +83,6 @@ Status MmapEdgeStream::Reset() {
   dropped_end_ = 0;
   disk_pass_bytes_ = 0;
   passes_ += 1;
-  for (Slot& slot : slots_) {
-    slot.filled = 0;
-    slot.block_bytes = 0;
-    slot.ready = false;
-  }
-  fill_slot_ = 0;
-  consume_slot_ = 0;
-  consume_pos_ = 0;
-  producer_done_ = false;
   decode_fill_ = 0;
   decode_pos_ = 0;
   return Status::OK();
@@ -160,13 +151,9 @@ void MmapEdgeStream::FinalizePassLocked() {
 
 void MmapEdgeStream::FreeBehindLocked(size_t consumed_offset) {
 #if defined(MADV_DONTNEED)
-  const size_t window = options_.madvise_window_bytes;
-  if (window == 0) {
-    return;
-  }
   static const size_t kPage = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
   const size_t floor = consumed_offset & ~(kPage - 1);
-  if (floor > dropped_end_ && floor - dropped_end_ >= window) {
+  if (floor > dropped_end_ && floor - dropped_end_ >= kFreeBehindBytes) {
     ::madvise(const_cast<uint8_t*>(base_) + dropped_end_,
               floor - dropped_end_, MADV_DONTNEED);
     dropped_end_ = floor;
@@ -176,131 +163,10 @@ void MmapEdgeStream::FreeBehindLocked(size_t consumed_offset) {
 #endif
 }
 
-void MmapEdgeStream::EnsureWorkerStartedLocked() {
-  if (worker_started_ || producer_done_ || !status_.ok()) {
-    return;
-  }
-  worker_started_ = true;
-  stop_worker_ = false;
-  worker_ = std::thread([this] { WorkerLoop(); });
-}
-
-void MmapEdgeStream::StopWorker() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!worker_started_) {
-      return;
-    }
-    stop_worker_ = true;
-  }
-  slot_free_cv_.notify_all();
-  if (worker_.joinable()) {
-    worker_.join();
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  worker_started_ = false;
-  stop_worker_ = false;
-}
-
-void MmapEdgeStream::WorkerLoop() {
-  for (;;) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    slot_free_cv_.wait(lock, [this] {
-      return stop_worker_ || !slots_[fill_slot_].ready;
-    });
-    if (stop_worker_) {
-      return;
-    }
-    Slot& slot = slots_[fill_slot_];
-    EdgeBlockHeader header;
-    const uint8_t* block = nullptr;
-    size_t block_bytes = 0;
-    if (!TakeNextBlockLocked(&header, &block, &block_bytes)) {
-      producer_done_ = true;
-      lock.unlock();
-      slot_ready_cv_.notify_all();
-      return;
-    }
-    lock.unlock();
-
-    // The expensive part — checksum + unpack — runs without the lock,
-    // overlapping the consumer's drain of the other slot.
-    const Status decoded = DecodeBlockPayload(
-        header, block + kEdgeBlockHeaderBytes, slot.edges.data());
-
-    lock.lock();
-    if (!decoded.ok()) {
-      if (status_.ok()) {
-        status_ = Status(decoded.code(), path_ + ": " + decoded.message());
-      }
-      producer_done_ = true;
-      lock.unlock();
-      slot_ready_cv_.notify_all();
-      return;
-    }
-    slot.filled = header.num_edges;
-    slot.block_bytes = block_bytes;
-    slot.ready = true;
-    fill_slot_ ^= 1;
-    lock.unlock();
-    slot_ready_cv_.notify_all();
-  }
-}
-
 size_t MmapEdgeStream::Next(Edge* out, size_t capacity) {
   if (capacity == 0) {
-    return 0;
+    return 0;  // not an end of pass
   }
-  return options_.decode_ahead ? NextDecodeAhead(out, capacity)
-                               : NextSync(out, capacity);
-}
-
-size_t MmapEdgeStream::NextDecodeAhead(Edge* out, size_t capacity) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  EnsureWorkerStartedLocked();
-  size_t delivered = 0;
-  while (delivered < capacity) {
-    Slot& slot = slots_[consume_slot_];
-    if (!slot.ready) {
-      if (producer_done_) {
-        break;
-      }
-      if (delivered > 0) {
-        break;  // hand back what we have instead of stalling
-      }
-      slot_ready_cv_.wait(lock, [this, &slot] {
-        return slot.ready || producer_done_;
-      });
-      continue;
-    }
-    const size_t available = slot.filled - consume_pos_;
-    if (available == 0) {
-      slot.ready = false;
-      slot.filled = 0;
-      disk_pass_bytes_ += slot.block_bytes;
-      disk_total_bytes_ += slot.block_bytes;
-      slot.block_bytes = 0;
-      consume_pos_ = 0;
-      consume_slot_ ^= 1;
-      lock.unlock();
-      slot_free_cv_.notify_all();
-      lock.lock();
-      continue;
-    }
-    const size_t take =
-        available < capacity - delivered ? available : capacity - delivered;
-    std::memcpy(out + delivered, slot.edges.data() + consume_pos_,
-                take * sizeof(Edge));
-    consume_pos_ += take;
-    delivered += take;
-  }
-  if (delivered == 0) {
-    FinalizePassLocked();
-  }
-  return delivered;
-}
-
-size_t MmapEdgeStream::NextSync(Edge* out, size_t capacity) {
   size_t delivered = 0;
   while (delivered < capacity) {
     if (decode_pos_ == decode_fill_) {

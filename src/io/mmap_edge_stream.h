@@ -1,12 +1,10 @@
 #ifndef TPSL_IO_MMAP_EDGE_STREAM_H_
 #define TPSL_IO_MMAP_EDGE_STREAM_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "graph/edge_stream.h"
@@ -20,22 +18,17 @@ namespace io {
 /// Zero-copy reader for the compressed edge-block format: maps the
 /// file (PROT_READ, advised POSIX_MADV_SEQUENTIAL) and decodes blocks
 /// straight out of the mapping — no read syscalls, no staging copy of
-/// the compressed bytes.
+/// the compressed bytes, and no thread of its own.
 ///
-/// Three access modes share one pass cursor:
-///  - decode-ahead (default): a background thread decodes the next
-///    block into a two-slot ping-pong buffer while the consumer drains
-///    the previous one — the PrefetchingEdgeStream design, with decode
-///    taking the place of fread.
-///  - synchronous (Options::decode_ahead = false): blocks decode
-///    inline in Next(); deterministic and thread-free, for tests and
-///    baseline comparisons.
+/// Two access modes share one pass cursor:
+///  - synchronous Next(): blocks decode inline on the caller's thread
+///    into one block-sized buffer.
 ///  - block-at-a-time (BlockEdgeStream): ParallelForEdges pulls raw
 ///    encoded blocks and decodes them in its worker threads.
 ///
 /// Consumed map regions are released with madvise(MADV_DONTNEED) every
-/// `madvise_window_bytes`, so resident memory stays bounded by the
-/// window instead of growing toward the file size — mapped pages count
+/// 8 MiB, so resident memory stays bounded by that window
+/// instead of growing toward the file size — mapped pages count
 /// against the out-of-core RSS gate just like heap does. (The page
 /// cache keeps the pages, so later passes refault cheaply.)
 ///
@@ -44,18 +37,8 @@ namespace io {
 /// disagrees with the trailer does the same.
 class MmapEdgeStream final : public EdgeStream, public BlockEdgeStream {
  public:
-  struct Options {
-    bool decode_ahead = true;
-    /// Free-behind granularity; 0 keeps the whole file resident.
-    size_t madvise_window_bytes = 8u << 20;
-  };
-
   static StatusOr<std::unique_ptr<MmapEdgeStream>> Open(
-      const std::string& path, const Options& options);
-  static StatusOr<std::unique_ptr<MmapEdgeStream>> Open(
-      const std::string& path) {
-    return Open(path, Options());
-  }
+      const std::string& path);
 
   ~MmapEdgeStream() override;
 
@@ -79,27 +62,13 @@ class MmapEdgeStream final : public EdgeStream, public BlockEdgeStream {
  private:
   MmapEdgeStream() = default;
 
-  struct Slot {
-    std::vector<Edge> edges;
-    size_t filled = 0;
-    size_t block_bytes = 0;
-    bool ready = false;
-  };
-
   // All Locked helpers require mutex_ held.
   bool TakeNextBlockLocked(EdgeBlockHeader* header, const uint8_t** block,
                            size_t* block_bytes);
   void FinalizePassLocked();
   void FreeBehindLocked(size_t consumed_offset);
-  void EnsureWorkerStartedLocked();
-  void StopWorker();
-  void WorkerLoop();
-
-  size_t NextDecodeAhead(Edge* out, size_t capacity);
-  size_t NextSync(Edge* out, size_t capacity);
 
   std::string path_;
-  Options options_;
   const uint8_t* base_ = nullptr;
   uint64_t file_bytes_ = 0;
   size_t blocks_end_ = 0;  // file offset where the trailer starts
@@ -117,19 +86,7 @@ class MmapEdgeStream final : public EdgeStream, public BlockEdgeStream {
   uint64_t disk_total_bytes_ = 0;
   uint64_t passes_ = 0;
 
-  // Decode-ahead state.
-  std::condition_variable slot_ready_cv_;
-  std::condition_variable slot_free_cv_;
-  Slot slots_[2];
-  size_t fill_slot_ = 0;
-  size_t consume_slot_ = 0;
-  size_t consume_pos_ = 0;
-  bool producer_done_ = false;
-  bool stop_worker_ = false;
-  bool worker_started_ = false;
-  std::thread worker_;
-
-  // Synchronous-mode decode buffer (consumer thread only).
+  // Next()'s decode buffer (reader thread only).
   std::vector<Edge> decode_buf_;
   size_t decode_fill_ = 0;
   size_t decode_pos_ = 0;

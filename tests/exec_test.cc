@@ -164,14 +164,15 @@ TEST(ParallelForEdgesTest, VisitsEveryEdgeExactlyOnce) {
   const auto edges = MakeEdges(10000);
   InMemoryEdgeStream stream(edges);
   ThreadPool pool(4);
-  ParallelForEdgesOptions options;
-  options.batch_size = 256;
-  options.workers = 4;
+  ExecContext context;
+  context.pool = &pool;
+  context.batch_size = 256;
+  context.threads = 4;
   std::mutex mutex;
   std::set<VertexId> seen;
   std::atomic<uint64_t> total{0};
   const Status status = ParallelForEdges(
-      stream, pool, options, [&](const Edge* batch, size_t n) -> Status {
+      stream, context, [&](const Edge* batch, size_t n) -> Status {
         total.fetch_add(n);
         std::lock_guard<std::mutex> lock(mutex);
         for (size_t i = 0; i < n; ++i) {
@@ -186,23 +187,35 @@ TEST(ParallelForEdgesTest, VisitsEveryEdgeExactlyOnce) {
 
 TEST(ParallelForEdgesTest, SingleWorkerPreservesStreamOrder) {
   const auto edges = MakeEdges(5000);
-  InMemoryEdgeStream stream(edges);
-  ThreadPool pool(4);  // pool size must not matter for workers=1
-  ParallelForEdgesOptions options;
-  options.batch_size = 128;
-  options.workers = 1;
-  std::vector<VertexId> order;
-  const Status status = ParallelForEdges(
-      stream, pool, options, [&](const Edge* batch, size_t n) -> Status {
-        for (size_t i = 0; i < n; ++i) {
-          order.push_back(batch[i].first);
-        }
-        return Status::OK();
-      });
-  ASSERT_TRUE(status.ok());
-  ASSERT_EQ(order.size(), edges.size());
-  for (size_t i = 0; i < order.size(); ++i) {
-    ASSERT_EQ(order[i], static_cast<VertexId>(i));
+  // One worker requested on a bigger pool, and more threads requested
+  // than a one-thread pool has: both clamp to one worker, so the pass
+  // runs inline in stream order (and engines key their shared
+  // CAS/atomic state off the same Workers() count).
+  const struct {
+    uint32_t pool_threads;
+    uint32_t threads;
+  } shapes[] = {{4, 1}, {1, 4}};
+  for (const auto& shape : shapes) {
+    InMemoryEdgeStream stream(edges);
+    ThreadPool pool(shape.pool_threads);
+    ExecContext context;
+    context.pool = &pool;
+    context.batch_size = 128;
+    context.threads = shape.threads;
+    EXPECT_EQ(context.Workers(), 1u) << shape.threads;
+    std::vector<VertexId> order;
+    const Status status = ParallelForEdges(
+        stream, context, [&](const Edge* batch, size_t n) -> Status {
+          for (size_t i = 0; i < n; ++i) {
+            order.push_back(batch[i].first);
+          }
+          return Status::OK();
+        });
+    ASSERT_TRUE(status.ok()) << shape.threads;
+    ASSERT_EQ(order.size(), edges.size()) << shape.threads;
+    for (size_t i = 0; i < order.size(); ++i) {
+      ASSERT_EQ(order[i], static_cast<VertexId>(i)) << shape.threads;
+    }
   }
 }
 
@@ -215,13 +228,14 @@ TEST(ParallelForEdgesTest, ReachesRequestedConcurrency) {
   for (const uint32_t workers : {2u, 4u}) {
     InMemoryEdgeStream stream(edges);
     ThreadPool pool(4);
-    ParallelForEdgesOptions options;
-    options.batch_size = 100;  // 100 batches per pass
-    options.workers = workers;
+    ExecContext context;
+    context.pool = &pool;
+    context.batch_size = 100;  // 100 batches per pass
+    context.threads = workers;
     std::atomic<int> in_flight{0};
     std::atomic<int> peak{0};
     const Status status = ParallelForEdges(
-        stream, pool, options, [&](const Edge*, size_t) -> Status {
+        stream, context, [&](const Edge*, size_t) -> Status {
           const int now = in_flight.fetch_add(1) + 1;
           int seen = peak.load();
           while (now > seen && !peak.compare_exchange_weak(seen, now)) {
@@ -239,12 +253,13 @@ TEST(ParallelForEdgesTest, WorkerErrorStopsDispatchAndPropagates) {
   const auto edges = MakeEdges(100000);
   InMemoryEdgeStream stream(edges);
   ThreadPool pool(4);
-  ParallelForEdgesOptions options;
-  options.batch_size = 64;
-  options.workers = 4;
+  ExecContext context;
+  context.pool = &pool;
+  context.batch_size = 64;
+  context.threads = 4;
   std::atomic<uint64_t> processed{0};
   const Status status = ParallelForEdges(
-      stream, pool, options, [&](const Edge* batch, size_t n) -> Status {
+      stream, context, [&](const Edge* batch, size_t n) -> Status {
         if (batch[0].first == 0) {
           return Status::Internal("first batch fails");
         }
@@ -262,11 +277,12 @@ TEST(ParallelForEdgesTest, WorkerExceptionBecomesStatus) {
   for (const uint32_t workers : {1u, 4u}) {
     InMemoryEdgeStream stream(edges);
     ThreadPool pool(4);
-    ParallelForEdgesOptions options;
-    options.batch_size = 64;
-    options.workers = workers;
+    ExecContext context;
+    context.pool = &pool;
+    context.batch_size = 64;
+    context.threads = workers;
     const Status status = ParallelForEdges(
-        stream, pool, options, [&](const Edge*, size_t) -> Status {
+        stream, context, [&](const Edge*, size_t) -> Status {
           throw std::runtime_error("worker exploded");
         });
     EXPECT_FALSE(status.ok()) << workers;
@@ -314,12 +330,13 @@ TEST(ParallelForEdgesTest, PropagatesStickyStreamHealth) {
   for (const uint32_t workers : {1u, 4u}) {
     FailingStream stream(1000);
     ThreadPool pool(4);
-    ParallelForEdgesOptions options;
-    options.batch_size = 128;
-    options.workers = workers;
+    ExecContext context;
+    context.pool = &pool;
+    context.batch_size = 128;
+    context.threads = workers;
     std::atomic<uint64_t> total{0};
     const Status status = ParallelForEdges(
-        stream, pool, options, [&](const Edge*, size_t n) -> Status {
+        stream, context, [&](const Edge*, size_t n) -> Status {
           total.fetch_add(n);
           return Status::OK();
         });
@@ -332,10 +349,11 @@ TEST(ParallelForEdgesTest, PropagatesStickyStreamHealth) {
 TEST(ParallelForEdgesTest, RejectsZeroBatchSize) {
   InMemoryEdgeStream stream({{0, 1}});
   ThreadPool pool(2);
-  ParallelForEdgesOptions options;
-  options.batch_size = 0;
+  ExecContext context;
+  context.pool = &pool;
+  context.batch_size = 0;
   const Status status = ParallelForEdges(
-      stream, pool, options,
+      stream, context,
       [](const Edge*, size_t) -> Status { return Status::OK(); });
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
 }
@@ -344,11 +362,12 @@ TEST(ParallelForEdgesTest, EmptyStreamIsFine) {
   for (const uint32_t workers : {1u, 4u}) {
     InMemoryEdgeStream stream(std::vector<Edge>{});
     ThreadPool pool(4);
-    ParallelForEdgesOptions options;
-    options.workers = workers;
+    ExecContext context;
+    context.pool = &pool;
+    context.threads = workers;
     std::atomic<int> calls{0};
     const Status status = ParallelForEdges(
-        stream, pool, options, [&](const Edge*, size_t) -> Status {
+        stream, context, [&](const Edge*, size_t) -> Status {
           calls.fetch_add(1);
           return Status::OK();
         });

@@ -52,22 +52,17 @@ void RoundTrip(const std::vector<Edge>& edges, const std::string& stem) {
   ASSERT_TRUE(readback.ok()) << readback.status().ToString();
   EXPECT_EQ(*readback, edges) << stem;
 
-  // The mmap reader agrees in both access modes, across two passes.
-  for (const bool decode_ahead : {false, true}) {
-    MmapEdgeStream::Options options;
-    options.decode_ahead = decode_ahead;
-    auto stream = MmapEdgeStream::Open(path, options);
-    ASSERT_TRUE(stream.ok()) << stream.status().ToString();
-    for (int pass = 0; pass < 2; ++pass) {
-      std::vector<Edge> got;
-      ASSERT_TRUE(
-          ForEachEdge(**stream, [&](const Edge& e) { got.push_back(e); })
-              .ok());
-      EXPECT_EQ(got, edges) << stem << " decode_ahead=" << decode_ahead;
-      ASSERT_TRUE((*stream)->Health().ok());
-    }
-    EXPECT_EQ((*stream)->NumEdgesHint(), edges.size());
+  // The mmap reader agrees, across two passes.
+  auto stream = MmapEdgeStream::Open(path);
+  ASSERT_TRUE(stream.ok()) << stream.status().ToString();
+  for (int pass = 0; pass < 2; ++pass) {
+    std::vector<Edge> got;
+    ASSERT_TRUE(
+        ForEachEdge(**stream, [&](const Edge& e) { got.push_back(e); }).ok());
+    EXPECT_EQ(got, edges) << stem << " pass " << pass;
+    ASSERT_TRUE((*stream)->Health().ok());
   }
+  EXPECT_EQ((*stream)->NumEdgesHint(), edges.size());
   std::remove(path.c_str());
 }
 
@@ -194,6 +189,18 @@ TEST(EdgeBlockFormatTest, SniffsRawFiles) {
   std::remove(path.c_str());
 }
 
+/// XORs the byte at `offset` of `path` with 0xff.
+void FlipByte(const std::string& path, long offset) {
+  std::FILE* file = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(file, nullptr);
+  ASSERT_EQ(std::fseek(file, offset, SEEK_SET), 0);
+  const int byte = std::fgetc(file);
+  ASSERT_NE(byte, EOF);
+  ASSERT_EQ(std::fseek(file, offset, SEEK_SET), 0);
+  std::fputc(byte ^ 0xff, file);
+  std::fclose(file);
+}
+
 TEST(EdgeBlockFormatTest, DetectsCorruptedBlockPayload) {
   RmatConfig rmat;
   rmat.scale = 10;
@@ -204,41 +211,75 @@ TEST(EdgeBlockFormatTest, DetectsCorruptedBlockPayload) {
 
   // Flip one payload byte in the middle of the file — past the first
   // block header, before the trailer.
-  std::FILE* file = std::fopen(path.c_str(), "r+b");
-  ASSERT_NE(file, nullptr);
-  const long offset = static_cast<long>(kEdgeFileHeaderBytes +
-                                        kEdgeBlockHeaderBytes + 100);
-  ASSERT_EQ(std::fseek(file, offset, SEEK_SET), 0);
-  int byte = std::fgetc(file);
-  ASSERT_NE(byte, EOF);
-  ASSERT_EQ(std::fseek(file, offset, SEEK_SET), 0);
-  std::fputc(byte ^ 0xff, file);
-  std::fclose(file);
+  FlipByte(path, static_cast<long>(kEdgeFileHeaderBytes +
+                                   kEdgeBlockHeaderBytes + 100));
 
-  for (const bool decode_ahead : {false, true}) {
-    MmapEdgeStream::Options options;
-    options.decode_ahead = decode_ahead;
-    auto stream = MmapEdgeStream::Open(path, options);
-    ASSERT_TRUE(stream.ok());
-    std::vector<Edge> got;
-    Edge buf[512];
-    for (;;) {
-      const size_t n = (*stream)->Next(buf, 512);
-      if (n == 0) {
-        break;
-      }
-      got.insert(got.end(), buf, buf + n);
+  auto stream = MmapEdgeStream::Open(path);
+  ASSERT_TRUE(stream.ok());
+  std::vector<Edge> got;
+  Edge buf[512];
+  for (;;) {
+    const size_t n = (*stream)->Next(buf, 512);
+    if (n == 0) {
+      break;
     }
-    // The checksum mismatch is a sticky Health() error, not silent
-    // short delivery.
-    EXPECT_FALSE((*stream)->Health().ok())
-        << "decode_ahead=" << decode_ahead;
-    EXPECT_LT(got.size(), edges.size());
+    got.insert(got.end(), buf, buf + n);
   }
+  // The checksum mismatch is a sticky Health() error, not silent short
+  // delivery.
+  EXPECT_FALSE((*stream)->Health().ok());
+  EXPECT_LT(got.size(), edges.size());
 
   // The catalog's full-file reader refuses too.
   EXPECT_FALSE(ReadEdgeFile(path).ok());
+
+  // The parallel block path fails both ways a block can: a payload that
+  // fails DecodeBlock in a worker (this file's one block), and a second
+  // block header that NextEncodedBlock rejects, latching Health() after
+  // the first block went out.
+  rmat.scale = 12;
+  const auto big_edges = GenerateRmat(rmat);
+  const std::string header_path = TempPath("corrupt_header");
+  ASSERT_TRUE(WriteEdgeFile(header_path, big_edges,
+                            EdgeFileFormat::kCompressedBlocks)
+                  .ok());
+  size_t first_block_bytes = 0;
+  {
+    auto probe = MmapEdgeStream::Open(header_path);
+    ASSERT_TRUE(probe.ok());
+    ASSERT_TRUE((*probe)->Reset().ok());
+    BlockEdgeStream::EncodedBlock block;
+    ASSERT_TRUE((*probe)->NextEncodedBlock(&block));
+    ASSERT_LT(block.num_edges, big_edges.size());
+    first_block_bytes = block.bytes;
+  }
+  // Byte 16 of a block header is the first column's mode; 0xff^mode is
+  // no valid mode.
+  FlipByte(header_path, static_cast<long>(kEdgeFileHeaderBytes +
+                                          first_block_bytes + 16));
+  const struct {
+    const std::string* path;
+    size_t num_edges;
+  } corrupt_files[] = {{&path, edges.size()},
+                       {&header_path, big_edges.size()}};
+  for (const auto& corrupt : corrupt_files) {
+    auto parallel = MmapEdgeStream::Open(*corrupt.path);
+    ASSERT_TRUE(parallel.ok());
+    exec::ThreadPool pool(4);
+    exec::ExecContext context;
+    context.threads = 4;
+    context.pool = &pool;
+    std::atomic<uint64_t> delivered{0};
+    const Status status = exec::ParallelForEdges(
+        **parallel, context, [&](const Edge*, size_t count) {
+          delivered.fetch_add(count, std::memory_order_relaxed);
+          return Status::OK();
+        });
+    EXPECT_FALSE(status.ok()) << *corrupt.path;
+    EXPECT_LT(delivered.load(), corrupt.num_edges) << *corrupt.path;
+  }
   std::remove(path.c_str());
+  std::remove(header_path.c_str());
 }
 
 TEST(EdgeBlockFormatTest, DetectsTruncation) {
@@ -279,12 +320,13 @@ TEST(EdgeBlockFormatTest, ParallelBlockDecodeMatchesSequential) {
   auto stream = MmapEdgeStream::Open(path);
   ASSERT_TRUE(stream.ok());
   exec::ThreadPool pool(4);
-  exec::ParallelForEdgesOptions options;
-  options.workers = 4;
+  exec::ExecContext context;
+  context.threads = 4;
+  context.pool = &pool;
   std::atomic<uint64_t> got_sum{0};
   std::atomic<uint64_t> got_count{0};
   ASSERT_TRUE(exec::ParallelForEdges(
-                  **stream, pool, options,
+                  **stream, context,
                   [&](const Edge* batch, size_t count) {
                     uint64_t sum = 0;
                     for (size_t i = 0; i < count; ++i) {

@@ -7,7 +7,8 @@
 //   ingest --verify                   full re-checksum against the pins
 //   ingest --pin                      generate + write actual edge counts
 //                                     and checksums back into the catalog
-//   ingest --bench                    read-throughput: plain vs prefetched
+//   ingest --bench                    read-throughput: plain vs dataset
+//                                     stream (prefetched for raw files)
 //
 //   --catalog=FILE    catalog path (default bench/catalog.json)
 //   --dir=DIR         dataset cache dir (default bench/.datasets)
@@ -40,11 +41,9 @@
 
 #include "benchkit/measure.h"
 #include "core/two_phase_partitioner.h"
-#include "graph/binary_edge_list.h"
 #include "ingest/catalog.h"
 #include "ingest/prefetching_edge_stream.h"
 #include "io/edge_file.h"
-#include "io/mmap_edge_stream.h"
 #include "obs/trace.h"
 #include "partition/runner.h"
 #include "util/logging.h"
@@ -60,7 +59,7 @@ using tpsl::ingest::DatasetPath;
 using tpsl::ingest::EnsureDataset;
 using tpsl::ingest::EnsureResult;
 using tpsl::ingest::LoadCatalog;
-using tpsl::ingest::PrefetchingEdgeStream;
+using tpsl::ingest::OpenDatasetStream;
 using tpsl::ingest::SaveCatalog;
 using tpsl::ingest::VerifyDataset;
 
@@ -131,24 +130,6 @@ bool SelectEntries(const Catalog& catalog, const Options& options,
   }
   ApplyFormatOverride(options, selected);
   return !selected->empty();
-}
-
-/// Opens a dataset for scanning with read-ahead appropriate to its
-/// sniffed format: decode-ahead mmap for compressed block files, the
-/// fread prefetcher for raw ones.
-tpsl::StatusOr<std::unique_ptr<tpsl::EdgeStream>> OpenOverlapped(
-    const std::string& path) {
-  TPSL_ASSIGN_OR_RETURN(const tpsl::io::EdgeFileFormat format,
-                        tpsl::io::SniffEdgeFileFormat(path));
-  if (format == tpsl::io::EdgeFileFormat::kCompressedBlocks) {
-    TPSL_ASSIGN_OR_RETURN(std::unique_ptr<tpsl::io::MmapEdgeStream> stream,
-                          tpsl::io::MmapEdgeStream::Open(path));
-    return std::unique_ptr<tpsl::EdgeStream>(std::move(stream));
-  }
-  TPSL_ASSIGN_OR_RETURN(std::unique_ptr<tpsl::BinaryFileEdgeStream> file,
-                        tpsl::BinaryFileEdgeStream::Open(path));
-  return std::unique_ptr<tpsl::EdgeStream>(
-      std::make_unique<PrefetchingEdgeStream>(std::move(file)));
 }
 
 int Describe(const Catalog& catalog, const Options& options) {
@@ -316,12 +297,12 @@ int Bench(const Catalog& catalog, const Options& options) {
       }
     }
     {
-      auto overlapped = OpenOverlapped(ensured->path);
-      if (!overlapped.ok()) {
-        TPSL_LOG(Error) << overlapped.status().ToString();
+      auto dataset = OpenDatasetStream(ensured->path);
+      if (!dataset.ok()) {
+        TPSL_LOG(Error) << dataset.status().ToString();
         return 1;
       }
-      const Status status = time_scan(**overlapped, &prefetch_seconds);
+      const Status status = time_scan(**dataset, &prefetch_seconds);
       if (!status.ok()) {
         TPSL_LOG(Error) << status.ToString();
         return 1;
@@ -335,13 +316,13 @@ int Bench(const Catalog& catalog, const Options& options) {
                 plain_seconds, prefetch_seconds);
 
     if (options.threads != 0) {
-      // Out-of-core parallel 2PS-L: the format-appropriate read-ahead
-      // reader feeding the execution engine's workers — the full
-      // pipeline the 2psl_par disk scenarios gate, on demand for any
-      // dataset.
-      auto overlapped = OpenOverlapped(ensured->path);
-      if (!overlapped.ok()) {
-        TPSL_LOG(Error) << overlapped.status().ToString();
+      // Out-of-core parallel 2PS-L: the dataset stream feeding the
+      // execution engine's workers, which decode compressed blocks
+      // themselves — the full pipeline the 2psl_par disk scenarios
+      // gate, on demand for any dataset.
+      auto dataset = OpenDatasetStream(ensured->path);
+      if (!dataset.ok()) {
+        TPSL_LOG(Error) << dataset.status().ToString();
         return 1;
       }
       tpsl::TwoPhasePartitioner partitioner;
@@ -352,7 +333,7 @@ int Bench(const Catalog& catalog, const Options& options) {
         run_options.spill_dir = options.spill_dir;
         run_options.spill_stem = entry.recipe.name;
       }
-      auto run = tpsl::RunPartitioner(partitioner, **overlapped, config,
+      auto run = tpsl::RunPartitioner(partitioner, **dataset, config,
                                       run_options);
       if (!run.ok()) {
         TPSL_LOG(Error) << run.status().ToString();
