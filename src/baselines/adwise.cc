@@ -51,8 +51,7 @@ Status AdwisePartitioner::Partition(EdgeStream& stream,
 
   const auto score_edge = [&](const Edge& e) -> ScoredEdge {
     const ScoreTables::Choice choice =
-        tables.PickHdrf(e, degrees.degree(e.first), degrees.degree(e.second),
-                        options_.lambda);
+        tables.PickHdrf(e, degrees.degree(e.first), degrees.degree(e.second));
     return ScoredEdge{e, choice.partition, choice.score};
   };
 

@@ -25,8 +25,6 @@ class AdwisePartitioner : public Partitioner {
   struct Options {
     /// Number of buffered edges.
     uint32_t window_size = 512;
-    /// Balance weight of the scoring function (HDRF-style).
-    double lambda = 1.1;
   };
 
   AdwisePartitioner() = default;

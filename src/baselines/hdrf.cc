@@ -46,8 +46,7 @@ Status HdrfPartitioner::Partition(EdgeStream& stream,
         ++partial_degree[e.second];
         const PartitionId target =
             tables
-                .PickHdrf(e, partial_degree[e.first], partial_degree[e.second],
-                          options_.lambda)
+                .PickHdrf(e, partial_degree[e.first], partial_degree[e.second])
                 .partition;
         tables.Commit(e, target);
         sink.Assign(e, target);

@@ -15,21 +15,10 @@ namespace tpsl {
 /// stream, exactly as in the original algorithm.
 class HdrfPartitioner : public Partitioner {
  public:
-  struct Options {
-    /// Balance weight λ; the paper's appendix sets 1.1.
-    double lambda = 1.1;
-  };
-
-  HdrfPartitioner() = default;
-  explicit HdrfPartitioner(Options options) : options_(options) {}
-
   std::string name() const override { return "HDRF"; }
 
   Status Partition(EdgeStream& stream, const PartitionConfig& config,
                    AssignmentSink& sink, PartitionStats* stats) override;
-
- private:
-  Options options_;
 };
 
 }  // namespace tpsl

@@ -113,8 +113,7 @@ Status HepPartitioner::Partition(EdgeStream& stream,
         }
         const PartitionId target =
             tables
-                .PickHdrf(e, degrees.degree(e.first), degrees.degree(e.second),
-                          options_.lambda)
+                .PickHdrf(e, degrees.degree(e.first), degrees.degree(e.second))
                 .partition;
         tracking_sink.Assign(e, target);
       }));

@@ -20,8 +20,6 @@ class HepPartitioner : public Partitioner {
   struct Options {
     /// Degree threshold factor τ (relative to the mean degree).
     double tau = 10.0;
-    /// λ of the HDRF scoring used for the streamed edges.
-    double lambda = 1.1;
   };
 
   HepPartitioner() = default;

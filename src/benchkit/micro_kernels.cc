@@ -53,13 +53,14 @@ struct KernelResult {
 /// the picked partition.
 KernelResult TwopsPick(uint32_t k, uint64_t seed, uint64_t ops) {
   SplitMix64 rng(seed);
-  DegreeTable degrees;
-  degrees.degrees.resize(kNumVertices);
-  for (uint32_t& d : degrees.degrees) {
+  TwoPhasePlan plan;
+  plan.degrees.degrees.resize(kNumVertices);
+  for (uint32_t& d : plan.degrees.degrees) {
     d = 1 + static_cast<uint32_t>(rng.NextBounded(63));
   }
-  Phase2State state(degrees, k, ScoreTables::kUncapped, seed,
+  Phase2State state(std::move(plan), k, ScoreTables::kUncapped, seed,
                     /*shared=*/false);
+  const DegreeTable& degrees = state.plan.degrees;
   std::vector<uint64_t> volumes(k);
   for (uint64_t& volume : volumes) {
     volume = 1 + rng.NextBounded(1u << 20);
@@ -107,13 +108,11 @@ KernelResult HdrfPick(uint32_t k, uint64_t seed, uint64_t ops) {
     e = {static_cast<VertexId>(rng.NextBounded(kNumVertices)),
          static_cast<VertexId>(rng.NextBounded(kNumVertices))};
   }
-  constexpr double kLambda = 1.1;
-
   uint64_t checksum = 0;
   WallTimer timer;
   for (const Edge& e : work) {
     const ScoreTables::Choice choice =
-        tables.PickHdrf(e, degrees[e.first], degrees[e.second], kLambda);
+        tables.PickHdrf(e, degrees[e.first], degrees[e.second]);
     tables.Commit(e, choice.partition);
     checksum = HashCombine(checksum, choice.partition);
   }

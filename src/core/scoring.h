@@ -75,6 +75,11 @@ inline double HdrfReplicationScore(bool u_on_p, bool v_on_p, uint32_t du,
   return score;
 }
 
+/// λ, the weight of the HDRF balance term, for every HDRF-scored
+/// partitioner (HDRF, HEP, ADWISE, 2PS-HDRF); the paper's appendix sets
+/// 1.1.
+inline constexpr double kHdrfLambda = 1.1;
+
 /// HDRF balance score C_BAL(p) = λ · (maxsize − |p|) / (ε + maxsize −
 /// minsize).
 inline double HdrfBalanceScore(uint64_t partition_size, uint64_t max_size,

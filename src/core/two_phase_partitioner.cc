@@ -1,6 +1,7 @@
 #include "core/two_phase_partitioner.h"
 
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "core/cluster_schedule.h"
@@ -63,56 +64,60 @@ std::string TwoPhasePartitioner::name() const {
   return options_.scoring == ScoringMode::kLinear ? "2PS-L" : "2PS-HDRF";
 }
 
-Status TwoPhasePartitioner::Partition(EdgeStream& stream,
-                                      const PartitionConfig& config,
-                                      AssignmentSink& sink,
-                                      PartitionStats* stats) {
+StatusOr<TwoPhasePlan> BuildTwoPhasePlan(
+    EdgeStream& stream, const PartitionConfig& config,
+    const TwoPhasePartitioner::Options& options, PartitionStats* stats) {
   if (config.num_partitions == 0) {
     return Status::InvalidArgument("num_partitions must be positive");
   }
   if (config.exec.batch_size == 0) {
     return Status::InvalidArgument("exec.batch_size must be positive");
   }
+  TwoPhasePlan plan;
+  {
+    // Reported separately, as in paper Fig. 5.
+    PhaseTimer timer(stats, "degree");
+    TPSL_ASSIGN_OR_RETURN(plan.degrees, ComputeDegrees(stream));
+  }
+  {
+    PhaseTimer timer(stats, "clustering");
+    TPSL_ASSIGN_OR_RETURN(
+        plan.clustering,
+        ParallelStreamingClustering(stream, plan.degrees,
+                                    config.num_partitions, options.clustering,
+                                    config.exec));
+  }
+  {
+    // Step 1 of Algorithm 2, so it counts as partitioning.
+    PhaseTimer timer(stats, "partitioning");
+    plan.schedule =
+        options.scheduling == TwoPhasePartitioner::SchedulingMode::kGraham
+            ? ScheduleClustersGraham(plan.clustering.cluster_volumes,
+                                     config.num_partitions)
+            : ScheduleClustersRoundRobin(plan.clustering.cluster_volumes,
+                                         config.num_partitions);
+  }
+  if (stats != nullptr) {
+    stats->stream_passes += 1 + options.clustering.num_passes;
+  }
+  return plan;
+}
+
+Status TwoPhasePartitioner::Partition(EdgeStream& stream,
+                                      const PartitionConfig& config,
+                                      AssignmentSink& sink,
+                                      PartitionStats* stats) {
   PartitionStats local_stats;
   PartitionStats& out = stats != nullptr ? *stats : local_stats;
+  TPSL_ASSIGN_OR_RETURN(TwoPhasePlan plan,
+                        BuildTwoPhasePlan(stream, config, options_, &out));
 
-  // --- Degree pass (reported separately, as in paper Fig. 5). ---
-  DegreeTable degrees;
-  {
-    PhaseTimer timer(&out, "degree");
-    TPSL_ASSIGN_OR_RETURN(degrees, ComputeDegrees(stream));
-  }
-  out.stream_passes += 1;
-
-  // --- Phase 1: streaming clustering on the same engine. ---
-  Clustering clustering;
-  {
-    PhaseTimer timer(&out, "clustering");
-    TPSL_ASSIGN_OR_RETURN(
-        clustering, ParallelStreamingClustering(stream, degrees,
-                                                config.num_partitions,
-                                                options_.clustering,
-                                                config.exec));
-  }
-  out.stream_passes += options_.clustering.num_passes;
-
-  // --- Phase 2: mapping, pre-partitioning, scoring pass. ---
+  // --- Phase 2: pre-partitioning and scoring passes. ---
   PhaseTimer partition_timer(&out, "partitioning");
-
-  const ClusterSchedule schedule =
-      options_.scheduling == SchedulingMode::kGraham
-          ? ScheduleClustersGraham(clustering.cluster_volumes,
-                                   config.num_partitions)
-          : ScheduleClustersRoundRobin(clustering.cluster_volumes,
-                                       config.num_partitions);
-
-  Phase2State state(degrees, config.num_partitions,
-                    config.PartitionCapacity(degrees.num_edges), config.seed,
-                    /*shared=*/config.exec.Workers() > 1);
-
-  out.state_bytes = degrees.degrees.size() * sizeof(uint32_t) +
-                    clustering.HeapBytes() + schedule.HeapBytes() +
-                    state.HeapBytes();
+  const uint64_t capacity = config.PartitionCapacity(plan.degrees.num_edges);
+  Phase2State state(std::move(plan), config.num_partitions, capacity,
+                    config.seed, /*shared=*/config.exec.Workers() > 1);
+  out.state_bytes = state.HeapBytes();
 
   const LentReplicas lent(sink, state.replicas);
 
@@ -125,32 +130,14 @@ Status TwoPhasePartitioner::Partition(EdgeStream& stream,
     TPSL_RETURN_IF_ERROR(ParallelPass(
         stream, config.exec, sink,
         [&](const Edge& e) -> PartitionId {
-          const ClusterId c1 = clustering.vertex_cluster[e.first];
-          const ClusterId c2 = clustering.vertex_cluster[e.second];
-          const PartitionId p1 = schedule.cluster_partition[c1];
-          const PartitionId p2 = schedule.cluster_partition[c2];
-          if ((p1 == p2) != prepartition) {
+          const Phase2State::Candidates c = state.Classify(e);
+          if (c.prepartitioned() != prepartition) {
             return kInvalidPartition;  // The other pass places it.
           }
-          if (prepartition) {
-            return state.Place(e, p1);
+          if (!linear && !prepartition) {
+            return state.Place(e, state.PickHdrf(e));
           }
-          const uint32_t du = degrees.degree(e.first);
-          const uint32_t dv = degrees.degree(e.second);
-          if (!linear) {
-            return state.Place(
-                e, state.PickHdrf(e, du, dv, options_.hdrf_lambda));
-          }
-          // 2PS-L: score exactly the two candidate partitions.
-          const uint64_t vol1 = options_.use_cluster_volume_term
-                                    ? clustering.cluster_volumes[c1]
-                                    : 0;
-          const uint64_t vol2 = options_.use_cluster_volume_term
-                                    ? clustering.cluster_volumes[c2]
-                                    : 0;
-          return state.Place(
-              e, PickLinear<ReplicaMatrix::Access::kRelaxed>(
-                     state.replicas, e, du, dv, vol1, vol2, p1, p2));
+          return state.PlaceLinear(e, c, options_.use_cluster_volume_term);
         },
         prepartition ? &out.prepartitioned_edges : &out.remaining_edges,
         prepartition ? PrepartitionedEdgesCounter() : ScoredEdgesCounter()));

@@ -4,6 +4,7 @@
 #include <string>
 
 #include "core/streaming_clustering.h"
+#include "core/two_phase_state.h"
 #include "partition/partitioner.h"
 
 namespace tpsl {
@@ -45,10 +46,6 @@ class TwoPhasePartitioner : public Partitioner {
     ScoringMode scoring = ScoringMode::kLinear;
     SchedulingMode scheduling = SchedulingMode::kGraham;
 
-    /// λ of the HDRF balance term (only used in kHdrf mode; the paper
-    /// uses 1.1).
-    double hdrf_lambda = 1.1;
-
     /// Ablation: drop the cluster-volume terms (sc_u + sc_v) from the
     /// linear score, reducing it to pure degree-weighted replication.
     bool use_cluster_volume_term = true;
@@ -67,6 +64,15 @@ class TwoPhasePartitioner : public Partitioner {
  private:
   Options options_;
 };
+
+/// 2PS's Phase 1 and the schedule that opens Phase 2: the degree pass,
+/// streaming clustering on config.exec (options.clustering.num_passes
+/// passes) and the cluster-to-partition mapping of options.scheduling.
+/// Times them as the "degree", "clustering" and "partitioning" phases
+/// and counts the passes into `stats`, which may be null.
+StatusOr<TwoPhasePlan> BuildTwoPhasePlan(
+    EdgeStream& stream, const PartitionConfig& config,
+    const TwoPhasePartitioner::Options& options, PartitionStats* stats);
 
 }  // namespace tpsl
 

@@ -4,9 +4,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
+#include "core/cluster_schedule.h"
 #include "core/scoring.h"
+#include "core/streaming_clustering.h"
 #include "graph/degrees.h"
 #include "graph/types.h"
 #include "partition/replica_matrix.h"
@@ -35,22 +38,73 @@ inline bool TryClaim(std::atomic<uint64_t>& load, uint64_t capacity,
   return false;
 }
 
-/// 2PS-L Phase-2 state of the engine's workers: the run's replica
-/// matrix and the partition loads, claimed (by CAS when `shared` by
-/// several workers) before an edge is committed. Workers Test the
-/// matrix with relaxed loads and Set it relaxed only when shared; stale
-/// bits seen under concurrency affect scoring quality, never
-/// correctness.
+/// What 2PS's Phase 2 reads of Phase 1: exact degrees (paper
+/// §III-A2), the vertex clustering (Algorithm 1) and its
+/// cluster-to-partition schedule (Algorithm 2, step 1).
+/// IncrementalPartitioner grows it in place as its graph changes.
+struct TwoPhasePlan {
+  DegreeTable degrees;
+  Clustering clustering;
+  ClusterSchedule schedule;
+
+  uint64_t HeapBytes() const {
+    return degrees.degrees.size() * sizeof(uint32_t) +
+           clustering.HeapBytes() + schedule.HeapBytes();
+  }
+};
+
+/// 2PS Phase-2 state of the engine's workers over the run's Phase-1
+/// plan: the replica matrix and the partition loads, claimed (by CAS
+/// when `shared` by several workers) before an edge is committed.
+/// Workers Test the matrix with relaxed loads and Set it relaxed only
+/// when shared; stale bits seen under concurrency affect scoring
+/// quality, never correctness.
 struct Phase2State {
-  Phase2State(const DegreeTable& degree_table, uint32_t num_partitions,
+  Phase2State(TwoPhasePlan phase1_plan, uint32_t num_partitions,
               uint64_t partition_capacity, uint64_t hash_seed,
               bool shared_state)
-      : degrees(degree_table),
-        replicas(degree_table.num_vertices(), num_partitions, shared_state),
+      : plan(std::move(phase1_plan)),
+        replicas(plan.degrees.num_vertices(), num_partitions, shared_state),
         loads(num_partitions),
         capacity(partition_capacity),
         seed(hash_seed),
         shared(shared_state) {}
+
+  /// The partitions the schedule maps the clusters of an edge's
+  /// endpoints to. Algorithm 2 pre-partitions the edge iff p1 == p2.
+  struct Candidates {
+    ClusterId c1;
+    ClusterId c2;
+    PartitionId p1;
+    PartitionId p2;
+
+    bool prepartitioned() const { return p1 == p2; }
+  };
+
+  Candidates Classify(const Edge& e) const {
+    const ClusterId c1 = plan.clustering.vertex_cluster[e.first];
+    const ClusterId c2 = plan.clustering.vertex_cluster[e.second];
+    return {c1, c2, plan.schedule.cluster_partition[c1],
+            plan.schedule.cluster_partition[c2]};
+  }
+
+  /// 2PS-L's step for one edge (Algorithm 2): a pre-partitioned edge
+  /// goes to its clusters' partition (lines 16-26); any other is scored
+  /// on exactly its two candidate partitions (lines 27-44), with the
+  /// cluster-volume terms unless `volume_term` is off. Place claims the
+  /// pick.
+  PartitionId PlaceLinear(const Edge& e, const Candidates& c,
+                          bool volume_term) {
+    if (c.prepartitioned()) {
+      return Place(e, c.p1);
+    }
+    const std::vector<uint64_t>& volumes = plan.clustering.cluster_volumes;
+    return Place(e, PickLinear<ReplicaMatrix::Access::kRelaxed>(
+                        replicas, e, plan.degrees.degree(e.first),
+                        plan.degrees.degree(e.second),
+                        volume_term ? volumes[c.c1] : 0,
+                        volume_term ? volumes[c.c2] : 0, c.p1, c.p2));
+  }
 
   /// Claims a partition for `e` and records both endpoints' replicas:
   /// `preferred`, then the overflow chain of Algorithm 2 — degree-based
@@ -69,9 +123,10 @@ struct Phase2State {
     if (TryClaim(loads[preferred], capacity, shared)) {
       return preferred;
     }
-    const VertexId pivot = degrees.degree(e.first) >= degrees.degree(e.second)
-                               ? e.first
-                               : e.second;
+    const VertexId pivot =
+        plan.degrees.degree(e.first) >= plan.degrees.degree(e.second)
+            ? e.first
+            : e.second;
     const uint32_t k = static_cast<uint32_t>(loads.size());
     const PartitionId hashed =
         static_cast<PartitionId>(Mix64(HashCombine(seed, pivot)) % k);
@@ -79,25 +134,32 @@ struct Phase2State {
       return hashed;
     }
     for (;;) {  // Re-scanned on CAS failure.
-      PartitionId best = 0;
-      uint64_t best_load = loads[0].load(std::memory_order_relaxed);
-      for (PartitionId p = 1; p < k; ++p) {
-        const uint64_t load = loads[p].load(std::memory_order_relaxed);
-        if (load < best_load) {
-          best = p;
-          best_load = load;
-        }
-      }
+      const PartitionId best = LeastLoaded();
       if (TryClaim(loads[best], capacity, shared)) {
         return best;
       }
     }
   }
 
+  /// The least-loaded partition, lowest id on ties.
+  PartitionId LeastLoaded() const {
+    PartitionId best = 0;
+    uint64_t best_load = loads[0].load(std::memory_order_relaxed);
+    for (PartitionId p = 1; p < loads.size(); ++p) {
+      const uint64_t load = loads[p].load(std::memory_order_relaxed);
+      if (load < best_load) {
+        best = p;
+        best_load = load;
+      }
+    }
+    return best;
+  }
+
   /// 2PS-HDRF: HDRF over all k partitions with relaxed (stale-tolerant)
   /// load reads. Capacity is left to the overflow chain of Place.
-  PartitionId PickHdrf(const Edge& e, uint32_t du, uint32_t dv,
-                       double lambda) const {
+  PartitionId PickHdrf(const Edge& e) const {
+    const uint32_t du = plan.degrees.degree(e.first);
+    const uint32_t dv = plan.degrees.degree(e.second);
     uint64_t max_load = 0;
     uint64_t min_load = UINT64_MAX;
     for (const auto& load : loads) {
@@ -117,7 +179,7 @@ struct Phase2State {
               replicas.Test<ReplicaMatrix::Access::kRelaxed>(e.first, p),
               replicas.Test<ReplicaMatrix::Access::kRelaxed>(e.second, p), du,
               dv) +
-          HdrfBalanceScore(load, max_load, min_load, lambda);
+          HdrfBalanceScore(load, max_load, min_load, kHdrfLambda);
       if (score > best_score) {
         best_score = score;
         best = p;
@@ -126,14 +188,17 @@ struct Phase2State {
     return best;
   }
 
+  /// Heap bytes of the plan, the matrix and the loads.
   uint64_t HeapBytes() const {
-    return replicas.HeapBytes() + loads.size() * sizeof(std::atomic<uint64_t>);
+    return plan.HeapBytes() + replicas.HeapBytes() +
+           loads.size() * sizeof(std::atomic<uint64_t>);
   }
 
-  const DegreeTable& degrees;
+  TwoPhasePlan plan;
   ReplicaMatrix replicas;
   std::vector<std::atomic<uint64_t>> loads;
-  const uint64_t capacity;
+  /// Per-partition cap. IncrementalPartitioner raises it as |E| grows.
+  uint64_t capacity;
   const uint64_t seed;
   const bool shared;
 };

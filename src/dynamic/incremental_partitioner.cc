@@ -1,53 +1,33 @@
 #include "dynamic/incremental_partitioner.h"
 
 #include <algorithm>
+#include <utility>
 
-#include "core/scoring.h"
-#include "util/random.h"
+#include "core/two_phase_partitioner.h"
 
 namespace tpsl {
 
 Status IncrementalPartitioner::Bootstrap(EdgeStream& base_graph,
                                          AssignmentSink& sink) {
-  if (bootstrapped_) {
+  if (state_ != nullptr) {
     return Status::FailedPrecondition("Bootstrap() called twice");
   }
-  if (config_.num_partitions == 0) {
-    return Status::InvalidArgument("num_partitions must be positive");
-  }
-
-  // Phase 1: degrees + streaming clustering (paper Algorithm 1).
-  DegreeTable degree_table;
-  TPSL_ASSIGN_OR_RETURN(degree_table, ComputeDegrees(base_graph));
-  Clustering clustering;
   TPSL_ASSIGN_OR_RETURN(
-      clustering, StreamingClustering(base_graph, degree_table,
-                                      config_.num_partitions,
-                                      options_.clustering));
-  const ClusterSchedule schedule = ScheduleClustersGraham(
-      clustering.cluster_volumes, config_.num_partitions);
+      TwoPhasePlan plan,
+      BuildTwoPhasePlan(base_graph, config_, TwoPhasePartitioner::Options(),
+                        nullptr));
+  num_edges_ = plan.degrees.num_edges;
+  state_ = std::make_unique<Phase2State>(std::move(plan),
+                                         config_.num_partitions, Capacity(),
+                                         config_.seed, /*shared=*/false);
 
-  // Adopt the state.
-  degrees_ = std::move(degree_table.degrees);
-  vertex_cluster_ = std::move(clustering.vertex_cluster);
-  cluster_volumes_ = std::move(clustering.cluster_volumes);
-  cluster_partition_ = schedule.cluster_partition;
-  replicas_ = std::make_unique<ReplicaMatrix>(
-      static_cast<VertexId>(degrees_.size()), config_.num_partitions);
-  loads_.assign(config_.num_partitions, 0);
-  num_edges_ = degree_table.num_edges;
-  bootstrapped_ = true;
-
-  // Phase 2 over the base graph, placing each edge through the same
-  // scoring path that AddEdge() uses. Degrees and volumes are already
-  // exact from Phase 1, so no maintenance happens here.
+  // Phase 2 over the base graph in one pass, in stream order: the
+  // re-bootstrap job reads one partition per edge by position.
   uint64_t replayed = 0;
-  Status status = ForEachEdge(base_graph, [&](const Edge& e) {
+  TPSL_RETURN_IF_ERROR(ForEachEdge(base_graph, [&](const Edge& e) {
     ++replayed;
-    auto placed = PlaceEdge(e);
-    sink.Assign(e, *placed);
-  });
-  TPSL_RETURN_IF_ERROR(status);
+    sink.Assign(e, PlaceEdge(e));
+  }));
   if (replayed != num_edges_) {
     return Status::Internal("stream size changed between passes");
   }
@@ -56,54 +36,35 @@ Status IncrementalPartitioner::Bootstrap(EdgeStream& base_graph,
   return Status::OK();
 }
 
-void IncrementalPartitioner::EnsureVertex(VertexId v) {
-  if (v < degrees_.size()) {
-    return;
-  }
-  degrees_.resize(static_cast<size_t>(v) + 1, 0);
-  vertex_cluster_.resize(static_cast<size_t>(v) + 1, kInvalidCluster);
-  replicas_->GrowVertices(v + 1);
-}
-
-StatusOr<PartitionId> IncrementalPartitioner::PlaceEdge(const Edge& e) {
-  const ClusterId c1 = vertex_cluster_[e.first];
-  const ClusterId c2 = vertex_cluster_[e.second];
-  const PartitionId p1 = cluster_partition_[c1];
-  const PartitionId p2 = cluster_partition_[c2];
-  const uint64_t capacity = Capacity();
-
-  PartitionId target = p1;  // Pre-partitioning case of Algorithm 2.
-  if (p1 != p2) {
-    const uint64_t vol1 =
-        options_.use_cluster_volume_term ? cluster_volumes_[c1] : 0;
-    const uint64_t vol2 =
-        options_.use_cluster_volume_term ? cluster_volumes_[c2] : 0;
-    target = PickLinear(*replicas_, e, degrees_[e.first], degrees_[e.second],
-                        vol1, vol2, p1, p2);
-  }
-  if (loads_[target] >= capacity) {
-    // Overflow chain: degree-based hash, then least loaded.
-    const VertexId pivot =
-        degrees_[e.first] >= degrees_[e.second] ? e.first : e.second;
-    target = static_cast<PartitionId>(Mix64(HashCombine(config_.seed, pivot)) %
-                                      config_.num_partitions);
-    if (loads_[target] >= capacity) {
-      target = 0;
-      for (PartitionId p = 1; p < config_.num_partitions; ++p) {
-        if (loads_[p] < loads_[target]) {
-          target = p;
-        }
-      }
+std::vector<uint64_t> IncrementalPartitioner::loads() const {
+  std::vector<uint64_t> loads;
+  if (state_ != nullptr) {
+    loads.reserve(state_->loads.size());
+    for (const auto& load : state_->loads) {
+      loads.push_back(load.load(std::memory_order_relaxed));
     }
   }
-  replicas_->Set(e.first, target);
-  replicas_->Set(e.second, target);
-  ++loads_[target];
-  return target;
+  return loads;
+}
+
+void IncrementalPartitioner::EnsureVertex(VertexId v) {
+  TwoPhasePlan& plan = state_->plan;
+  if (v < plan.degrees.num_vertices()) {
+    return;
+  }
+  plan.degrees.degrees.resize(static_cast<size_t>(v) + 1, 0);
+  plan.clustering.vertex_cluster.resize(static_cast<size_t>(v) + 1,
+                                        kInvalidCluster);
+  state_->replicas.GrowVertices(v + 1);
+}
+
+PartitionId IncrementalPartitioner::PlaceEdge(const Edge& e) {
+  state_->capacity = Capacity();
+  return state_->PlaceLinear(e, state_->Classify(e), /*volume_term=*/true);
 }
 
 StatusOr<PartitionId> IncrementalPartitioner::AddEdge(const Edge& edge) {
-  if (!bootstrapped_) {
+  if (state_ == nullptr) {
     return Status::FailedPrecondition("AddEdge() before Bootstrap()");
   }
   // Validate before touching any state: a rejected edge must leave the
@@ -119,54 +80,56 @@ StatusOr<PartitionId> IncrementalPartitioner::AddEdge(const Edge& edge) {
   EnsureVertex(std::max(edge.first, edge.second));
 
   // Cluster maintenance: an unseen endpoint joins the other endpoint's
-  // cluster (or founds a new one); volumes track degree growth.
+  // cluster (or founds a new one on the least-loaded partition);
+  // volumes track degree growth.
+  TwoPhasePlan& plan = state_->plan;
+  std::vector<ClusterId>& vertex_cluster = plan.clustering.vertex_cluster;
+  std::vector<uint64_t>& volumes = plan.clustering.cluster_volumes;
   for (const VertexId v : {edge.first, edge.second}) {
-    if (vertex_cluster_[v] == kInvalidCluster) {
+    if (vertex_cluster[v] == kInvalidCluster) {
       const VertexId other = v == edge.first ? edge.second : edge.first;
-      if (vertex_cluster_[other] != kInvalidCluster) {
-        vertex_cluster_[v] = vertex_cluster_[other];
+      if (vertex_cluster[other] != kInvalidCluster) {
+        vertex_cluster[v] = vertex_cluster[other];
       } else {
-        vertex_cluster_[v] = static_cast<ClusterId>(cluster_volumes_.size());
-        cluster_volumes_.push_back(0);
-        // New clusters go to the least-loaded partition.
-        PartitionId best = 0;
-        for (PartitionId p = 1; p < config_.num_partitions; ++p) {
-          if (loads_[p] < loads_[best]) {
-            best = p;
-          }
-        }
-        cluster_partition_.push_back(best);
+        vertex_cluster[v] = static_cast<ClusterId>(volumes.size());
+        volumes.push_back(0);
+        plan.schedule.cluster_partition.push_back(state_->LeastLoaded());
       }
     }
-    ++degrees_[v];
-    ++cluster_volumes_[vertex_cluster_[v]];
+    ++plan.degrees.degrees[v];
+    ++volumes[vertex_cluster[v]];
   }
   return PlaceEdge(edge);
 }
 
 Status IncrementalPartitioner::RemoveEdge(const Edge& edge,
                                           PartitionId partition) {
-  if (!bootstrapped_) {
+  if (state_ == nullptr) {
     return Status::FailedPrecondition("RemoveEdge() before Bootstrap()");
   }
   if (partition >= config_.num_partitions) {
     return Status::InvalidArgument("bad partition id");
   }
-  if (loads_[partition] == 0 || num_edges_ == 0) {
+  std::atomic<uint64_t>& load = state_->loads[partition];
+  if (load.load(std::memory_order_relaxed) == 0 || num_edges_ == 0) {
     return Status::FailedPrecondition("partition has no edges to remove");
   }
+  TwoPhasePlan& plan = state_->plan;
+  std::vector<uint32_t>& degrees = plan.degrees.degrees;
   const VertexId hi = std::max(edge.first, edge.second);
-  if (hi >= degrees_.size() || degrees_[edge.first] == 0 ||
-      degrees_[edge.second] == 0) {
+  if (hi >= degrees.size() || degrees[edge.first] == 0 ||
+      degrees[edge.second] == 0) {
     return Status::InvalidArgument("edge endpoints unknown");
   }
-  --loads_[partition];
+  load.fetch_sub(1, std::memory_order_relaxed);
   --num_edges_;
   ++removed_since_bootstrap_;
   for (const VertexId v : {edge.first, edge.second}) {
-    --degrees_[v];
-    if (cluster_volumes_[vertex_cluster_[v]] > 0) {
-      --cluster_volumes_[vertex_cluster_[v]];
+    --degrees[v];
+    uint64_t& volume =
+        plan.clustering.cluster_volumes[plan.clustering.vertex_cluster[v]];
+    if (volume > 0) {
+      --volume;
     }
   }
   // Replication bits are shrunk lazily: stale replicas only make the

@@ -5,9 +5,7 @@
 #include <memory>
 #include <vector>
 
-#include "core/cluster_schedule.h"
-#include "core/streaming_clustering.h"
-#include "graph/degrees.h"
+#include "core/two_phase_state.h"
 #include "graph/edge_stream.h"
 #include "partition/partitioner.h"
 #include "partition/replica_matrix.h"
@@ -21,14 +19,18 @@ namespace tpsl {
 /// to efficiently handle dynamic graphs ... without recomputing the
 /// complete partitioning from scratch").
 ///
-/// Bootstrap() runs the full two-phase algorithm on a base graph and
-/// retains all Phase-1/Phase-2 state (degrees, vertex clustering,
-/// cluster-to-partition schedule, replica matrix, loads). AddEdge()
-/// then places arriving edges in O(1):
+/// A thin layer over the batch engine's state: Bootstrap() builds the
+/// Phase-1 plan (BuildTwoPhasePlan on config.exec) and places the base
+/// graph in one pass, in stream order, through the same
+/// Phase2State::PlaceLinear step 2PS-L's passes use. It keeps that
+/// Phase2State: the plan (degrees, clustering, schedule), the replica
+/// matrix and the loads. AddEdge() then places arriving edges in O(1):
 ///  * unseen vertices join the cluster of their first neighbor,
 ///  * the edge is scored on the two candidate partitions with the
 ///    2PS-L scoring function against the live replication state,
-///  * the hard cap grows with |E| (capacity = alpha * |E_now| / k).
+///  * the hard cap grows with |E|: capacity = ⌊α·|E_now|/k⌋ + 1, one
+///    above PartitionConfig::PartitionCapacity when α·|E_now|/k is an
+///    integer.
 /// RemoveEdge() releases the load slot; replication state is shrunk
 /// lazily (a removal never invalidates previous placements, it only
 /// loosens future capacity — the standard conservative treatment).
@@ -38,18 +40,12 @@ namespace tpsl {
 /// off.
 class IncrementalPartitioner {
  public:
-  struct Options {
-    ClusteringConfig clustering;
-    bool use_cluster_volume_term = true;
-  };
-
   explicit IncrementalPartitioner(const PartitionConfig& config)
       : config_(config) {}
-  IncrementalPartitioner(const PartitionConfig& config, Options options)
-      : config_(config), options_(options) {}
 
   /// Partitions the base graph with 2PS-L, reporting assignments to
-  /// `sink`, and retains the state for incremental updates.
+  /// `sink` in stream order, and retains the state for incremental
+  /// updates.
   Status Bootstrap(EdgeStream& base_graph, AssignmentSink& sink);
 
   /// Places one new edge; returns its partition. Must be called after
@@ -78,36 +74,33 @@ class IncrementalPartitioner {
 
   /// Live replication factor from the maintained matrix.
   double CurrentReplicationFactor() const {
-    return replicas_ == nullptr ? 0.0 : replicas_->ReplicationFactor();
+    return state_ == nullptr ? 0.0 : state_->replicas.ReplicationFactor();
   }
 
-  const std::vector<uint64_t>& loads() const { return loads_; }
+  /// Edges per partition; empty before Bootstrap().
+  std::vector<uint64_t> loads() const;
 
-  bool bootstrapped() const { return bootstrapped_; }
   const PartitionConfig& config() const { return config_; }
 
   /// Maintained replica matrix; null before Bootstrap(). Rows are an
   /// upper bound after removals (bits are shrunk lazily).
-  const ReplicaMatrix* replicas() const { return replicas_.get(); }
+  const ReplicaMatrix* replicas() const {
+    return state_ == nullptr ? nullptr : &state_->replicas;
+  }
 
-  /// Heap footprint of the retained incremental state.
+  /// Heap footprint of the retained plan and Phase-2 state.
   uint64_t StateBytes() const {
-    return degrees_.capacity() * sizeof(uint32_t) +
-           vertex_cluster_.capacity() * sizeof(ClusterId) +
-           cluster_volumes_.capacity() * sizeof(uint64_t) +
-           cluster_partition_.capacity() * sizeof(PartitionId) +
-           loads_.capacity() * sizeof(uint64_t) +
-           (replicas_ == nullptr ? 0 : replicas_->HeapBytes());
+    return state_ == nullptr ? 0 : state_->HeapBytes();
   }
 
  private:
-  /// Ensures vertex state arrays cover `v`, growing them for vertices
-  /// first seen after Bootstrap().
+  /// Ensures the plan's vertex arrays and the replica matrix cover `v`,
+  /// growing them for vertices first seen after Bootstrap().
   void EnsureVertex(VertexId v);
 
-  /// Shared placement path for bootstrap and incremental edges:
-  /// cluster maintenance + two-candidate scoring + overflow chain.
-  StatusOr<PartitionId> PlaceEdge(const Edge& e);
+  /// Places `e` through the shared 2PS-L step under the cap for the
+  /// current edge count.
+  PartitionId PlaceEdge(const Edge& e);
 
   uint64_t Capacity() const {
     const double cap = config_.balance_factor *
@@ -120,19 +113,12 @@ class IncrementalPartitioner {
   }
 
   PartitionConfig config_;
-  Options options_;
 
-  bool bootstrapped_ = false;
   uint64_t num_edges_ = 0;
   uint64_t added_since_bootstrap_ = 0;
   uint64_t removed_since_bootstrap_ = 0;
 
-  std::vector<uint32_t> degrees_;
-  std::vector<ClusterId> vertex_cluster_;
-  std::vector<uint64_t> cluster_volumes_;
-  std::vector<PartitionId> cluster_partition_;
-  std::unique_ptr<ReplicaMatrix> replicas_;
-  std::vector<uint64_t> loads_;
+  std::unique_ptr<Phase2State> state_;  // null before Bootstrap()
 };
 
 }  // namespace tpsl

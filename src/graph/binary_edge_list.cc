@@ -38,21 +38,6 @@ Status WriteBinaryEdgeList(const std::string& path,
   return Status::OK();
 }
 
-StatusOr<std::vector<Edge>> ReadBinaryEdgeList(const std::string& path) {
-  auto stream_or = BinaryFileEdgeStream::Open(path);
-  if (!stream_or.ok()) {
-    return stream_or.status();
-  }
-  std::vector<Edge> edges;
-  edges.reserve((*stream_or)->NumEdgesHint());
-  Status status = ForEachEdge(**stream_or,
-                              [&](const Edge& e) { edges.push_back(e); });
-  if (!status.ok()) {
-    return status;
-  }
-  return edges;
-}
-
 StatusOr<std::unique_ptr<BinaryFileEdgeStream>> BinaryFileEdgeStream::Open(
     const std::string& path, size_t buffer_edges) {
   if (buffer_edges == 0) {

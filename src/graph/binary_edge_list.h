@@ -16,13 +16,11 @@ namespace tpsl {
 /// little-endian sequence of (uint32 first, uint32 second) pairs with
 /// no header. File size must be a multiple of 8 bytes.
 ///
-/// WriteBinaryEdgeList / ReadBinaryEdgeList materialize whole files;
-/// BinaryFileEdgeStream streams them with a bounded read buffer, which
-/// is what the out-of-core partitioners use.
+/// WriteBinaryEdgeList writes a whole file (io::ReadEdgeFile reads
+/// one back); BinaryFileEdgeStream streams them with a bounded read
+/// buffer, which is what the out-of-core partitioners use.
 Status WriteBinaryEdgeList(const std::string& path,
                            const std::vector<Edge>& edges);
-
-StatusOr<std::vector<Edge>> ReadBinaryEdgeList(const std::string& path);
 
 /// Buffered, restartable file-backed edge stream. Memory footprint is
 /// a single fixed buffer regardless of graph size.

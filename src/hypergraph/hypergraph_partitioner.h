@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "hypergraph/hypergraph.h"
+#include "partition/partitioner.h"
 #include "util/status.h"
 
 namespace tpsl {
@@ -20,15 +21,7 @@ struct HypergraphPartitionConfig {
   uint64_t seed = 42;
 
   uint64_t PartitionCapacity(uint64_t num_hyperedges) const {
-    const double cap = balance_factor * static_cast<double>(num_hyperedges) /
-                       num_partitions;
-    uint64_t capacity = static_cast<uint64_t>(cap);
-    if (static_cast<double>(capacity) < cap) {
-      ++capacity;
-    }
-    const uint64_t floor_cap =
-        (num_hyperedges + num_partitions - 1) / num_partitions;
-    return capacity < floor_cap ? floor_cap : capacity;
+    return BalancedCapacity(num_hyperedges, num_partitions, balance_factor);
   }
 };
 

@@ -2,7 +2,6 @@
 #define TPSL_PARTITION_DENSE_BITSET_H_
 
 #include <atomic>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -16,9 +15,9 @@ namespace tpsl {
 /// expansion).
 ///
 /// Flat uint64_t words, no bounds checks beyond the vector's own, and
-/// word-at-a-time bulk operations (popcount, and/or/andnot,
-/// intersection counts, set-bit iteration) so mirror-overlap style
-/// queries run at memory bandwidth instead of hash-set speed.
+/// word-at-a-time bulk operations (popcount, non-empty rows, OR,
+/// intersection counts) so mirror-overlap style queries run at memory
+/// bandwidth instead of hash-set speed.
 class DenseBitset {
  public:
   /// How Test, Set and the row/bit counts touch the words. kPlain is
@@ -63,8 +62,6 @@ class DenseBitset {
     }
   }
 
-  void Reset(uint64_t i) { words_[i >> 6] &= ~(uint64_t{1} << (i & 63)); }
-
   /// Sets bit i; returns true iff it was previously clear (NE's
   /// claimed-edge mask).
   bool TestAndSet(uint64_t i) {
@@ -75,12 +72,6 @@ class DenseBitset {
     }
     word |= mask;
     return true;
-  }
-
-  void ClearAll() {
-    for (uint64_t& word : words_) {
-      word = 0;
-    }
   }
 
   /// Number of set bits (word-parallel popcount).
@@ -136,15 +127,6 @@ class DenseBitset {
     return rows;
   }
 
-  bool Any() const {
-    for (const uint64_t word : words_) {
-      if (word != 0) {
-        return true;
-      }
-    }
-    return false;
-  }
-
   /// |this ∩ other| without materializing the intersection — the
   /// mirror-overlap query of FSM-style split/merge matching. Sizes may
   /// differ; the shorter operand zero-extends.
@@ -166,42 +148,6 @@ class DenseBitset {
     }
   }
 
-  /// this &= other (bits past other's size clear, matching
-  /// zero-extension).
-  void InplaceAnd(const DenseBitset& other) {
-    size_t w = 0;
-    for (; w < other.words_.size() && w < words_.size(); ++w) {
-      words_[w] &= other.words_[w];
-    }
-    for (; w < words_.size(); ++w) {
-      words_[w] = 0;
-    }
-  }
-
-  /// this &= ~other. `other` may be any size.
-  void InplaceAndNot(const DenseBitset& other) {
-    const size_t n = words_.size() < other.words_.size()
-                         ? words_.size()
-                         : other.words_.size();
-    for (size_t w = 0; w < n; ++w) {
-      words_[w] &= ~other.words_[w];
-    }
-  }
-
-  /// Invokes fn(index) for every set bit, ascending, via
-  /// count-trailing-zeros word scanning.
-  template <typename Fn>
-  void ForEachSetBit(Fn&& fn) const {
-    for (size_t w = 0; w < words_.size(); ++w) {
-      uint64_t word = words_[w];
-      while (word != 0) {
-        const int bit = std::countr_zero(word);
-        fn(static_cast<uint64_t>(w) * 64 + bit);
-        word &= word - 1;
-      }
-    }
-  }
-
   /// Software-prefetches the cache line holding bit `i` (read intent).
   /// A scoring loop calls this a few edges ahead so the replica words
   /// are resident by the time they are tested.
@@ -210,8 +156,6 @@ class DenseBitset {
   }
 
   uint64_t HeapBytes() const { return words_.size() * sizeof(uint64_t); }
-
-  const std::vector<uint64_t>& words() const { return words_; }
 
  private:
   static uint64_t NumWords(uint64_t num_bits) { return (num_bits + 63) / 64; }

@@ -1,11 +1,9 @@
 #ifndef TPSL_PARTITION_PARTITIONER_H_
 #define TPSL_PARTITION_PARTITIONER_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "exec/exec_context.h"
 #include "graph/edge_stream.h"
@@ -16,6 +14,21 @@
 #include "util/timer.h"
 
 namespace tpsl {
+
+/// Maximum size of one of `num_partitions` parts holding `num_items`
+/// items under imbalance factor α = `balance_factor`: ceil(α·n/k), but
+/// never below ceil(n/k) so a feasible assignment always exists.
+inline uint64_t BalancedCapacity(uint64_t num_items, uint32_t num_partitions,
+                                 double balance_factor) {
+  const double cap =
+      balance_factor * static_cast<double>(num_items) / num_partitions;
+  uint64_t capacity = static_cast<uint64_t>(cap);
+  if (static_cast<double>(capacity) < cap) {
+    ++capacity;
+  }
+  const uint64_t floor_cap = (num_items + num_partitions - 1) / num_partitions;
+  return capacity < floor_cap ? floor_cap : capacity;
+}
 
 /// User-facing configuration of an edge-partitioning run, matching the
 /// paper's problem statement (§II-A): k partitions, balance factor α.
@@ -36,18 +49,9 @@ struct PartitionConfig {
   exec::ExecContext exec;
 
   /// Maximum edge capacity of one partition for a graph with
-  /// `num_edges` edges: ceil(α·|E|/k), but never below ceil(|E|/k) so a
-  /// feasible assignment always exists.
+  /// `num_edges` edges (BalancedCapacity).
   uint64_t PartitionCapacity(uint64_t num_edges) const {
-    const double cap = balance_factor * static_cast<double>(num_edges) /
-                       num_partitions;
-    uint64_t capacity = static_cast<uint64_t>(cap);
-    if (static_cast<double>(capacity) < cap) {
-      ++capacity;
-    }
-    const uint64_t floor_cap =
-        (num_edges + num_partitions - 1) / num_partitions;
-    return capacity < floor_cap ? floor_cap : capacity;
+    return BalancedCapacity(num_edges, num_partitions, balance_factor);
   }
 };
 
@@ -76,29 +80,6 @@ struct PartitionStats {
       total += seconds;
     }
     return total;
-  }
-
-  /// Aggregates per-worker stats from a parallel pass into one record
-  /// whose phase_seconds stay wall-clock: concurrent workers overlap,
-  /// so a phase takes as long as its slowest worker (max), not the sum
-  /// of their CPU time. Counts (passes are shared; state and edge
-  /// tallies are disjoint) sum where disjoint, max where shared. With
-  /// one worker this is the identity.
-  static PartitionStats MergeWorkers(
-      const std::vector<PartitionStats>& workers) {
-    PartitionStats merged;
-    for (const PartitionStats& worker : workers) {
-      for (const auto& [name, seconds] : worker.phase_seconds) {
-        double& slot = merged.phase_seconds[name];
-        slot = std::max(slot, seconds);
-      }
-      merged.stream_passes = std::max(merged.stream_passes,
-                                      worker.stream_passes);
-      merged.state_bytes += worker.state_bytes;
-      merged.prepartitioned_edges += worker.prepartitioned_edges;
-      merged.remaining_edges += worker.remaining_edges;
-    }
-    return merged;
   }
 };
 

@@ -132,8 +132,7 @@ class ScoreTables {
   /// HDRF argmax over the open partitions: replication score plus
   /// balance term against (running max, scanned min). Full partitions
   /// are skipped (the HDRF/HEP/ADWISE hard-cap convention).
-  Choice PickHdrf(const Edge& e, uint32_t du, uint32_t dv,
-                  double lambda) const {
+  Choice PickHdrf(const Edge& e, uint32_t du, uint32_t dv) const {
     const uint64_t min_load = MinLoad();
     Choice choice;
     for (PartitionId p = 0; p < loads_.size(); ++p) {
@@ -143,7 +142,7 @@ class ScoreTables {
       const double score =
           HdrfReplicationScore(replicas_.Test(e.first, p),
                                replicas_.Test(e.second, p), du, dv) +
-          HdrfBalanceScore(loads_[p], max_load_, min_load, lambda);
+          HdrfBalanceScore(loads_[p], max_load_, min_load, kHdrfLambda);
       if (score > choice.score) {
         choice.score = score;
         choice.partition = p;

@@ -58,8 +58,7 @@ PartitionService::PartitionService(const PartitionConfig& config,
   if (options_.publish_batch_edges == 0) {
     options_.publish_batch_edges = 1;
   }
-  partitioner_ =
-      std::make_unique<IncrementalPartitioner>(config_, options_.partitioner);
+  partitioner_ = std::make_unique<IncrementalPartitioner>(config_);
   slots_ = std::make_unique<ReaderSlot[]>(options_.max_readers);
   slot_used_.assign(options_.max_readers, false);
 
@@ -314,10 +313,9 @@ void PartitionService::MaybeForkRebootstrapLocked() {
   exec::ThreadPool* pool =
       options_.pool != nullptr ? options_.pool : &exec::ThreadPool::Global();
   const PartitionConfig config = config_;
-  const IncrementalPartitioner::Options popts = options_.partitioner;
-  pool->Submit([job, config, popts] {
+  pool->Submit([job, config] {
     WallTimer job_timer;
-    auto partitioner = std::make_unique<IncrementalPartitioner>(config, popts);
+    auto partitioner = std::make_unique<IncrementalPartitioner>(config);
     std::vector<PartitionId> partitions;
     Status status;
     {

@@ -85,8 +85,6 @@ class PartitionService {
 
     /// Pool for the background re-bootstrap; null = ThreadPool::Global().
     exec::ThreadPool* pool = nullptr;
-
-    IncrementalPartitioner::Options partitioner;
   };
 
   static constexpr double kNeverRebootstrap =

@@ -20,13 +20,12 @@ TEST(DenseBitsetTest, StartsEmpty) {
   DenseBitset bits(130);
   EXPECT_EQ(bits.size(), 130u);
   EXPECT_EQ(bits.Count(), 0u);
-  EXPECT_FALSE(bits.Any());
   for (uint64_t i = 0; i < 130; ++i) {
     EXPECT_FALSE(bits.Test(i));
   }
 }
 
-TEST(DenseBitsetTest, SetTestReset) {
+TEST(DenseBitsetTest, SetAndTest) {
   DenseBitset bits(200);
   bits.Set(0);
   bits.Set(63);
@@ -39,11 +38,6 @@ TEST(DenseBitsetTest, SetTestReset) {
   EXPECT_FALSE(bits.Test(1));
   EXPECT_FALSE(bits.Test(198));
   EXPECT_EQ(bits.Count(), 4u);
-  EXPECT_TRUE(bits.Any());
-
-  bits.Reset(63);
-  EXPECT_FALSE(bits.Test(63));
-  EXPECT_EQ(bits.Count(), 3u);
 }
 
 TEST(DenseBitsetTest, TestAndSetReportsPriorState) {
@@ -52,17 +46,6 @@ TEST(DenseBitsetTest, TestAndSetReportsPriorState) {
   EXPECT_FALSE(bits.TestAndSet(65));  // already set -> false
   EXPECT_TRUE(bits.Test(65));
   EXPECT_EQ(bits.Count(), 1u);
-}
-
-TEST(DenseBitsetTest, ClearAll) {
-  DenseBitset bits(100);
-  for (uint64_t i = 0; i < 100; i += 7) {
-    bits.Set(i);
-  }
-  ASSERT_GT(bits.Count(), 0u);
-  bits.ClearAll();
-  EXPECT_EQ(bits.Count(), 0u);
-  EXPECT_FALSE(bits.Any());
 }
 
 TEST(DenseBitsetTest, ResizeGrowsClearAndKeepsSetBits) {
@@ -81,7 +64,7 @@ TEST(DenseBitsetTest, ResizeGrowsClearAndKeepsSetBits) {
 
 TEST(DenseBitsetTest, ResizeShrinkMasksTail) {
   // Shrinking must clear the bits beyond the new size inside the
-  // surviving tail word, or Count/Any would see ghosts.
+  // surviving tail word, or Count would see ghosts.
   DenseBitset bits(128);
   for (uint64_t i = 0; i < 128; ++i) {
     bits.Set(i);
@@ -108,7 +91,7 @@ TEST(DenseBitsetTest, IntersectionCount) {
   EXPECT_EQ(b.IntersectionCount(a), 2u);
 }
 
-TEST(DenseBitsetTest, InplaceOps) {
+TEST(DenseBitsetTest, InplaceOr) {
   DenseBitset a(96);
   DenseBitset b(96);
   a.Set(0);
@@ -122,36 +105,14 @@ TEST(DenseBitsetTest, InplaceOps) {
   EXPECT_TRUE(or_ab.Test(70));
   EXPECT_TRUE(or_ab.Test(95));
   EXPECT_EQ(or_ab.Count(), 3u);
-
-  DenseBitset and_ab = a;
-  and_ab.InplaceAnd(b);
-  EXPECT_EQ(and_ab.Count(), 1u);
-  EXPECT_TRUE(and_ab.Test(70));
-
-  DenseBitset diff_ab = a;
-  diff_ab.InplaceAndNot(b);
-  EXPECT_EQ(diff_ab.Count(), 1u);
-  EXPECT_TRUE(diff_ab.Test(0));
-}
-
-TEST(DenseBitsetTest, ForEachSetBitVisitsInOrder) {
-  DenseBitset bits(200);
-  const std::vector<uint64_t> expected = {0, 5, 63, 64, 65, 127, 128, 199};
-  for (const uint64_t i : expected) {
-    bits.Set(i);
-  }
-  std::vector<uint64_t> visited;
-  bits.ForEachSetBit([&visited](uint64_t i) { visited.push_back(i); });
-  EXPECT_EQ(visited, expected);
 }
 
 TEST(DenseBitsetTest, HeapBytesMatchesWordStorage) {
   DenseBitset bits(129);  // 3 words
   EXPECT_EQ(bits.HeapBytes(), 3 * sizeof(uint64_t));
-  EXPECT_EQ(bits.words().size(), 3u);
 }
 
-// Property sweep: a random mix of every mutating operation, mirrored
+// Property sweep: a random mix of Set, TestAndSet and Test, mirrored
 // into a std::vector<bool> oracle; after each phase the full state and
 // the aggregate queries must agree bit for bit. Sizes straddle word
 // boundaries (the classic masking bug surface).
@@ -164,16 +125,12 @@ TEST(DenseBitsetPropertyTest, AgreesWithVectorBoolOracle) {
 
     for (int op = 0; op < 2000; ++op) {
       const uint64_t i = rng.NextBounded(size);
-      switch (rng.NextBounded(4)) {
+      switch (rng.NextBounded(3)) {
         case 0:
           bits.Set(i);
           oracle[i] = true;
           break;
-        case 1:
-          bits.Reset(i);
-          oracle[i] = false;
-          break;
-        case 2: {
+        case 1: {
           const bool was_clear = !oracle[i];
           EXPECT_EQ(bits.TestAndSet(i), was_clear);
           oracle[i] = true;
@@ -191,14 +148,6 @@ TEST(DenseBitsetPropertyTest, AgreesWithVectorBoolOracle) {
       oracle_count += oracle[i] ? 1 : 0;
     }
     EXPECT_EQ(bits.Count(), oracle_count) << "size=" << size;
-    EXPECT_EQ(bits.Any(), oracle_count > 0) << "size=" << size;
-
-    std::vector<uint64_t> visited;
-    bits.ForEachSetBit([&visited](uint64_t i) { visited.push_back(i); });
-    EXPECT_EQ(visited.size(), oracle_count);
-    for (const uint64_t i : visited) {
-      EXPECT_TRUE(oracle[i]);
-    }
   }
 }
 
@@ -280,9 +229,11 @@ TEST(DenseBitsetTest, RelaxedAccessUnderConcurrentWriters) {
   EXPECT_EQ(shared.Count(), expected.Count());
   EXPECT_EQ(shared.CountNonEmptyRows(kRowBits),
             expected.CountNonEmptyRows(kRowBits));
-  EXPECT_EQ(shared.words(), expected.words());
-  for (uint64_t i = 0; i < kBits; i += 97) {
-    EXPECT_EQ(shared.Test<Access::kRelaxed>(i), expected.Test(i)) << i;
+  for (uint64_t i = 0; i < kBits; ++i) {
+    ASSERT_EQ(shared.Test(i), expected.Test(i)) << i;
+    if (i % 97 == 0) {
+      EXPECT_EQ(shared.Test<Access::kRelaxed>(i), expected.Test(i)) << i;
+    }
   }
 }
 
@@ -314,14 +265,8 @@ TEST(DenseBitsetPropertyTest, BinaryOpsAgreeWithOracle) {
 
     DenseBitset or_ab = a;
     or_ab.InplaceOr(b);
-    DenseBitset and_ab = a;
-    and_ab.InplaceAnd(b);
-    DenseBitset andnot_ab = a;
-    andnot_ab.InplaceAndNot(b);
     for (uint64_t i = 0; i < size; ++i) {
       EXPECT_EQ(or_ab.Test(i), oa[i] || ob[i]);
-      EXPECT_EQ(and_ab.Test(i), oa[i] && ob[i]);
-      EXPECT_EQ(andnot_ab.Test(i), oa[i] && !ob[i]);
     }
   }
 }

@@ -9,6 +9,7 @@
 #include "graph/in_memory_edge_stream.h"
 #include "graph/text_edge_list.h"
 #include "graph/types.h"
+#include "io/edge_file.h"
 
 namespace tpsl {
 namespace {
@@ -60,7 +61,7 @@ TEST(InMemoryEdgeStreamTest, EmptyStream) {
 TEST(BinaryEdgeListTest, Roundtrip) {
   const std::string path = TempPath("roundtrip.bin");
   ASSERT_TRUE(WriteBinaryEdgeList(path, SampleEdges()).ok());
-  auto edges_or = ReadBinaryEdgeList(path);
+  auto edges_or = io::ReadEdgeFile(path);
   ASSERT_TRUE(edges_or.ok());
   EXPECT_EQ(*edges_or, SampleEdges());
   std::remove(path.c_str());
@@ -69,7 +70,7 @@ TEST(BinaryEdgeListTest, Roundtrip) {
 TEST(BinaryEdgeListTest, EmptyFileRoundtrip) {
   const std::string path = TempPath("empty.bin");
   ASSERT_TRUE(WriteBinaryEdgeList(path, {}).ok());
-  auto edges_or = ReadBinaryEdgeList(path);
+  auto edges_or = io::ReadEdgeFile(path);
   ASSERT_TRUE(edges_or.ok());
   EXPECT_TRUE(edges_or->empty());
   std::remove(path.c_str());

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "dynamic/incremental_partitioner.h"
+#include "exec/thread_pool.h"
 #include "graph/generators.h"
 #include "graph/in_memory_edge_stream.h"
 #include "partition/assignment_sink.h"
@@ -118,6 +120,58 @@ TEST(IncrementalTest, RemoveEdgeReleasesLoad) {
   ASSERT_TRUE(partitioner.RemoveEdge(victim, victim_partition).ok());
   EXPECT_EQ(partitioner.loads()[victim_partition], before - 1);
   EXPECT_EQ(partitioner.num_edges(), edges.size() - 1);
+}
+
+// Bootstrap builds its plan on config.exec. At four workers the
+// clustering races, so placements may differ from a sequential run,
+// but the placement pass stays one pass in stream order: every base
+// edge is placed exactly once within the incremental cap, and the
+// state keeps taking updates.
+TEST(IncrementalTest, ParallelBootstrapPlacesEveryEdgeOnceWithinCap) {
+  const auto edges = BaseGraph();
+  exec::ThreadPool pool(4);
+  PartitionConfig config;
+  config.num_partitions = 8;
+  config.exec.threads = 4;
+  config.exec.pool = &pool;
+  config.exec.batch_size = 512;  // many batches, so workers overlap
+  ASSERT_EQ(config.exec.Workers(), 4u);
+  IncrementalPartitioner partitioner(config);
+  InMemoryEdgeStream stream(edges);
+  EdgeListSink sink(8);
+  ASSERT_TRUE(partitioner.Bootstrap(stream, sink).ok());
+
+  const auto expect_within_cap = [&] {
+    const uint64_t capacity = static_cast<uint64_t>(
+        config.balance_factor * partitioner.num_edges() / 8) + 1;
+    for (const uint64_t load : partitioner.loads()) {
+      EXPECT_LE(load, capacity);
+    }
+  };
+  std::vector<Edge> placed;
+  for (PartitionId p = 0; p < 8; ++p) {
+    EXPECT_EQ(partitioner.loads()[p], sink.partitions()[p].size());
+    placed.insert(placed.end(), sink.partitions()[p].begin(),
+                  sink.partitions()[p].end());
+  }
+  std::vector<Edge> expected = edges;
+  std::sort(placed.begin(), placed.end());
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(placed, expected);
+  EXPECT_EQ(partitioner.num_edges(), edges.size());
+  expect_within_cap();
+
+  const VertexId fresh = 1 << 12;  // one past the base graph's ids
+  for (const Edge& e : {Edge{0, 1}, Edge{2, fresh}, Edge{fresh, fresh + 1}}) {
+    const StatusOr<PartitionId> added = partitioner.AddEdge(e);
+    ASSERT_TRUE(added.ok()) << added.status().ToString();
+    EXPECT_LT(*added, 8u);
+  }
+  ASSERT_FALSE(sink.partitions()[0].empty());
+  const Edge victim = sink.partitions()[0].front();
+  ASSERT_TRUE(partitioner.RemoveEdge(victim, 0).ok());
+  EXPECT_EQ(partitioner.num_edges(), edges.size() + 2);
+  expect_within_cap();
 }
 
 TEST(IncrementalTest, ApiMisuseIsRejected) {

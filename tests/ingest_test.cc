@@ -16,6 +16,7 @@
 #include "ingest/external_generator.h"
 #include "ingest/prefetching_edge_stream.h"
 #include "ingest/scenario_runner.h"
+#include "io/edge_file.h"
 #include "io/throttled_edge_stream.h"
 
 namespace tpsl {
@@ -124,7 +125,7 @@ TEST(ExternalGeneratorTest, FileMatchesInMemoryGeneration) {
   config.seed = recipe.seed;
   const std::vector<Edge> expected = GenerateRmat(config);
 
-  auto read_back = ReadBinaryEdgeList(path);
+  auto read_back = io::ReadEdgeFile(path);
   ASSERT_TRUE(read_back.ok()) << read_back.status();
   EXPECT_EQ(*read_back, expected);
   EXPECT_EQ(result->num_edges, expected.size());

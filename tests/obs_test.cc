@@ -364,49 +364,6 @@ TEST_F(ObsConcurrencyTest, SnapshotWhileWritingIsCleanAndExact) {
   EXPECT_GE(stats.emitted, kTasks * kItersPerTask);
 }
 
-TEST(MergeWorkersTest, SingleWorkerIsIdentity) {
-  PartitionStats worker;
-  worker.phase_seconds["degree"] = 1.5;
-  worker.phase_seconds["partitioning"] = 2.25;
-  worker.stream_passes = 2;
-  worker.state_bytes = 4096;
-  worker.prepartitioned_edges = 10;
-  worker.remaining_edges = 20;
-  const PartitionStats merged = PartitionStats::MergeWorkers({worker});
-  EXPECT_EQ(merged.phase_seconds, worker.phase_seconds);
-  EXPECT_EQ(merged.stream_passes, worker.stream_passes);
-  EXPECT_EQ(merged.state_bytes, worker.state_bytes);
-  EXPECT_EQ(merged.prepartitioned_edges, worker.prepartitioned_edges);
-  EXPECT_EQ(merged.remaining_edges, worker.remaining_edges);
-  EXPECT_DOUBLE_EQ(merged.TotalSeconds(), worker.TotalSeconds());
-}
-
-TEST(MergeWorkersTest, ParallelPhasesMaxTimesAndSumCounts) {
-  // Two workers overlapping in wall-clock: the merged phase time is
-  // the slowest worker's (they ran concurrently), while disjoint
-  // per-worker tallies add up.
-  PartitionStats a;
-  a.phase_seconds["partitioning"] = 2.0;
-  a.phase_seconds["degree"] = 0.5;
-  a.stream_passes = 2;
-  a.state_bytes = 100;
-  a.prepartitioned_edges = 7;
-  a.remaining_edges = 3;
-  PartitionStats b;
-  b.phase_seconds["partitioning"] = 3.0;
-  b.stream_passes = 2;
-  b.state_bytes = 50;
-  b.prepartitioned_edges = 5;
-  b.remaining_edges = 9;
-  const PartitionStats merged = PartitionStats::MergeWorkers({a, b});
-  EXPECT_DOUBLE_EQ(merged.phase_seconds.at("partitioning"), 3.0);
-  EXPECT_DOUBLE_EQ(merged.phase_seconds.at("degree"), 0.5);
-  EXPECT_EQ(merged.stream_passes, 2u);
-  EXPECT_EQ(merged.state_bytes, 150u);
-  EXPECT_EQ(merged.prepartitioned_edges, 12u);
-  EXPECT_EQ(merged.remaining_edges, 12u);
-}
-
 /// Runs `name` through RunPartitioner on an R-MAT graph of
 /// 2^scale * 16 edges at k=8 and `threads` workers.
 StatusOr<RunResult> RunOnRmat(const std::string& name, uint32_t scale,

@@ -23,6 +23,8 @@
 #include "baselines/registry.h"
 #include "core/two_phase_partitioner.h"
 #include "dynamic/incremental_partitioner.h"
+#include "exec/exec_context.h"
+#include "exec/thread_pool.h"
 #include "graph/generators.h"
 #include "graph/in_memory_edge_stream.h"
 #include "graph/types.h"
@@ -400,39 +402,62 @@ TEST(StateKernelIdentityTest, TwoPhaseOptionStreamsMatchCapturedDigests) {
   }
 }
 
+/// Digest of one IncrementalRow's placements (see kIncrementalRows)
+/// with `exec` in the partitioner's config.
+uint64_t IncrementalDigest(const IncrementalRow& row,
+                           const exec::ExecContext& exec) {
+  const std::vector<Edge> edges = MakeFamily(row.family);
+  const size_t split = edges.size() * 9 / 10;
+  VertexId num_vertices = 0;
+  for (const Edge& e : edges) {
+    num_vertices = std::max({num_vertices, e.first + 1, e.second + 1});
+  }
+  InMemoryEdgeStream base(
+      std::vector<Edge>(edges.begin(), edges.begin() + split));
+  PartitionConfig config;
+  config.num_partitions = row.k;
+  config.exec = exec;
+  IncrementalPartitioner partitioner(config);
+  ChecksumSink sink;
+  const Status bootstrap = partitioner.Bootstrap(base, sink);
+  EXPECT_TRUE(bootstrap.ok()) << bootstrap.ToString();
+  for (size_t i = split; i < edges.size(); ++i) {
+    Edge e = edges[i];
+    if (i % 3 == 0) {
+      e.second += num_vertices;
+    }
+    if (i % 7 == 0) {
+      e.first += num_vertices;
+    }
+    if (e.first == e.second) {
+      continue;
+    }
+    const StatusOr<PartitionId> placed = partitioner.AddEdge(e);
+    EXPECT_TRUE(placed.ok()) << placed.status().ToString();
+    if (!placed.ok()) {
+      break;
+    }
+    sink.Assign(e, *placed);
+  }
+  return sink.digest();
+}
+
+// Bootstrap builds its plan on config.exec. Four threads asked of a
+// one-thread pool run one worker, in order, so they must reproduce the
+// sequential digests too.
 TEST(StateKernelIdentityTest, IncrementalPlacementsMatchCapturedDigests) {
-  for (const IncrementalRow& row : kIncrementalRows) {
-    const std::vector<Edge> edges = MakeFamily(row.family);
-    const size_t split = edges.size() * 9 / 10;
-    VertexId num_vertices = 0;
-    for (const Edge& e : edges) {
-      num_vertices = std::max({num_vertices, e.first + 1, e.second + 1});
+  exec::ThreadPool one_thread_pool(1);
+  exec::ExecContext one_worker;
+  one_worker.threads = 4;
+  one_worker.pool = &one_thread_pool;
+  ASSERT_EQ(one_worker.Workers(), 1u);
+  for (const exec::ExecContext& exec : {exec::ExecContext(), one_worker}) {
+    for (const IncrementalRow& row : kIncrementalRows) {
+      const uint64_t digest = IncrementalDigest(row, exec);
+      EXPECT_EQ(digest, row.digest)
+          << "threads=" << exec.threads << " family=" << row.family
+          << " k=" << row.k << " digest=0x" << std::hex << digest;
     }
-    InMemoryEdgeStream base(
-        std::vector<Edge>(edges.begin(), edges.begin() + split));
-    PartitionConfig config;
-    config.num_partitions = row.k;
-    IncrementalPartitioner partitioner(config);
-    ChecksumSink sink;
-    ASSERT_TRUE(partitioner.Bootstrap(base, sink).ok());
-    for (size_t i = split; i < edges.size(); ++i) {
-      Edge e = edges[i];
-      if (i % 3 == 0) {
-        e.second += num_vertices;
-      }
-      if (i % 7 == 0) {
-        e.first += num_vertices;
-      }
-      if (e.first == e.second) {
-        continue;
-      }
-      const StatusOr<PartitionId> placed = partitioner.AddEdge(e);
-      ASSERT_TRUE(placed.ok()) << placed.status().ToString();
-      sink.Assign(e, *placed);
-    }
-    EXPECT_EQ(sink.digest(), row.digest)
-        << "family=" << row.family << " k=" << row.k << " digest=0x"
-        << std::hex << sink.digest();
   }
 }
 
