@@ -28,22 +28,6 @@ constexpr uint64_t kHdrfOps = 1u << 16;  // O(k) per pick
 constexpr uint64_t kBitsetBits = 1u << 20;
 constexpr uint64_t kBitsetSweeps = 1u << 5;
 constexpr uint64_t kSetTestOps = 1u << 19;
-constexpr uint64_t kMinOps = 1u << 10;
-
-/// Workload shrink for smoke runs, mirroring the dataset scale_shift
-/// convention (each +1 halves the op count; floor keeps the timer off
-/// zero).
-uint64_t ScaleOps(uint64_t base, int shift) {
-  const uint64_t scaled =
-      shift >= 0 ? (shift < 63 ? base >> shift : 0) : base << (-shift);
-  return scaled < kMinOps ? kMinOps : scaled;
-}
-
-struct KernelResult {
-  double seconds = 0.0;
-  uint64_t ops = 0;
-  uint64_t checksum = 0;
-};
 
 /// 2PS-L hot loop: the constant-time two-candidate pick plus the
 /// placement (load claim and replica bits), on the same Phase2State the
@@ -182,83 +166,18 @@ const std::vector<std::string>& MicroKernelNames() {
   return *names;
 }
 
-StatusOr<BenchRecord> RunMicroKernels(const Scenario& scenario,
-                                      const RunScenarioOptions& options) {
-  if (scenario.kind != ScenarioKind::kMicroKernel) {
-    return Status::FailedPrecondition("scenario '" + scenario.name +
-                                      "' is not a micro-kernel scenario");
-  }
-  const int shift = options.extra_scale_shift;
+std::vector<Kernel> MicroKernels(const Scenario& scenario, int shift) {
   const uint32_t k = scenario.k;
   const uint64_t seed = scenario.seed;
-  const int repeats = options.repeats > 0 ? options.repeats : 1;
-
-  // (name, single-run thunk) in MicroKernelNames() order. Each run
-  // rebuilds its seeded state from scratch (outside the timed region),
-  // so every repeat computes the identical checksum — a mismatch means
-  // the kernel itself is nondeterministic, which the gate must not
-  // paper over.
-  struct KernelSpec {
-    const std::string& name;
-    KernelResult (*run)(uint32_t, uint64_t, uint64_t);
-    uint64_t ops;
+  const std::vector<std::string>& names = MicroKernelNames();
+  return {
+      {names[0], [=] { return TwopsPick(k, seed, ScaleOps(kPickOps, shift)); }},
+      {names[1], [=] { return HdrfPick(k, seed, ScaleOps(kHdrfOps, shift)); }},
+      {names[2],
+       [=] { return BitsetOps(seed, ScaleOps(kBitsetSweeps, shift)); }},
+      {names[3],
+       [=] { return ReplicaSetTest(k, seed, ScaleOps(kSetTestOps, shift)); }},
   };
-  const KernelSpec kernels[] = {
-      {MicroKernelNames()[0], &TwopsPick, ScaleOps(kPickOps, shift)},
-      {MicroKernelNames()[1], &HdrfPick, ScaleOps(kHdrfOps, shift)},
-      {MicroKernelNames()[2],
-       [](uint32_t, uint64_t s, uint64_t sweeps) {
-         return BitsetOps(s, sweeps);
-       },
-       ScaleOps(kBitsetSweeps, shift)},
-      {MicroKernelNames()[3], &ReplicaSetTest, ScaleOps(kSetTestOps, shift)},
-  };
-
-  BenchRecord record;
-  record.scenario = scenario.name;
-  record.partitioner = scenario.partitioner;
-  record.dataset = scenario.dataset;
-  record.k = k;
-  record.scale_shift = scenario.scale_shift + shift;
-  record.seed = seed;
-  record.threads = 1;  // kernels are single-threaded by construction
-
-  double total_seconds = 0.0;
-  uint64_t total_ops = 0;
-  uint64_t folded_checksum = 0;
-  for (const KernelSpec& kernel : kernels) {
-    KernelResult best;
-    for (int repeat = 0; repeat < repeats; ++repeat) {
-      const KernelResult result = kernel.run(k, seed, kernel.ops);
-      if (repeat == 0) {
-        best = result;
-      } else if (result.checksum != best.checksum) {
-        return Status::Internal("micro-kernel '" + kernel.name +
-                                "' is nondeterministic across repeats");
-      } else if (result.seconds < best.seconds) {
-        best.seconds = result.seconds;
-      }
-    }
-    total_seconds += best.seconds;
-    total_ops += best.ops;
-    folded_checksum = HashCombine(folded_checksum, best.checksum);
-    record.SetMetric("phase_seconds/" + kernel.name, best.seconds);
-    if (best.seconds > 0.0) {
-      record.SetMetric("edges_per_sec/" + kernel.name,
-                       static_cast<double>(best.ops) / best.seconds);
-    }
-  }
-  record.SetMetric("seconds", total_seconds);
-  record.SetMetric("num_edges", static_cast<double>(total_ops));
-  // Deterministic fold of every pick/count the kernels produced,
-  // truncated so the double holds it exactly. Gated by the default
-  // two-sided band, which an exact value always passes — so any drift
-  // is a behavioral change in the state kernel, caught by --check
-  // before the identity tests even run.
-  record.SetMetric("checksum_low32",
-                   static_cast<double>(folded_checksum & 0xffffffffULL));
-  AttachHostMetrics(&record);
-  return record;
 }
 
 }  // namespace benchkit

@@ -17,29 +17,15 @@ namespace benchkit {
 namespace {
 
 // Op counts at shift 0, sized so the whole scenario stays tens of
-// milliseconds in a release build; the same ScaleOps convention as
-// micro_kernels.cc (each +1 halves, floored off zero).
+// milliseconds in a release build; smoke runs shrink them by ScaleOps.
 constexpr uint64_t kSpanOffOps = 1u << 20;
 constexpr uint64_t kSpanOnOps = 1u << 16;
 constexpr uint64_t kCounterOps = 1u << 20;
 constexpr uint64_t kHistOps = 1u << 19;
-constexpr uint64_t kMinOps = 1u << 10;
 // The tracing-off partitioner run: the OK graph four shifts below the
 // bench size keeps this the most expensive kernel without dominating
 // the scenario.
 constexpr int kPartitionShift = 4;
-
-uint64_t ScaleOps(uint64_t base, int shift) {
-  const uint64_t scaled =
-      shift >= 0 ? (shift < 63 ? base >> shift : 0) : base << (-shift);
-  return scaled < kMinOps ? kMinOps : scaled;
-}
-
-struct KernelResult {
-  double seconds = 0.0;
-  uint64_t ops = 0;
-  uint64_t checksum = 0;
-};
 
 /// Disabled-span hot path: exactly the branch every instrumented scope
 /// pays when tracing is off. The checksum folds the ring-write delta,
@@ -155,86 +141,19 @@ const std::vector<std::string>& ObsKernelNames() {
   return *names;
 }
 
-StatusOr<BenchRecord> RunObsKernels(const Scenario& scenario,
-                                    const RunScenarioOptions& options) {
-  if (scenario.kind != ScenarioKind::kMicroObs) {
-    return Status::FailedPrecondition("scenario '" + scenario.name +
-                                      "' is not an obs micro-kernel scenario");
-  }
-  const int shift = options.extra_scale_shift;
-  const int repeats = options.repeats > 0 ? options.repeats : 1;
-
-  struct KernelSpec {
-    const std::string& name;
-    StatusOr<KernelResult> (*run)(const Scenario&, int);
+std::vector<Kernel> ObsKernels(const Scenario& scenario, int shift) {
+  const uint32_t k = scenario.k;
+  const uint64_t seed = scenario.seed;
+  const std::vector<std::string>& names = ObsKernelNames();
+  // The checksum folds ring-write deltas, counter/histogram totals and
+  // the partitioner's replication factor.
+  return {
+      {names[0], [=] { return SpanOff(ScaleOps(kSpanOffOps, shift)); }},
+      {names[1], [=] { return SpanOn(ScaleOps(kSpanOnOps, shift)); }},
+      {names[2], [=] { return CounterAdd(ScaleOps(kCounterOps, shift)); }},
+      {names[3], [=] { return HistRecord(seed, ScaleOps(kHistOps, shift)); }},
+      {names[4], [=] { return PartitionOff(k, seed, shift); }},
   };
-  const KernelSpec kernels[] = {
-      {ObsKernelNames()[0],
-       [](const Scenario&, int s) -> StatusOr<KernelResult> {
-         return SpanOff(ScaleOps(kSpanOffOps, s));
-       }},
-      {ObsKernelNames()[1],
-       [](const Scenario&, int s) -> StatusOr<KernelResult> {
-         return SpanOn(ScaleOps(kSpanOnOps, s));
-       }},
-      {ObsKernelNames()[2],
-       [](const Scenario&, int s) -> StatusOr<KernelResult> {
-         return CounterAdd(ScaleOps(kCounterOps, s));
-       }},
-      {ObsKernelNames()[3],
-       [](const Scenario& sc, int s) -> StatusOr<KernelResult> {
-         return HistRecord(sc.seed, ScaleOps(kHistOps, s));
-       }},
-      {ObsKernelNames()[4],
-       [](const Scenario& sc, int s) -> StatusOr<KernelResult> {
-         return PartitionOff(sc.k, sc.seed, s);
-       }},
-  };
-
-  BenchRecord record;
-  record.scenario = scenario.name;
-  record.partitioner = scenario.partitioner;
-  record.dataset = scenario.dataset;
-  record.k = scenario.k;
-  record.scale_shift = scenario.scale_shift + shift;
-  record.seed = scenario.seed;
-  record.threads = 1;  // kernels are single-threaded by construction
-
-  double total_seconds = 0.0;
-  uint64_t total_ops = 0;
-  uint64_t folded_checksum = 0;
-  for (const KernelSpec& kernel : kernels) {
-    KernelResult best;
-    for (int repeat = 0; repeat < repeats; ++repeat) {
-      TPSL_ASSIGN_OR_RETURN(const KernelResult result,
-                            kernel.run(scenario, shift));
-      if (repeat == 0) {
-        best = result;
-      } else if (result.checksum != best.checksum) {
-        return Status::Internal("obs kernel '" + kernel.name +
-                                "' is nondeterministic across repeats");
-      } else if (result.seconds < best.seconds) {
-        best.seconds = result.seconds;
-      }
-    }
-    total_seconds += best.seconds;
-    total_ops += best.ops;
-    folded_checksum = HashCombine(folded_checksum, best.checksum);
-    record.SetMetric("phase_seconds/" + kernel.name, best.seconds);
-    if (best.seconds > 0.0) {
-      record.SetMetric("edges_per_sec/" + kernel.name,
-                       static_cast<double>(best.ops) / best.seconds);
-    }
-  }
-  record.SetMetric("seconds", total_seconds);
-  record.SetMetric("num_edges", static_cast<double>(total_ops));
-  // Deterministic fold (same convention as micro_kernels): ring-write
-  // deltas, counter/histogram totals and the partitioner's replication
-  // factor, truncated so the double holds it exactly.
-  record.SetMetric("checksum_low32",
-                   static_cast<double>(folded_checksum & 0xffffffffULL));
-  AttachHostMetrics(&record);
-  return record;
 }
 
 }  // namespace benchkit

@@ -4,10 +4,8 @@
 #include <string>
 #include <vector>
 
-#include "benchkit/record.h"
 #include "benchkit/runner.h"
 #include "benchkit/scenario.h"
-#include "util/status.h"
 
 namespace tpsl {
 namespace benchkit {
@@ -28,11 +26,10 @@ namespace benchkit {
 /// informational context.
 const std::vector<std::string>& ObsKernelNames();
 
-/// Runs the kernels for a kMicroObs scenario and returns the record
-/// (metrics shaped like RunMicroKernels: per-kernel phase_seconds and
-/// edges_per_sec, total seconds/num_edges, folded checksum_low32).
-StatusOr<BenchRecord> RunObsKernels(const Scenario& scenario,
-                                    const RunScenarioOptions& options);
+/// The kernel table of the micro_obs scenario, for RunKernelTable
+/// (seeded from scenario.seed; partition_off runs at scenario.k).
+/// `shift` (the smoke run's extra_scale_shift) shrinks every workload.
+std::vector<Kernel> ObsKernels(const Scenario& scenario, int shift);
 
 }  // namespace benchkit
 }  // namespace tpsl

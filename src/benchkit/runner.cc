@@ -1,16 +1,9 @@
 #include "benchkit/runner.h"
 
-#include <algorithm>
 #include <thread>
-#include <vector>
 
-#include "benchkit/measure.h"
 #include "exec/thread_pool.h"
-#include "graph/datasets.h"
-#include "graph/types.h"
-#include "obs/metrics.h"
-#include "partition/partitioner.h"
-#include "util/memory.h"
+#include "util/random.h"
 
 namespace tpsl {
 namespace benchkit {
@@ -47,85 +40,73 @@ void AttachHostMetrics(BenchRecord* record) {
       static_cast<double>(std::thread::hardware_concurrency()));
 }
 
-StatusOr<BenchRecord> RunScenario(const Scenario& scenario,
-                                  const RunScenarioOptions& options) {
-  if (scenario.kind != ScenarioKind::kInMemory) {
-    // Disk-backed kinds live in the ingest layer (which depends on
-    // benchkit, not the other way around); tools/bench_runner routes
-    // every kind through ingest::RunScenarioWithIngest.
-    return Status::FailedPrecondition(
-        "scenario '" + scenario.name +
-        "' streams from disk; run it through the ingest-aware runner "
-        "(ingest::RunScenarioWithIngest / tools/bench_runner)");
-  }
-  const int shift = scenario.scale_shift + options.extra_scale_shift;
-  // Scope the RSS high-water mark to this scenario; without the reset
-  // every scenario after the first would inherit the largest earlier
-  // peak (the kernel counter never decreases). Where the reset is
-  // unsupported the metric degrades to the lifetime peak — still a
-  // valid upper bound, and it is informational, never gated.
-  ResetPeakRss();
-  TPSL_ASSIGN_OR_RETURN(std::vector<Edge> edges,
-                        LoadDataset(scenario.dataset, shift));
-  // Resolve 0-means-hardware here, not just inside the partitioner:
-  // the record's threads field is an identity dimension and FromJson
-  // (rightly) rejects 0, so an unresolved count would emit a baseline
-  // file the next --check cannot read back.
-  const uint32_t threads = exec::ResolveThreadCount(
-      options.threads_override != 0 ? options.threads_override
-                                    : scenario.threads);
-  PartitionConfig config;
-  config.num_partitions = scenario.k;
-  config.seed = scenario.seed;
-  config.exec.threads = threads;
-  // Repeat-scoped obs snapshots: the registry is reset before each
-  // repeat, and the record carries the snapshot of the repeat whose
-  // timing it reports, so an obs counter describes one run.
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
-  Measurement m;
-  obs::MetricsSnapshot obs_snapshot;
-  for (int repeat = 0; repeat < std::max(options.repeats, 1); ++repeat) {
-    registry.Reset();
-    TPSL_ASSIGN_OR_RETURN(
-        const Measurement again,
-        MeasureOnEdges(scenario.partitioner, scenario.dataset, edges,
-                       config));
-    if (repeat == 0) {
-      m = again;
-      obs_snapshot = registry.Snapshot();
-    } else if (again.seconds < m.seconds) {
-      m.seconds = again.seconds;
-      m.stats.phase_seconds = again.stats.phase_seconds;
-      obs_snapshot = registry.Snapshot();
-    }
-  }
-
+BenchRecord ScenarioRecord(const Scenario& scenario, int extra_scale_shift,
+                           uint32_t threads_override) {
   BenchRecord record;
   record.scenario = scenario.name;
   record.partitioner = scenario.partitioner;
   record.dataset = scenario.dataset;
   record.k = scenario.k;
-  record.scale_shift = shift;
+  record.scale_shift = scenario.scale_shift + extra_scale_shift;
   record.seed = scenario.seed;
-  record.threads = threads;
-  record.SetMetric("seconds", m.seconds);
-  record.SetMetric("replication_factor", m.replication_factor);
-  record.SetMetric("measured_alpha", m.measured_alpha);
-  record.SetMetric("state_bytes", static_cast<double>(m.state_bytes));
-  record.SetMetric("num_edges", static_cast<double>(edges.size()));
-  record.SetMetric("peak_rss_bytes", static_cast<double>(PeakRssBytes()));
-  for (const auto& [phase, seconds] : m.stats.phase_seconds) {
-    record.SetMetric("phase_seconds/" + phase, seconds);
-    // Phase throughput: edges pushed through the phase's loop per
-    // second. Every phase is one (or more) full passes over the edge
-    // set, so |E| / phase time is the natural rate; "partitioning" is
-    // the gated hot-loop number (see DefaultToleranceFor).
-    if (seconds > 0.0 && !edges.empty()) {
-      record.SetMetric("edges_per_sec/" + phase,
-                       static_cast<double>(edges.size()) / seconds);
+  record.threads = exec::ResolveThreadCount(
+      threads_override != 0 ? threads_override : scenario.threads);
+  return record;
+}
+
+uint64_t ScaleOps(uint64_t base, int shift) {
+  constexpr uint64_t kMinOps = 1u << 10;
+  const uint64_t scaled =
+      shift >= 0 ? (shift < 63 ? base >> shift : 0) : base << (-shift);
+  return scaled < kMinOps ? kMinOps : scaled;
+}
+
+StatusOr<BenchRecord> RunKernelTable(const Scenario& scenario,
+                                     const RunScenarioOptions& options,
+                                     const std::vector<Kernel>& kernels) {
+  BenchRecord record = ScenarioRecord(scenario, options.extra_scale_shift,
+                                      /*threads_override=*/1);
+  double total_seconds = 0.0;
+  uint64_t total_ops = 0;
+  uint64_t folded_checksum = 0;
+  for (const Kernel& kernel : kernels) {
+    std::optional<uint64_t> checksum;
+    TPSL_ASSIGN_OR_RETURN(
+        const BestRepeat<KernelResult> best,
+        RunRepeats<KernelResult>(
+            options.repeats,
+            [&]() -> StatusOr<KernelResult> {
+              TPSL_ASSIGN_OR_RETURN(const KernelResult result, kernel.run());
+              if (checksum.has_value() && *checksum != result.checksum) {
+                return Status::Internal("kernel '" + kernel.name +
+                                        "' of scenario '" + scenario.name +
+                                        "' is nondeterministic across "
+                                        "repeats");
+              }
+              checksum = result.checksum;
+              return result;
+            },
+            [](const KernelResult& a, const KernelResult& b) {
+              return a.seconds < b.seconds;
+            }));
+    total_seconds += best.result.seconds;
+    total_ops += best.result.ops;
+    folded_checksum = HashCombine(folded_checksum, best.result.checksum);
+    record.SetMetric("phase_seconds/" + kernel.name, best.result.seconds);
+    if (best.result.seconds > 0.0) {
+      record.SetMetric(
+          "edges_per_sec/" + kernel.name,
+          static_cast<double>(best.result.ops) / best.result.seconds);
     }
   }
-  AttachObsMetrics(&record, obs_snapshot);
+  record.SetMetric("seconds", total_seconds);
+  record.SetMetric("num_edges", static_cast<double>(total_ops));
+  // Truncated so the double holds it exactly. Gated by the default
+  // two-sided band, which an exact value always passes — so any drift
+  // is a behavioral change in a kernel, caught by --check before the
+  // identity tests even run.
+  record.SetMetric("checksum_low32",
+                   static_cast<double>(folded_checksum & 0xffffffffULL));
   AttachHostMetrics(&record);
   return record;
 }

@@ -13,14 +13,15 @@ enum class ScenarioKind {
   /// Materialize the dataset in RAM and partition it (the original
   /// benchkit path). `dataset` names a graph/datasets Table III code.
   kInMemory,
-  /// Stream the dataset from disk through the ingest layer's
-  /// prefetching reader and partition out-of-core. `dataset` names an
-  /// ingest catalog recipe (bench/catalog.json); scale_shift is
-  /// ignored (the recipe pins the size).
+  /// Stream the dataset from disk through ingest::OpenDatasetStream
+  /// (the mmap block reader for compressed files, the prefetching
+  /// reader for raw ones) and partition out-of-core. `dataset` names
+  /// an ingest catalog recipe (bench/catalog.json); the smoke shrink
+  /// does not apply (the recipe pins the size).
   kDiskPartition,
-  /// Ingest throughput: full prefetched scans of the on-disk dataset,
-  /// no partitioning. `dataset` names a catalog recipe; `partitioner`
-  /// and `k` are placeholders for record identity.
+  /// Ingest throughput: full scans of the on-disk dataset through the
+  /// same stream, no partitioning. `dataset` names a catalog recipe;
+  /// `partitioner` and `k` are placeholders for record identity.
   kIngestScan,
   /// Kernel-level throughput of the shared partitioner-state layer
   /// (ScoreTables picks, DenseBitset word ops, ReplicaMatrix

@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 namespace tpsl {
@@ -32,31 +33,39 @@ StatusOr<std::vector<Edge>> ReadTextEdgeList(const std::string& path) {
     return Status::NotFound("no such file: " + path);
   }
   std::vector<Edge> edges;
-  char line[256];
+  // getline grows the buffer to the longest line, so every iteration
+  // sees one whole physical line, however long.
+  char* line = nullptr;
+  size_t line_capacity = 0;
   uint64_t line_no = 0;
-  while (std::fgets(line, sizeof(line), file) != nullptr) {
+  Status status;
+  while (::getline(&line, &line_capacity, file) != -1) {
     ++line_no;
     // Skip comments and blank lines.
     const char* p = line;
     while (*p == ' ' || *p == '\t') ++p;
-    if (*p == '#' || *p == '%' || *p == '\n' || *p == '\0') {
+    if (*p == '#' || *p == '%' || *p == '\n' || *p == '\r' || *p == '\0') {
       continue;
     }
     uint64_t u = 0, v = 0;
     if (std::sscanf(p, "%" SCNu64 " %" SCNu64, &u, &v) != 2) {
-      std::fclose(file);
-      return Status::IoError("malformed line " + std::to_string(line_no) +
-                             " in " + path);
+      status = Status::IoError("malformed line " + std::to_string(line_no) +
+                               " in " + path);
+      break;
     }
     if (u > kInvalidVertex - 1 || v > kInvalidVertex - 1) {
-      std::fclose(file);
-      return Status::OutOfRange("vertex id exceeds 32-bit range at line " +
-                                std::to_string(line_no) + " in " + path);
+      status = Status::OutOfRange("vertex id exceeds 32-bit range at line " +
+                                  std::to_string(line_no) + " in " + path);
+      break;
     }
     edges.push_back(
         Edge{static_cast<VertexId>(u), static_cast<VertexId>(v)});
   }
+  std::free(line);
   std::fclose(file);
+  if (!status.ok()) {
+    return status;
+  }
   return edges;
 }
 

@@ -1,16 +1,19 @@
 #include "ingest/scenario_runner.h"
 
+#include <algorithm>
+#include <functional>
 #include <memory>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "baselines/registry.h"
-#include "exec/thread_pool.h"
 #include "benchkit/micro_kernels.h"
 #include "benchkit/obs_kernels.h"
 #include "benchkit/runner.h"
+#include "graph/datasets.h"
+#include "graph/in_memory_edge_stream.h"
 #include "ingest/catalog.h"
-#include "io/edge_file.h"
-#include "obs/metrics.h"
 #include "ingest/prefetching_edge_stream.h"
 #include "partition/runner.h"
 #include "serve/serve_scenario.h"
@@ -39,33 +42,6 @@ StatusOr<EnsureResult> EnsureScenarioDataset(const Scenario& scenario,
   return EnsureDataset(*entry, context.dataset_dir);
 }
 
-/// The effective worker count: the tools' --threads override wins over
-/// the scenario's pinned count (and shows up in the record, so --check
-/// flags the drift). Resolved through the engine helper because the
-/// record's threads dimension must be a concrete count — FromJson
-/// rejects 0, so an unresolved value would emit an unreadable baseline.
-uint32_t EffectiveThreads(const Scenario& scenario,
-                          const ScenarioRunContext& context) {
-  return exec::ResolveThreadCount(context.options.threads_override != 0
-                                      ? context.options.threads_override
-                                      : scenario.threads);
-}
-
-BenchRecord MakeRecordShell(const Scenario& scenario,
-                            const ScenarioRunContext& context) {
-  BenchRecord record;
-  record.scenario = scenario.name;
-  record.partitioner = scenario.partitioner;
-  record.dataset = scenario.dataset;
-  record.k = scenario.k;
-  // Disk datasets are pinned by the catalog recipe; the smoke run's
-  // extra_scale_shift deliberately does not apply.
-  record.scale_shift = scenario.scale_shift;
-  record.seed = scenario.seed;
-  record.threads = EffectiveThreads(scenario, context);
-  return record;
-}
-
 /// The stream's on-disk I/O account folded into record metrics:
 /// per-pass and per-run byte totals (compressed bytes for compressed
 /// files — the bytes that actually crossed the storage boundary) plus
@@ -89,14 +65,36 @@ void AttachIoMetrics(BenchRecord* record, const StreamIoStats& io,
   }
 }
 
-StatusOr<BenchRecord> RunDiskPartition(const Scenario& scenario,
-                                       const ScenarioRunContext& context) {
-  TPSL_ASSIGN_OR_RETURN(const EnsureResult dataset,
-                        EnsureScenarioDataset(scenario, context));
-  const bool rss_scoped = ResetPeakRss();
-  TPSL_ASSIGN_OR_RETURN(
-      std::unique_ptr<EdgeStream> stream,
-      OpenDatasetStream(dataset.path));
+/// kInMemory and kDiskPartition: partition the scenario's stream
+/// best-of-repeats. The kinds differ only in the stream, where the RSS
+/// scope starts, the record's scale_shift (catalog recipes pin a disk
+/// dataset's size, so the smoke shrink does not apply) and the
+/// disk-only metrics.
+StatusOr<BenchRecord> RunPartitionScenario(const Scenario& scenario,
+                                           const ScenarioRunContext& context) {
+  const bool in_memory = scenario.kind == ScenarioKind::kInMemory;
+  BenchRecord record = benchkit::ScenarioRecord(
+      scenario, in_memory ? context.options.extra_scale_shift : 0,
+      context.options.threads_override);
+  // The materialized edge list is part of an in-memory run's footprint,
+  // so the RSS scope starts before the load; a disk dataset's
+  // get-or-generate is harness work, so the scope starts after it.
+  std::unique_ptr<EdgeStream> stream;
+  uint64_t num_edges = 0;
+  bool rss_scoped = false;
+  if (in_memory) {
+    rss_scoped = ResetPeakRss();
+    TPSL_ASSIGN_OR_RETURN(std::vector<Edge> edges,
+                          LoadDataset(scenario.dataset, record.scale_shift));
+    num_edges = edges.size();
+    stream = std::make_unique<InMemoryEdgeStream>(std::move(edges));
+  } else {
+    TPSL_ASSIGN_OR_RETURN(const EnsureResult dataset,
+                          EnsureScenarioDataset(scenario, context));
+    rss_scoped = ResetPeakRss();
+    TPSL_ASSIGN_OR_RETURN(stream, OpenDatasetStream(dataset.path));
+    num_edges = dataset.num_edges;
+  }
 
   PartitionConfig config;
   config.num_partitions = scenario.k;
@@ -104,7 +102,7 @@ StatusOr<BenchRecord> RunDiskPartition(const Scenario& scenario,
   // The execution engine under the partitioner: at t>1 its workers
   // decode compressed blocks themselves; a raw file's prefetching
   // reader overlaps its freads with scoring at any thread count.
-  config.exec.threads = EffectiveThreads(scenario, context);
+  config.exec.threads = record.threads;
 
   // Spill scenarios run the paper's full out-of-core loop: the
   // streaming sink pipeline writes assignments straight back to disk
@@ -116,40 +114,32 @@ StatusOr<BenchRecord> RunDiskPartition(const Scenario& scenario,
     run_options.spill_stem = scenario.name;
   }
 
-  const int repeats = context.options.repeats > 0 ? context.options.repeats
-                                                  : 1;
-  RunResult best;
-  // Repeat-scoped obs snapshots, kept with the repeat whose timing is
-  // reported (as in benchkit's in-memory runner).
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
-  obs::MetricsSnapshot obs_snapshot;
-  for (int repeat = 0; repeat < repeats; ++repeat) {
-    registry.Reset();
-    // Fresh partitioner per repeat (they are single-shot); the stream
-    // is reused — each pass re-reads the file, so every repeat pays
-    // full I/O, matching the paper's dropped-cache discipline. Spill
-    // repeats overwrite the same files.
-    TPSL_ASSIGN_OR_RETURN(std::unique_ptr<Partitioner> partitioner,
-                          MakePartitioner(scenario.partitioner));
-    TPSL_ASSIGN_OR_RETURN(
-        RunResult result,
-        RunPartitioner(*partitioner, *stream, config, run_options));
-    if (repeat == 0 ||
-        result.stats.TotalSeconds() < best.stats.TotalSeconds()) {
-      // Deterministic metrics are identical across repeats; keep the
-      // fastest timing like benchkit's in-memory runner.
-      std::swap(best, result);
-      obs_snapshot = registry.Snapshot();
-    }
-  }
+  const int repeats = std::max(context.options.repeats, 1);
+  // Fresh partitioner per repeat (they are single-shot); the stream is
+  // reused — each pass re-reads it, so every repeat of a disk scenario
+  // pays full I/O, matching the paper's dropped-cache discipline.
+  // Spill repeats overwrite the same files.
+  TPSL_ASSIGN_OR_RETURN(
+      const benchkit::BestRepeat<RunResult> best_repeat,
+      benchkit::RunRepeats<RunResult>(
+          repeats,
+          [&]() -> StatusOr<RunResult> {
+            TPSL_ASSIGN_OR_RETURN(std::unique_ptr<Partitioner> partitioner,
+                                  MakePartitioner(scenario.partitioner));
+            return RunPartitioner(*partitioner, *stream, config,
+                                  run_options);
+          },
+          [](const RunResult& a, const RunResult& b) {
+            return a.stats.TotalSeconds() < b.stats.TotalSeconds();
+          }));
+  const RunResult& best = best_repeat.result;
 
-  BenchRecord record = MakeRecordShell(scenario, context);
   record.SetMetric("seconds", best.stats.TotalSeconds());
   record.SetMetric("replication_factor", best.quality.replication_factor);
   record.SetMetric("measured_alpha", best.quality.measured_alpha);
   record.SetMetric("state_bytes",
                    static_cast<double>(best.stats.state_bytes));
-  record.SetMetric("num_edges", static_cast<double>(dataset.num_edges));
+  record.SetMetric("num_edges", static_cast<double>(num_edges));
   const double rss = static_cast<double>(PeakRssBytes());
   record.SetMetric("peak_rss_bytes", rss);
   // Gated (upper-only): a disk-backed run whose resident memory starts
@@ -158,7 +148,7 @@ StatusOr<BenchRecord> RunDiskPartition(const Scenario& scenario,
   // high-water mark could be scoped to this scenario; the unsupported
   // fallback is the process-lifetime peak, which would gate on
   // whichever scenario ran earlier, not on this one.
-  if (rss_scoped) {
+  if (!in_memory && rss_scoped) {
     record.SetMetric("max_rss_bytes", rss);
   }
   if (scenario.spill) {
@@ -169,85 +159,59 @@ StatusOr<BenchRecord> RunDiskPartition(const Scenario& scenario,
   // Deterministic I/O shape: bytes per pass is the on-disk file size
   // (compressed for block files), and the pass count is the
   // partitioner's streaming structure (2 for 2PS-L).
-  AttachIoMetrics(&record, stream->Io(), dataset.num_edges, repeats);
+  if (!in_memory) {
+    AttachIoMetrics(&record, stream->Io(), num_edges, repeats);
+  }
   for (const auto& [phase, seconds] : best.stats.phase_seconds) {
     record.SetMetric("phase_seconds/" + phase, seconds);
-    // Phase throughput over the full edge set, matching the in-memory
-    // runner; "partitioning" is the gated hot-loop rate.
-    if (seconds > 0.0 && dataset.num_edges > 0) {
+    // Phase throughput: edges pushed through the phase's loop per
+    // second. Every phase is one (or more) full passes over the edge
+    // set, so |E| / phase time is the natural rate; "partitioning" is
+    // the gated hot-loop number (see DefaultToleranceFor).
+    if (seconds > 0.0 && num_edges > 0) {
       record.SetMetric("edges_per_sec/" + phase,
-                       static_cast<double>(dataset.num_edges) / seconds);
+                       static_cast<double>(num_edges) / seconds);
     }
   }
-  benchkit::AttachObsMetrics(&record, obs_snapshot);
+  benchkit::AttachObsMetrics(&record, best_repeat.obs);
   benchkit::AttachHostMetrics(&record);
   return record;
 }
 
+/// kIngestScan: full scans of the catalog file through
+/// OpenDatasetStream, best-of-repeats.
 StatusOr<BenchRecord> RunIngestScan(const Scenario& scenario,
                                     const ScenarioRunContext& context) {
+  // Catalog recipes pin the dataset size: no smoke shrink.
+  BenchRecord record = benchkit::ScenarioRecord(
+      scenario, 0, context.options.threads_override);
   TPSL_ASSIGN_OR_RETURN(const EnsureResult dataset,
                         EnsureScenarioDataset(scenario, context));
   ResetPeakRss();
-
-  const int repeats = context.options.repeats > 0 ? context.options.repeats
-                                                  : 1;
-  // Baseline for comparison: the same scan without prefetching (for a
-  // compressed file both scans use the same synchronous mmap reader).
-  // Runs first so the prefetched number cannot be flattered by a cold
-  // page cache on the plain pass.
-  double plain_seconds = 0.0;
-  {
-    // Sniffing open: a synchronous reader for either format (raw fread
-    // or mmap block decode).
-    TPSL_ASSIGN_OR_RETURN(std::unique_ptr<EdgeStream> plain,
-                          io::OpenEdgeFile(dataset.path));
-    for (int repeat = 0; repeat < repeats; ++repeat) {
-      uint64_t count = 0;
-      WallTimer timer;
-      TPSL_RETURN_IF_ERROR(
-          ForEachEdge(*plain, [&count](const Edge&) { ++count; }));
-      const double elapsed = timer.ElapsedSeconds();
-      if (repeat == 0 || elapsed < plain_seconds) {
-        plain_seconds = elapsed;
-      }
-      if (count != dataset.num_edges) {
-        return Status::Internal("plain scan of " + dataset.path +
-                                " delivered " + std::to_string(count) +
-                                " of " + std::to_string(dataset.num_edges) +
-                                " edges");
-      }
-    }
-  }
-
+  TPSL_ASSIGN_OR_RETURN(std::unique_ptr<EdgeStream> stream,
+                        OpenDatasetStream(dataset.path));
+  const int repeats = std::max(context.options.repeats, 1);
   TPSL_ASSIGN_OR_RETURN(
-      std::unique_ptr<EdgeStream> stream,
-      OpenDatasetStream(dataset.path));
-  // Repeat-scoped obs snapshots: the registry is reset before each
-  // prefetched scan (so the plain scans never count), and the record
-  // carries the snapshot of the scan whose time it reports.
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
-  obs::MetricsSnapshot obs_snapshot;
-  double seconds = 0.0;
-  for (int repeat = 0; repeat < repeats; ++repeat) {
-    registry.Reset();
-    uint64_t count = 0;
-    WallTimer timer;
-    TPSL_RETURN_IF_ERROR(
-        ForEachEdge(*stream, [&count](const Edge&) { ++count; }));
-    const double elapsed = timer.ElapsedSeconds();
-    if (repeat == 0 || elapsed < seconds) {
-      seconds = elapsed;
-      obs_snapshot = registry.Snapshot();
-    }
-    if (count != dataset.num_edges) {
-      return Status::Internal("prefetched scan of " + dataset.path +
-                              " delivered " + std::to_string(count) + " of " +
-                              std::to_string(dataset.num_edges) + " edges");
-    }
-  }
+      const benchkit::BestRepeat<double> best,
+      benchkit::RunRepeats<double>(
+          repeats,
+          [&]() -> StatusOr<double> {
+            uint64_t count = 0;
+            WallTimer timer;
+            TPSL_RETURN_IF_ERROR(
+                ForEachEdge(*stream, [&count](const Edge&) { ++count; }));
+            const double elapsed = timer.ElapsedSeconds();
+            if (count != dataset.num_edges) {
+              return Status::Internal(
+                  "scan of " + dataset.path + " delivered " +
+                  std::to_string(count) + " of " +
+                  std::to_string(dataset.num_edges) + " edges");
+            }
+            return elapsed;
+          },
+          std::less<double>()));
+  const double seconds = best.result;
 
-  BenchRecord record = MakeRecordShell(scenario, context);
   record.SetMetric("seconds", seconds);
   record.SetMetric("num_edges", static_cast<double>(dataset.num_edges));
   record.SetMetric("file_bytes", static_cast<double>(dataset.file_bytes));
@@ -256,10 +220,9 @@ StatusOr<BenchRecord> RunIngestScan(const Scenario& scenario,
   record.SetMetric(
       "mb_per_second",
       seconds > 0.0 ? dataset.file_bytes / (1e6 * seconds) : 0.0);
-  record.SetMetric("plain_seconds", plain_seconds);
   record.SetMetric("peak_rss_bytes", static_cast<double>(PeakRssBytes()));
   AttachIoMetrics(&record, stream->Io(), dataset.num_edges, repeats);
-  benchkit::AttachObsMetrics(&record, obs_snapshot);
+  benchkit::AttachObsMetrics(&record, best.obs);
   benchkit::AttachHostMetrics(&record);
   return record;
 }
@@ -270,17 +233,21 @@ StatusOr<BenchRecord> RunScenarioWithIngest(const Scenario& scenario,
                                             const ScenarioRunContext& context) {
   switch (scenario.kind) {
     case ScenarioKind::kInMemory:
-      return benchkit::RunScenario(scenario, context.options);
     case ScenarioKind::kDiskPartition:
-      return RunDiskPartition(scenario, context);
+      return RunPartitionScenario(scenario, context);
     case ScenarioKind::kIngestScan:
       return RunIngestScan(scenario, context);
     case ScenarioKind::kMicroKernel:
-      // No dataset, no ingest: synthetic seeded state, timed in
-      // benchkit itself.
-      return benchkit::RunMicroKernels(scenario, context.options);
+      // No dataset, no ingest: synthetic seeded state, timed by
+      // benchkit's kernel-table driver.
+      return benchkit::RunKernelTable(
+          scenario, context.options,
+          benchkit::MicroKernels(scenario,
+                                 context.options.extra_scale_shift));
     case ScenarioKind::kMicroObs:
-      return benchkit::RunObsKernels(scenario, context.options);
+      return benchkit::RunKernelTable(
+          scenario, context.options,
+          benchkit::ObsKernels(scenario, context.options.extra_scale_shift));
     case ScenarioKind::kServe:
       // Serving traffic over the in-memory dataset loader (serve
       // scenarios pin Table III codes, not catalog recipes).

@@ -25,23 +25,30 @@ struct ScenarioRunContext {
   std::string spill_dir = "bench/.spill";
 };
 
-/// Kind-dispatching scenario runner: in-memory scenarios delegate to
-/// benchkit::RunScenario; kDiskPartition streams the catalog dataset
-/// through OpenDatasetStream (the mmap reader for compressed files,
-/// PrefetchingEdgeStream over fread for raw ones) into the
-/// partitioner; kIngestScan measures that stream's scan throughput
-/// (and a plain io::OpenEdgeFile scan for comparison).
+/// The one scenario entry point; its switch is the only dispatch on
+/// ScenarioKind. kInMemory and kDiskPartition share one partition
+/// path: the stream is the materialized Table III dataset or the
+/// catalog file through OpenDatasetStream (the mmap reader for
+/// compressed files, PrefetchingEdgeStream over fread for raw ones).
+/// kIngestScan times full scans of that same stream; kMicroKernel and
+/// kMicroObs run benchkit's kernel-table driver; kServe runs
+/// serve::RunServeScenario. Every kind fills its record through
+/// benchkit::ScenarioRecord and repeats through benchkit::RunRepeats,
+/// so every reported value and the obs snapshot come from one repeat.
 ///
-/// Disk records add metrics on top of benchkit's usual set:
-///   kDiskPartition: "io_bytes_per_pass" (= file bytes, deterministic),
-///     "io_passes" (partitioner passes over the file, deterministic),
-///     "max_rss_bytes" (gated upper-only — the out-of-core honesty
-///     check that resident memory stays bounded), and for spill
-///     scenarios "spill_bytes_written" (gated upper-only, like
-///     "bytes_read")
-///   kIngestScan: "seconds" (fastest prefetched scan), "num_edges",
-///     "file_bytes" (deterministic), "edges_per_second",
-///     "mb_per_second", "plain_seconds" (informational)
+/// Partition records: "seconds", "replication_factor",
+/// "measured_alpha", "state_bytes", "num_edges", "peak_rss_bytes",
+/// "phase_seconds/<phase>" and "edges_per_sec/<phase>". Disk records
+/// add "io_bytes_per_pass" (= file bytes, deterministic), "io_passes"
+/// (partitioner passes over the file, deterministic), "bytes_read"
+/// (gated upper-only), "compression_ratio", "max_rss_bytes" (gated
+/// upper-only — the out-of-core honesty check that resident memory
+/// stays bounded) and, for spill scenarios, "spill_bytes_written"
+/// (gated upper-only, like "bytes_read").
+///
+/// Scan records: "seconds" (fastest scan), "num_edges", "file_bytes"
+/// (deterministic), "edges_per_second", "mb_per_second",
+/// "peak_rss_bytes" and the io metrics above.
 StatusOr<benchkit::BenchRecord> RunScenarioWithIngest(
     const benchkit::Scenario& scenario, const ScenarioRunContext& context);
 

@@ -13,6 +13,7 @@
 #include "benchkit/record.h"
 #include "benchkit/runner.h"
 #include "benchkit/scenario.h"
+#include "ingest/scenario_runner.h"
 
 namespace tpsl {
 namespace benchkit {
@@ -477,12 +478,20 @@ TEST(RunnerTest, RegistryHasTheContractedCoverage) {
   EXPECT_EQ(FindScenario("no_such_scenario"), nullptr);
 }
 
+/// In-memory scenarios need no catalog: the default context runs them.
+StatusOr<BenchRecord> RunInMemory(const Scenario& scenario,
+                                  const RunScenarioOptions& options) {
+  ingest::ScenarioRunContext context;
+  context.options = options;
+  return ingest::RunScenarioWithIngest(scenario, context);
+}
+
 TEST(RunnerTest, EndToEndScenarioPopulatesFiniteMetrics) {
   const Scenario* scenario = FindScenario("2psl_ok_k32");
   ASSERT_NE(scenario, nullptr);
   RunScenarioOptions options;
   options.extra_scale_shift = 4;  // keep the unit test in milliseconds
-  auto record = RunScenario(*scenario, options);
+  auto record = RunInMemory(*scenario, options);
   ASSERT_TRUE(record.ok()) << record.status();
 
   EXPECT_EQ(record->scenario, scenario->name);
@@ -510,7 +519,7 @@ TEST(RunnerTest, EndToEndScenarioPopulatesFiniteMetrics) {
   // A fresh run of the same pinned scenario reproduces every
   // deterministic metric bit-for-bit — the property the baseline gate
   // stands on.
-  auto again = RunScenario(*scenario, options);
+  auto again = RunInMemory(*scenario, options);
   ASSERT_TRUE(again.ok()) << again.status();
   for (const char* name :
        {"replication_factor", "measured_alpha", "num_edges"}) {
@@ -526,10 +535,10 @@ TEST(RunnerTest, ObsMetricsAreScopedToTheReportedRepeat) {
   RunScenarioOptions options;
   options.extra_scale_shift = 4;
   options.repeats = 1;
-  auto once = RunScenario(*scenario, options);
+  auto once = RunInMemory(*scenario, options);
   ASSERT_TRUE(once.ok()) << once.status();
   options.repeats = 3;
-  auto thrice = RunScenario(*scenario, options);
+  auto thrice = RunInMemory(*scenario, options);
   ASSERT_TRUE(thrice.ok()) << thrice.status();
   const double* scored_once = once->FindMetric("obs/partition.edges_scored");
   const double* scored_thrice =
@@ -538,6 +547,27 @@ TEST(RunnerTest, ObsMetricsAreScopedToTheReportedRepeat) {
   ASSERT_NE(scored_thrice, nullptr);
   EXPECT_GT(*scored_once, 0.0);
   EXPECT_EQ(*scored_thrice, *scored_once);
+}
+
+/// Every value of a record comes from the repeat its obs snapshot
+/// describes. At four workers placement depends on scheduling, so a
+/// quality metric taken from a different repeat than the snapshot
+/// would show here as a mismatch.
+TEST(RunnerTest, QualityComesFromTheReportedRepeat) {
+  for (const char* name : {"2psl_ok_k32", "2psl_par_ok_k32_t4"}) {
+    const Scenario* scenario = FindScenario(name);
+    ASSERT_NE(scenario, nullptr) << name;
+    RunScenarioOptions options;
+    options.extra_scale_shift = 4;
+    options.repeats = 3;
+    auto record = RunInMemory(*scenario, options);
+    ASSERT_TRUE(record.ok()) << name << ": " << record.status();
+    const double* rf = record->FindMetric("replication_factor");
+    const double* gauge = record->FindMetric("obs/quality.replication_factor");
+    ASSERT_NE(rf, nullptr) << name;
+    ASSERT_NE(gauge, nullptr) << name;
+    EXPECT_EQ(*rf, *gauge) << name;
+  }
 }
 
 TEST(ScenarioRegistryTest, SuggestsClosestNamesForTypos) {

@@ -179,6 +179,63 @@ TEST(TextEdgeListTest, MalformedLineIsError) {
   std::remove(path.c_str());
 }
 
+// Lines longer than any fixed read buffer stay one line: a long
+// comment's tail must not parse as an edge, a long data line is one
+// edge, and error messages count physical lines.
+TEST(TextEdgeListTest, OverlongCommentYieldsNoEdge) {
+  const std::string path = TempPath("long_comment.txt");
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  std::string text = "# ";
+  text += std::string(4000, 'x');
+  text += " 7 9\n1 2\n";
+  std::fputs(text.c_str(), f);
+  std::fclose(f);
+
+  auto edges_or = ReadTextEdgeList(path);
+  ASSERT_TRUE(edges_or.ok()) << edges_or.status();
+  EXPECT_EQ(*edges_or, (std::vector<Edge>{{1, 2}}));
+  std::remove(path.c_str());
+}
+
+TEST(TextEdgeListTest, OverlongDataLineYieldsOneEdge) {
+  const std::string path = TempPath("long_data.txt");
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  // Padding between the ids and after them, then the next line.
+  std::string text = "5";
+  text += std::string(3000, ' ');
+  text += "6";
+  text += std::string(3000, ' ');
+  text += "\n8 9\n";
+  std::fputs(text.c_str(), f);
+  std::fclose(f);
+
+  auto edges_or = ReadTextEdgeList(path);
+  ASSERT_TRUE(edges_or.ok()) << edges_or.status();
+  EXPECT_EQ(*edges_or, (std::vector<Edge>{{5, 6}, {8, 9}}));
+  std::remove(path.c_str());
+}
+
+TEST(TextEdgeListTest, MalformedLineAfterLongLineReportsPhysicalLine) {
+  const std::string path = TempPath("long_then_bad.txt");
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  std::string text = "# ";
+  text += std::string(1000, 'y');
+  text += "\n1 2\nhello\n";
+  std::fputs(text.c_str(), f);
+  std::fclose(f);
+
+  auto edges_or = ReadTextEdgeList(path);
+  ASSERT_FALSE(edges_or.ok());
+  EXPECT_EQ(edges_or.status().code(), StatusCode::kIoError);
+  EXPECT_NE(edges_or.status().message().find("malformed line 3 "),
+            std::string::npos)
+      << edges_or.status();
+  std::remove(path.c_str());
+}
+
 TEST(TextEdgeListTest, OversizedIdIsError) {
   const std::string path = TempPath("oversized.txt");
   std::FILE* f = std::fopen(path.c_str(), "w");

@@ -434,8 +434,7 @@ TEST(DiskScenarioTest, ObsMetricsAreScopedToTheReportedRepeat) {
 }
 
 /// The same for an ingest-scan record: its prefetch counters describe
-/// the one prefetched scan whose time it reports, with neither the
-/// plain baseline scans nor the other repeats folded in.
+/// the one scan whose time it reports, with no other repeat folded in.
 TEST(DiskScenarioTest, IngestScanObsMetricsAreScopedToTheReportedRepeat) {
   ScratchDir dir("ingest_scan_obs");
   Catalog catalog;
@@ -459,6 +458,38 @@ TEST(DiskScenarioTest, IngestScanObsMetricsAreScopedToTheReportedRepeat) {
   ASSERT_NE(prefetched, nullptr);
   EXPECT_GT(*edges, 0.0);
   EXPECT_EQ(*prefetched, *edges);
+}
+
+/// A disk record's quality comes from the repeat its obs snapshot
+/// describes; at four workers placement depends on scheduling, so a
+/// value from another repeat would show as a mismatch.
+TEST(DiskScenarioTest, QualityComesFromTheReportedRepeat) {
+  ScratchDir dir("disk_scenario_quality");
+  Catalog catalog;
+  catalog.entries.push_back(UnpinnedEntry());
+  ScenarioRunContext context;
+  context.catalog_path = dir.path() + "/catalog.json";
+  context.dataset_dir = dir.path() + "/datasets";
+  context.options.repeats = 3;
+  ASSERT_TRUE(SaveCatalog(catalog, context.catalog_path).ok());
+
+  for (const uint32_t threads : {1u, 4u}) {
+    benchkit::Scenario scenario;
+    scenario.name = "tiny_partition";
+    scenario.partitioner = threads == 1 ? "2PS-L" : "2PS-L(par)";
+    scenario.dataset = catalog.entries[0].recipe.name;
+    scenario.k = 8;
+    scenario.threads = threads;
+    scenario.kind = benchkit::ScenarioKind::kDiskPartition;
+    auto record = RunScenarioWithIngest(scenario, context);
+    ASSERT_TRUE(record.ok()) << record.status();
+    EXPECT_EQ(record->threads, threads);
+    const double* rf = record->FindMetric("replication_factor");
+    const double* gauge = record->FindMetric("obs/quality.replication_factor");
+    ASSERT_NE(rf, nullptr) << threads;
+    ASSERT_NE(gauge, nullptr) << threads;
+    EXPECT_EQ(*rf, *gauge) << threads;
+  }
 }
 
 }  // namespace

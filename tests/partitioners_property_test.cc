@@ -19,9 +19,21 @@ namespace {
 ///      it),
 ///  (c) RF >= 1 and RF <= min(k, max-degree bound),
 ///  (d) deterministic output under a fixed seed.
-/// Parameterized sweep: partitioner name × graph kind × k.
+/// Parameterized sweep: partitioner name × graph kind × k. The
+/// degenerate kinds (no edges, one edge, one self-loop, a star, one
+/// edge repeated) and k=1 probe the edges of the input contract.
 
-enum class GraphKind { kSocial, kCommunity, kUniform, kTiny };
+enum class GraphKind {
+  kSocial,
+  kCommunity,
+  kUniform,
+  kTiny,
+  kEmpty,
+  kOneEdge,
+  kSelfLoop,
+  kStar,
+  kMultiEdge,
+};
 
 std::vector<Edge> MakeGraph(GraphKind kind) {
   switch (kind) {
@@ -46,6 +58,21 @@ std::vector<Edge> MakeGraph(GraphKind kind) {
     }
     case GraphKind::kTiny:
       return {{0, 1}, {1, 2}, {2, 0}, {0, 3}, {3, 3}};
+    case GraphKind::kEmpty:
+      return {};
+    case GraphKind::kOneEdge:
+      return {{0, 1}};
+    case GraphKind::kSelfLoop:
+      return {{4, 4}};
+    case GraphKind::kStar: {
+      std::vector<Edge> edges;
+      for (VertexId leaf = 1; leaf <= 200; ++leaf) {
+        edges.push_back({0, leaf});
+      }
+      return edges;
+    }
+    case GraphKind::kMultiEdge:
+      return std::vector<Edge>(300, Edge{2, 3});
   }
   return {};
 }
@@ -60,6 +87,16 @@ const char* GraphKindName(GraphKind kind) {
       return "uniform";
     case GraphKind::kTiny:
       return "tiny";
+    case GraphKind::kEmpty:
+      return "empty";
+    case GraphKind::kOneEdge:
+      return "one_edge";
+    case GraphKind::kSelfLoop:
+      return "self_loop";
+    case GraphKind::kStar:
+      return "star";
+    case GraphKind::kMultiEdge:
+      return "multi_edge";
   }
   return "?";
 }
@@ -179,8 +216,11 @@ INSTANTIATE_TEST_SUITE_P(
                         "Greedy", "ADWISE", "NE", "SNE", "DNE", "HEP-1",
                         "HEP-10", "HEP-100", "METIS*"),
         testing::Values(GraphKind::kSocial, GraphKind::kCommunity,
-                        GraphKind::kUniform, GraphKind::kTiny),
-        testing::Values(2u, 5u, 32u)),
+                        GraphKind::kUniform, GraphKind::kTiny,
+                        GraphKind::kEmpty, GraphKind::kOneEdge,
+                        GraphKind::kSelfLoop, GraphKind::kStar,
+                        GraphKind::kMultiEdge),
+        testing::Values(1u, 2u, 5u, 32u)),
     ParamName);
 
 TEST(RegistryTest, UnknownNameIsNotFound) {

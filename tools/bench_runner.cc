@@ -42,6 +42,7 @@
 //
 // To (re)pin baselines after an intentional perf or quality change:
 //   bench_runner --emit --out=bench/baselines && git diff bench/baselines
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -61,6 +62,7 @@
 #include "ingest/scenario_runner.h"
 #include "obs/trace.h"
 #include "util/logging.h"
+#include "util/memory.h"
 #include "util/status.h"
 #include "util/timer.h"
 
@@ -292,6 +294,55 @@ int Check(const Options& options) {
   return report.passed && within_budget ? 0 : 1;
 }
 
+/// The metrics a --smoke record must carry, finite: the kind's core
+/// contract plus every metric --check gates for the scenario, so a
+/// runner that stops emitting a gated metric fails the tier-1 smoke
+/// run, not only the perf job. `rss_scoped` is whether ResetPeakRss()
+/// works here; without it max_rss_bytes is legitimately absent.
+std::vector<std::string> SmokeRequiredMetrics(const Scenario& scenario,
+                                              bool rss_scoped) {
+  std::vector<std::string> required;
+  switch (scenario.kind) {
+    case ScenarioKind::kInMemory:
+    case ScenarioKind::kDiskPartition:
+      required = {"seconds",     "replication_factor", "measured_alpha",
+                  "state_bytes", "num_edges",          "peak_rss_bytes"};
+      break;
+    case ScenarioKind::kIngestScan:
+      required = {"seconds", "num_edges", "file_bytes", "edges_per_second",
+                  "peak_rss_bytes"};
+      break;
+    case ScenarioKind::kServe:
+      required = {"seconds",        "num_edges",
+                  "live_edges",     "replication_factor",
+                  "measured_alpha", "state_bytes",
+                  "lookup_qps",     "mutation_qps",
+                  "lookup_p50_seconds", "lookup_p99_seconds",
+                  "peak_rss_bytes"};
+      break;
+    case ScenarioKind::kMicroKernel:
+    case ScenarioKind::kMicroObs:
+      required = {"seconds", "num_edges", "checksum_low32"};
+      for (const std::string& kernel :
+           scenario.kind == ScenarioKind::kMicroKernel
+               ? tpsl::benchkit::MicroKernelNames()
+               : tpsl::benchkit::ObsKernelNames()) {
+        required.push_back("phase_seconds/" + kernel);
+        required.push_back("edges_per_sec/" + kernel);
+      }
+      break;
+  }
+  for (const std::string& metric :
+       tpsl::benchkit::GatedMetricsForScenario(scenario)) {
+    if ((rss_scoped || metric != "max_rss_bytes") &&
+        std::find(required.begin(), required.end(), metric) ==
+            required.end()) {
+      required.push_back(metric);
+    }
+  }
+  return required;
+}
+
 int Smoke(const Options& options) {
   std::vector<Scenario> scenarios;
   if (!SelectScenarios(options, &scenarios)) {
@@ -326,56 +377,16 @@ int Smoke(const Options& options) {
   if (!RunAll(scenarios, options, run_options, &records, &within_budget)) {
     return 1;
   }
-  // Per-kind metric contract (ingest scans have no partition quality;
-  // micro-kernels have no dataset or quality at all).
-  const std::vector<const char*> partition_required = {
-      "seconds", "replication_factor", "measured_alpha",
-      "state_bytes", "num_edges", "peak_rss_bytes"};
-  const std::vector<const char*> scan_required = {
-      "seconds", "num_edges", "file_bytes", "edges_per_second",
-      "peak_rss_bytes"};
-  const std::vector<const char*> serve_required = {
-      "seconds", "num_edges", "live_edges", "replication_factor",
-      "measured_alpha", "state_bytes", "lookup_qps", "mutation_qps",
-      "lookup_p50_seconds", "lookup_p99_seconds", "peak_rss_bytes"};
-  std::vector<std::string> micro_required = {"seconds", "num_edges",
-                                             "checksum_low32"};
-  for (const std::string& kernel : tpsl::benchkit::MicroKernelNames()) {
-    micro_required.push_back("phase_seconds/" + kernel);
-    micro_required.push_back("edges_per_sec/" + kernel);
-  }
-  std::vector<std::string> obs_required = {"seconds", "num_edges",
-                                           "checksum_low32"};
-  for (const std::string& kernel : tpsl::benchkit::ObsKernelNames()) {
-    obs_required.push_back("phase_seconds/" + kernel);
-    obs_required.push_back("edges_per_sec/" + kernel);
-  }
+  // Where the RSS high-water mark cannot be scoped, disk records omit
+  // the gated max_rss_bytes by design (see RunScenarioWithIngest).
+  const bool rss_scoped = tpsl::ResetPeakRss();
   bool ok = true;
   for (size_t i = 0; i < records.size(); ++i) {
-    const BenchRecord& record = records[i];
-    if (scenarios[i].kind == ScenarioKind::kMicroKernel ||
-        scenarios[i].kind == ScenarioKind::kMicroObs) {
-      const std::vector<std::string>& required =
-          scenarios[i].kind == ScenarioKind::kMicroKernel ? micro_required
-                                                          : obs_required;
-      for (const std::string& name : required) {
-        const double* value = record.FindMetric(name);
-        if (value == nullptr || !std::isfinite(*value)) {
-          TPSL_LOG(Error) << "smoke: " << record.scenario << " metric '"
-                          << name << "' missing or non-finite";
-          ok = false;
-        }
-      }
-      continue;
-    }
-    const std::vector<const char*>& kind_required =
-        scenarios[i].kind == ScenarioKind::kIngestScan ? scan_required
-        : scenarios[i].kind == ScenarioKind::kServe    ? serve_required
-                                                       : partition_required;
-    for (const char* name : kind_required) {
-      const double* value = record.FindMetric(name);
+    for (const std::string& name :
+         SmokeRequiredMetrics(scenarios[i], rss_scoped)) {
+      const double* value = records[i].FindMetric(name);
       if (value == nullptr || !std::isfinite(*value)) {
-        TPSL_LOG(Error) << "smoke: " << record.scenario << " metric '"
+        TPSL_LOG(Error) << "smoke: " << records[i].scenario << " metric '"
                         << name << "' missing or non-finite";
         ok = false;
       }
