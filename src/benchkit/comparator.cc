@@ -161,14 +161,10 @@ ToleranceSpec DefaultToleranceFor(const std::string& metric) {
     return {.rel = 0.0, .abs_floor = 0.0, .upper_only = false,
             .informational = true};
   }
-  if (metric == "edges_per_second" || metric == "mb_per_second" ||
-      metric == "plain_seconds" || metric == "generate_seconds") {
+  if (metric == "edges_per_second" || metric == "mb_per_second") {
     // Throughput diagnostics from the ingest scenarios: pure
     // derivatives of wall time on CI hardware. The time gate is
     // "seconds"; these are reported for humans reading the records.
-    // Ingest records no longer emit "plain_seconds"; it stays listed
-    // so the two pinned ingest baselines that still carry it read as
-    // an informational missing metric, not a failure.
     return {.rel = 0.0, .abs_floor = 0.0, .upper_only = false,
             .informational = true};
   }

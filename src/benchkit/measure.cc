@@ -52,7 +52,7 @@ StatusOr<Measurement> MeasureOnEdges(const std::string& partitioner,
                                      const PartitionConfig& config) {
   TPSL_ASSIGN_OR_RETURN(std::unique_ptr<Partitioner> p,
                         MakePartitioner(partitioner));
-  InMemoryEdgeStream stream(edges);
+  InMemoryEdgeStream stream{std::span<const Edge>(edges)};
   TPSL_ASSIGN_OR_RETURN(RunResult result, RunPartitioner(*p, stream, config));
 
   Measurement m;

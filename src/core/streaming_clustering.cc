@@ -1,7 +1,9 @@
 #include "core/streaming_clustering.h"
 
+#include <algorithm>
 #include <atomic>
 #include <limits>
+#include <vector>
 
 #include "exec/parallel_for_edges.h"
 
@@ -10,29 +12,38 @@ namespace {
 
 /// The d[], vol[] and v2c[] arrays of paper Algorithm 1, shared by the
 /// engine's workers: cluster labels are founding-vertex ids (no shared
-/// allocation counter), volumes live in one relaxed-atomic array
-/// indexed by label. vol[v] is pre-seeded with degree(v) — exactly the
-/// volume of the singleton cluster {v} — so first touch needs only the
-/// v2c CAS. Unless `shared`, one worker owns the state and volume
-/// updates are plain loads and stores: exact without lock-prefixed
-/// RMWs.
+/// allocation counter), volumes live in one array indexed by label.
+/// Both are plain vectors read and written through relaxed
+/// std::atomic_ref, so v2c can be the result's vertex_cluster from the
+/// start. vol[v] is seeded with degree(v) — exactly the volume of the
+/// singleton cluster {v} — so first touch needs only the v2c CAS.
+/// Unless `shared`, one worker owns the state and volume updates are
+/// plain loads and stores: exact without lock-prefixed RMWs.
 struct AtomicClusteringState {
   const DegreeTable* degrees;
-  std::vector<std::atomic<ClusterId>> v2c;
-  std::vector<std::atomic<uint64_t>> vol;
+  ClusterId* v2c;
+  uint64_t* vol;
   uint64_t max_volume;
   bool shared = true;
+
+  std::atomic_ref<ClusterId> Label(VertexId v) const {
+    return std::atomic_ref<ClusterId>(v2c[v]);
+  }
+  std::atomic_ref<uint64_t> Volume(ClusterId c) const {
+    return std::atomic_ref<uint64_t>(vol[c]);
+  }
 
   void EnsureCluster(VertexId v) {
     // Check-then-CAS: after warm-up almost every vertex is labeled, and
     // the plain load keeps the hot path free of lock-prefixed RMWs (an
     // unconditional CAS halves inline clustering throughput). The CAS
     // stays authoritative for the cold first touch.
-    if (v2c[v].load(std::memory_order_relaxed) != kInvalidCluster) {
+    const std::atomic_ref<ClusterId> label = Label(v);
+    if (label.load(std::memory_order_relaxed) != kInvalidCluster) {
       return;
     }
     ClusterId expected = kInvalidCluster;
-    v2c[v].compare_exchange_strong(expected, v, std::memory_order_relaxed);
+    label.compare_exchange_strong(expected, v, std::memory_order_relaxed);
   }
 
   /// One edge of one streaming pass: lines 11-22 of Algorithm 1. Reads
@@ -43,14 +54,14 @@ struct AtomicClusteringState {
     EnsureCluster(e.first);
     EnsureCluster(e.second);
 
-    const ClusterId cu = v2c[e.first].load(std::memory_order_relaxed);
-    const ClusterId cv = v2c[e.second].load(std::memory_order_relaxed);
+    const ClusterId cu = Label(e.first).load(std::memory_order_relaxed);
+    const ClusterId cv = Label(e.second).load(std::memory_order_relaxed);
     if (cu == cv) {
       return;  // Migration between identical clusters is a no-op.
     }
     // Line 16: both clusters must currently respect the volume bound.
-    const uint64_t vol_u = vol[cu].load(std::memory_order_relaxed);
-    const uint64_t vol_v = vol[cv].load(std::memory_order_relaxed);
+    const uint64_t vol_u = Volume(cu).load(std::memory_order_relaxed);
+    const uint64_t vol_v = Volume(cv).load(std::memory_order_relaxed);
     if (vol_u > max_volume || vol_v > max_volume) {
       return;
     }
@@ -83,15 +94,17 @@ struct AtomicClusteringState {
     // Line 19: migrate only if the target stays within the bound.
     if (large_volume + small_degree <= max_volume) {
       if (shared) {
-        vol[large_cluster].fetch_add(small_degree, std::memory_order_relaxed);
-        vol[small_cluster].fetch_sub(small_degree, std::memory_order_relaxed);
+        Volume(large_cluster)
+            .fetch_add(small_degree, std::memory_order_relaxed);
+        Volume(small_cluster)
+            .fetch_sub(small_degree, std::memory_order_relaxed);
       } else {
-        vol[large_cluster].store(large_volume + small_degree,
-                                 std::memory_order_relaxed);
-        vol[small_cluster].store(small_volume - small_degree,
-                                 std::memory_order_relaxed);
+        Volume(large_cluster)
+            .store(large_volume + small_degree, std::memory_order_relaxed);
+        Volume(small_cluster)
+            .store(small_volume - small_degree, std::memory_order_relaxed);
       }
-      v2c[small_vertex].store(large_cluster, std::memory_order_relaxed);
+      Label(small_vertex).store(large_cluster, std::memory_order_relaxed);
     }
   }
 };
@@ -113,14 +126,13 @@ StatusOr<Clustering> ParallelStreamingClustering(
 
   const VertexId num_vertices =
       static_cast<VertexId>(degrees.degrees.size());
+  Clustering result;
+  result.vertex_cluster.assign(num_vertices, kInvalidCluster);
+  std::vector<uint64_t> vol(degrees.degrees.begin(), degrees.degrees.end());
   AtomicClusteringState state;
   state.degrees = &degrees;
-  state.v2c = std::vector<std::atomic<ClusterId>>(num_vertices);
-  state.vol = std::vector<std::atomic<uint64_t>>(num_vertices);
-  for (VertexId v = 0; v < num_vertices; ++v) {
-    state.v2c[v].store(kInvalidCluster, std::memory_order_relaxed);
-    state.vol[v].store(degrees.degree(v), std::memory_order_relaxed);
-  }
+  state.v2c = result.vertex_cluster.data();
+  state.vol = vol.data();
   if (config.enforce_volume_cap) {
     const double cap = config.volume_cap_factor *
                        static_cast<double>(degrees.TotalVolume()) /
@@ -142,8 +154,8 @@ StatusOr<Clustering> ParallelStreamingClustering(
           for (size_t i = 0; i < count; ++i) {
             if (i + kPrefetchDistance < count) {
               const Edge& ahead = edges[i + kPrefetchDistance];
-              __builtin_prefetch(state.v2c.data() + ahead.first, 0, 3);
-              __builtin_prefetch(state.v2c.data() + ahead.second, 0, 3);
+              __builtin_prefetch(state.v2c + ahead.first, 0, 3);
+              __builtin_prefetch(state.v2c + ahead.second, 0, 3);
             }
             state.ProcessEdge(edges[i]);
           }
@@ -151,25 +163,34 @@ StatusOr<Clustering> ParallelStreamingClustering(
         }));
   }
 
-  // Compact labels to a dense range, numbered by first member in
-  // vertex-scan order, and recompute volumes from member degrees (drops
-  // clusters emptied by migration). The renumbering depends only on
-  // which vertices share a label, never on label values.
-  Clustering result;
-  result.vertex_cluster.assign(num_vertices, kInvalidCluster);
-  std::vector<ClusterId> remap(num_vertices, kInvalidCluster);
-  for (VertexId v = 0; v < num_vertices; ++v) {
-    const ClusterId old_id = state.v2c[v].load(std::memory_order_relaxed);
-    if (old_id == kInvalidCluster) {
+  // Compact labels to a dense range in place, numbered by first member
+  // in vertex-scan order. The renumbering depends only on which
+  // vertices share a label, never on label values. Labels are vertex
+  // ids, so vol's storage, no longer needed once the passes end,
+  // doubles as the label -> dense id table; vertex_cluster[v] is
+  // rewritten after its old label has been looked up.
+  constexpr uint64_t kUnnumbered = std::numeric_limits<uint64_t>::max();
+  std::fill(vol.begin(), vol.end(), kUnnumbered);
+  ClusterId num_clusters = 0;
+  for (ClusterId& cluster : result.vertex_cluster) {
+    if (cluster == kInvalidCluster) {
       continue;  // Vertex never appeared in the stream.
     }
-    if (remap[old_id] == kInvalidCluster) {
-      remap[old_id] = static_cast<ClusterId>(result.cluster_volumes.size());
-      result.cluster_volumes.push_back(0);
+    if (vol[cluster] == kUnnumbered) {
+      vol[cluster] = num_clusters++;
     }
-    const ClusterId new_id = remap[old_id];
-    result.vertex_cluster[v] = new_id;
-    result.cluster_volumes[new_id] += degrees.degree(v);
+    cluster = static_cast<ClusterId>(vol[cluster]);
+  }
+  std::vector<uint64_t>().swap(vol);
+
+  // Recompute volumes from member degrees: exact under concurrent
+  // passes, and clusters emptied by migration are already gone.
+  result.cluster_volumes.assign(num_clusters, 0);
+  for (VertexId v = 0; v < num_vertices; ++v) {
+    const ClusterId cluster = result.vertex_cluster[v];
+    if (cluster != kInvalidCluster) {
+      result.cluster_volumes[cluster] += degrees.degree(v);
+    }
   }
   return result;
 }

@@ -34,9 +34,14 @@ struct ClusteringConfig {
   bool enforce_volume_cap = true;
 };
 
-/// Result of the clustering phase; all arrays are the shared state
-/// reused by Phase 2 (the paper stresses clustering adds no memory
-/// beyond partitioning state).
+/// Result of the clustering phase, reused by Phase 2 as shared state.
+///
+/// Phase-1 footprint: 16 B per vertex slot — the 4 B degree table, the
+/// 4 B labels (built in place as vertex_cluster) and an 8 B volume per
+/// label. Finalize allocates nothing per vertex: it renumbers the
+/// labels in place, using the volume array as its label -> dense id
+/// table, frees it, and only then sizes cluster_volumes (8 B per
+/// cluster).
 struct Clustering {
   /// Vertex -> cluster id, compacted to [0, num_clusters).
   std::vector<ClusterId> vertex_cluster;
@@ -65,7 +70,8 @@ struct Clustering {
 /// first touch) instead of allocation order, so label assignment needs
 /// no shared counter and no ordering. Migration decisions read only
 /// volumes and degrees — never label values — and compaction renumbers
-/// by first member in vertex-scan order. With exec.threads == 1 (the
+/// by first member in vertex-scan order. Vertex slots that never appear
+/// in the stream keep kInvalidCluster. With exec.threads == 1 (the
 /// engine's in-order inline path) the result is deterministic.
 ///
 /// With threads > 1, workers race on volumes and membership with

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -11,14 +12,26 @@
 
 namespace tpsl {
 
-/// EdgeStream over an in-memory edge vector. Used by tests, examples,
+/// EdgeStream over an in-memory edge range. Used by tests, examples,
 /// and experiments where the page-cache-resident configuration of the
 /// paper is modeled (all data hot in memory).
+///
+/// The stream either owns its edges (vector constructor) or borrows
+/// them (span constructor); either way it reads through one span. A
+/// borrowed range must outlive the stream.
 class InMemoryEdgeStream : public EdgeStream {
  public:
   InMemoryEdgeStream() = default;
   explicit InMemoryEdgeStream(std::vector<Edge> edges)
-      : edges_(std::move(edges)) {}
+      : owned_(std::move(edges)), edges_(owned_) {}
+  explicit InMemoryEdgeStream(std::span<const Edge> edges) : edges_(edges) {}
+
+  // A copy would alias the source's owned edges; moving keeps the
+  // vector's buffer, so the span stays valid.
+  InMemoryEdgeStream(const InMemoryEdgeStream&) = delete;
+  InMemoryEdgeStream& operator=(const InMemoryEdgeStream&) = delete;
+  InMemoryEdgeStream(InMemoryEdgeStream&&) = default;
+  InMemoryEdgeStream& operator=(InMemoryEdgeStream&&) = default;
 
   Status Reset() override {
     position_ = 0;
@@ -36,10 +49,9 @@ class InMemoryEdgeStream : public EdgeStream {
 
   uint64_t NumEdgesHint() const override { return edges_.size(); }
 
-  const std::vector<Edge>& edges() const { return edges_; }
-
  private:
-  std::vector<Edge> edges_;
+  std::vector<Edge> owned_;
+  std::span<const Edge> edges_;
   size_t position_ = 0;
 };
 

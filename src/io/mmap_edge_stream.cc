@@ -77,6 +77,7 @@ Status MmapEdgeStream::Reset() {
     // a different edge sequence than the first pass saw.
     return status_;
   }
+  ReleaseMappedLocked(file_bytes_);  // a pass abandoned before its end
   cursor_ = kEdgeFileHeaderBytes;
   taken_pass_edges_ = 0;
   pass_finalized_ = false;
@@ -147,20 +148,33 @@ void MmapEdgeStream::FinalizePassLocked() {
     disk_pass_bytes_ += framing;
     disk_total_bytes_ += framing;
   }
+  // Release the pass's tail, which free-behind keeps below its 8 MiB
+  // step; otherwise it stays mapped beside the next pass's head, and
+  // after the last pass until the stream dies. In block mode other
+  // workers may still be decoding the last blocks taken. The mapping is
+  // read-only and MAP_PRIVATE, so those reads refault from the page
+  // cache with the same bytes — free-behind already relies on this,
+  // since it drops up to the cursor, past blocks just taken.
+  ReleaseMappedLocked(file_bytes_);
 }
 
 void MmapEdgeStream::FreeBehindLocked(size_t consumed_offset) {
-#if defined(MADV_DONTNEED)
   static const size_t kPage = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
   const size_t floor = consumed_offset & ~(kPage - 1);
   if (floor > dropped_end_ && floor - dropped_end_ >= kFreeBehindBytes) {
-    ::madvise(const_cast<uint8_t*>(base_) + dropped_end_,
-              floor - dropped_end_, MADV_DONTNEED);
-    dropped_end_ = floor;
+    ReleaseMappedLocked(floor);
   }
-#else
-  (void)consumed_offset;
+}
+
+void MmapEdgeStream::ReleaseMappedLocked(size_t end) {
+  if (end <= dropped_end_) {
+    return;
+  }
+#if defined(MADV_DONTNEED)
+  ::madvise(const_cast<uint8_t*>(base_) + dropped_end_, end - dropped_end_,
+            MADV_DONTNEED);
 #endif
+  dropped_end_ = end;
 }
 
 size_t MmapEdgeStream::Next(Edge* out, size_t capacity) {

@@ -27,10 +27,11 @@ namespace io {
 ///    encoded blocks and decodes them in its worker threads.
 ///
 /// Consumed map regions are released with madvise(MADV_DONTNEED) every
-/// 8 MiB, so resident memory stays bounded by that window
-/// instead of growing toward the file size — mapped pages count
-/// against the out-of-core RSS gate just like heap does. (The page
-/// cache keeps the pages, so later passes refault cheaply.)
+/// 8 MiB, and the rest of the file when a pass ends, so resident memory
+/// stays bounded by that window instead of growing toward the file
+/// size, and a finished pass leaves nothing mapped behind — mapped
+/// pages count against the out-of-core RSS gate just like heap does.
+/// (The page cache keeps the pages, so later passes refault cheaply.)
 ///
 /// Corrupt blocks (checksum/bounds) and truncated files latch a sticky
 /// error in Health(), and a finished pass whose decoded edge count
@@ -67,6 +68,9 @@ class MmapEdgeStream final : public EdgeStream, public BlockEdgeStream {
                            size_t* block_bytes);
   void FinalizePassLocked();
   void FreeBehindLocked(size_t consumed_offset);
+  // madvise(MADV_DONTNEED)s [dropped_end_, end); `dropped_end_` is
+  // page-aligned, and a ragged `end` is only ever the file's end.
+  void ReleaseMappedLocked(size_t end);
 
   std::string path_;
   const uint8_t* base_ = nullptr;

@@ -6,6 +6,7 @@
 
 #include "core/cluster_schedule.h"
 #include "core/streaming_clustering.h"
+#include "exec/thread_pool.h"
 #include "graph/generators.h"
 #include "graph/in_memory_edge_stream.h"
 #include "util/random.h"
@@ -148,6 +149,90 @@ TEST(StreamingClusteringTest, SelfLoopOnlyGraph) {
   const Clustering clustering = ClusterEdges({{3, 3}, {3, 3}}, 2);
   EXPECT_EQ(clustering.num_clusters(), 1u);
   EXPECT_EQ(clustering.cluster_volumes[0], 4u);
+}
+
+/// The compaction contract finalize must keep, whatever clusters the
+/// passes formed: never-streamed slots stay kInvalidCluster, ids are
+/// dense and numbered by first member in vertex order, and volumes are
+/// the sums of member degrees.
+void ExpectCompactionContract(const std::vector<Edge>& edges,
+                              const DegreeTable& degrees,
+                              const Clustering& clustering) {
+  std::vector<bool> streamed(degrees.num_vertices(), false);
+  for (const Edge& e : edges) {
+    streamed[e.first] = true;
+    streamed[e.second] = true;
+  }
+  ASSERT_EQ(clustering.vertex_cluster.size(), degrees.num_vertices());
+  std::vector<uint64_t> volumes;
+  for (VertexId v = 0; v < degrees.num_vertices(); ++v) {
+    const ClusterId c = clustering.vertex_cluster[v];
+    if (!streamed[v]) {
+      EXPECT_EQ(c, kInvalidCluster) << "vertex " << v;
+      continue;
+    }
+    ASSERT_NE(c, kInvalidCluster) << "vertex " << v;
+    // The first member of each cluster introduces the next id.
+    ASSERT_LE(c, volumes.size()) << "vertex " << v;
+    if (c == volumes.size()) {
+      volumes.push_back(0);
+    }
+    volumes[c] += degrees.degree(v);
+  }
+  EXPECT_EQ(clustering.num_clusters(), volumes.size());
+  EXPECT_EQ(clustering.cluster_volumes, volumes);
+}
+
+TEST(StreamingClusteringTest, CompactsSparseIdsInPlace) {
+  // Labels are founding-vertex ids, so the ids here are sparse and a
+  // cluster's label (9 below) need not be its first member (5).
+  const std::vector<Edge> toy = {{5, 9}, {9, 1000}};
+  RmatConfig rmat;
+  rmat.scale = 10;
+  const std::vector<Edge> rmat_sparse = [&rmat] {
+    std::vector<Edge> edges;
+    for (const Edge& e : GenerateRmat(rmat)) {
+      edges.push_back({3 * e.first + 1, 3 * e.second + 1});
+    }
+    return edges;
+  }();
+  exec::ThreadPool pool(4);
+  for (const uint32_t threads : {1u, 4u}) {
+    for (const uint32_t passes : {1u, 3u}) {
+      for (const bool capped : {true, false}) {
+        for (const auto* edges : {&toy, &rmat_sparse}) {
+          SCOPED_TRACE(testing::Message()
+                       << "threads=" << threads << " passes=" << passes
+                       << " capped=" << capped << " |E|=" << edges->size());
+          InMemoryEdgeStream stream(*edges);
+          auto degrees = ComputeDegrees(stream);
+          ASSERT_TRUE(degrees.ok());
+          ClusteringConfig config;
+          config.num_passes = passes;
+          config.enforce_volume_cap = capped;
+          exec::ExecContext exec;
+          exec.threads = threads;
+          exec.batch_size = 64;
+          exec.pool = &pool;
+          auto clustering =
+              ParallelStreamingClustering(stream, *degrees, 4, config, exec);
+          ASSERT_TRUE(clustering.ok());
+          ExpectCompactionContract(*edges, *degrees, *clustering);
+          if (edges == &toy && threads == 1) {
+            // Capped (0.25 x 4 / 4 truncates to 0): every vertex stays
+            // alone. Uncapped: 5 joins 9's cluster, then 1000 joins it.
+            const std::vector<ClusterId> expected =
+                capped ? std::vector<ClusterId>{0, 1, 2}
+                       : std::vector<ClusterId>{0, 0, 0};
+            EXPECT_EQ((std::vector<ClusterId>{clustering->vertex_cluster[5],
+                                              clustering->vertex_cluster[9],
+                                              clustering->vertex_cluster[1000]}),
+                      expected);
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(ClusterScheduleTest, GrahamAssignsAllClusters) {

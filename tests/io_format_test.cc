@@ -343,6 +343,79 @@ TEST(EdgeBlockFormatTest, ParallelBlockDecodeMatchesSequential) {
   std::remove(path.c_str());
 }
 
+/// File-backed resident bytes of this process ("RssFile" in
+/// /proc/self/status): the mapped pages of an MmapEdgeStream, plus the
+/// binary's own text. 0 where /proc does not report it.
+uint64_t RssFileBytes() {
+  std::FILE* file = std::fopen("/proc/self/status", "r");
+  if (file == nullptr) {
+    return 0;
+  }
+  char line[256];
+  unsigned long long kb = 0;
+  while (std::fgets(line, sizeof(line), file) != nullptr) {
+    if (std::sscanf(line, "RssFile: %llu kB", &kb) == 1) {
+      break;
+    }
+  }
+  std::fclose(file);
+  return static_cast<uint64_t>(kb) * 1024;
+}
+
+TEST(EdgeBlockFormatTest, FinishedPassLeavesNothingMapped) {
+  // Free-behind releases the consumed map every 8 MiB, so a file
+  // between 4 and 8 MiB is one tail from start to end: only the
+  // release at the end of each pass keeps it from staying resident.
+  if (RssFileBytes() == 0) {
+    GTEST_SKIP() << "/proc/self/status reports no RssFile";
+  }
+  RmatConfig rmat;
+  rmat.scale = 16;
+  rmat.edge_factor = 24;
+  const auto edges = GenerateRmat(rmat);
+  const std::string path = TempPath("tail_release");
+  ASSERT_TRUE(
+      WriteEdgeFile(path, edges, EdgeFileFormat::kCompressedBlocks).ok());
+  const uint64_t file_bytes = FileBytes(path);
+  ASSERT_GE(file_bytes, uint64_t{4} << 20);
+  ASSERT_LT(file_bytes, uint64_t{8} << 20);
+
+  exec::ThreadPool pool(4);
+  exec::ExecContext context;
+  context.threads = 4;
+  context.pool = &pool;
+  auto stream = MmapEdgeStream::Open(path);
+  ASSERT_TRUE(stream.ok());
+  for (const bool parallel : {false, true}) {
+    for (int pass = 1; pass <= 2; ++pass) {
+      SCOPED_TRACE(testing::Message()
+                   << (parallel ? "ParallelForEdges" : "Next()")
+                   << " pass " << pass);
+      const uint64_t before = RssFileBytes();
+      std::atomic<uint64_t> count{0};
+      if (parallel) {
+        ASSERT_TRUE(exec::ParallelForEdges(
+                        **stream, context,
+                        [&count](const Edge*, size_t n) {
+                          count.fetch_add(n, std::memory_order_relaxed);
+                          return Status::OK();
+                        })
+                        .ok());
+      } else {
+        ASSERT_TRUE(ForEachEdge(**stream, [&count](const Edge&) {
+                      count.fetch_add(1, std::memory_order_relaxed);
+                    }).ok());
+      }
+      ASSERT_EQ(count.load(), edges.size());
+      const uint64_t after = RssFileBytes();
+      EXPECT_LT(after, before + file_bytes / 4)
+          << "RssFile grew from " << before << " to " << after
+          << " bytes over a pass of a " << file_bytes << "-byte file";
+    }
+  }
+  std::remove(path.c_str());
+}
+
 TEST(EdgeBlockFormatTest, IoStatsReportCompressedBytes) {
   RmatConfig rmat;
   rmat.scale = 12;
