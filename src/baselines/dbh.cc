@@ -2,6 +2,7 @@
 
 #include "graph/degrees.h"
 #include "partition/score_tables.h"
+#include "util/prefetch.h"
 #include "util/random.h"
 #include "util/timer.h"
 
@@ -33,9 +34,9 @@ Status DbhPartitioner::Partition(EdgeStream& stream,
   const uint32_t* degree_data = degrees.degrees.data();
   TPSL_RETURN_IF_ERROR(ForEachEdgePrefetched(
       stream,
-      [&](const Edge& e) {
-        __builtin_prefetch(degree_data + e.first, /*rw=*/0, /*locality=*/3);
-        __builtin_prefetch(degree_data + e.second, /*rw=*/0, /*locality=*/3);
+      [&] [[gnu::always_inline]] (const Edge& e) {
+        PrefetchRead(degree_data + e.first);
+        PrefetchRead(degree_data + e.second);
       },
       [&](const Edge& e) {
         // Hash the endpoint with the smaller degree (ties: smaller id).

@@ -33,7 +33,8 @@ Status GreedyPartitioner::Partition(EdgeStream& stream,
       tables.HeapBytes() + degrees.degrees.size() * sizeof(uint32_t);
 
   TPSL_RETURN_IF_ERROR(ForEachEdgePrefetched(
-      stream, [&](const Edge& e) { tables.PrefetchEdge(e); },
+      stream,
+      [&] [[gnu::always_inline]] (const Edge& e) { tables.PrefetchEdge(e); },
       [&](const Edge& e) {
         const PartitionId target = tables.PickGreedy(e);
         tables.Commit(e, target);

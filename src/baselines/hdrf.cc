@@ -40,7 +40,8 @@ Status HdrfPartitioner::Partition(EdgeStream& stream,
       tables.HeapBytes() + partial_degree.size() * sizeof(uint32_t);
 
   TPSL_RETURN_IF_ERROR(ForEachEdgePrefetched(
-      stream, [&](const Edge& e) { tables.PrefetchEdge(e); },
+      stream,
+      [&] [[gnu::always_inline]] (const Edge& e) { tables.PrefetchEdge(e); },
       [&](const Edge& e) {
         ++partial_degree[e.first];
         ++partial_degree[e.second];

@@ -106,7 +106,8 @@ Status HepPartitioner::Partition(EdgeStream& stream,
   // --- Streaming phase: HDRF over the high-degree edges, seeded with
   // the replication state of the in-memory phase. ---
   TPSL_RETURN_IF_ERROR(ForEachEdgePrefetched(
-      stream, [&](const Edge& e) { tables.PrefetchEdge(e); },
+      stream,
+      [&] [[gnu::always_inline]] (const Edge& e) { tables.PrefetchEdge(e); },
       [&](const Edge& e) {
         if (is_low(e)) {
           return;  // Already assigned in the in-memory phase.

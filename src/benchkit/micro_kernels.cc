@@ -17,9 +17,11 @@ namespace tpsl {
 namespace benchkit {
 namespace {
 
-// Synthetic state shape shared by every kernel: enough vertices that
-// the replication matrix misses L1/L2 (the real scoring regime), small
-// enough that seeding it is milliseconds.
+// Synthetic state shape shared by every kernel: 2^16 vertices, which
+// at k=32 is 256 KB of replica rows plus 256 KB of degrees. That misses
+// L1 but fits a 2 MiB L2, so the kernels time the per-edge work on
+// cache-resident state, not the DRAM-latency regime of a large graph;
+// seeding it takes milliseconds.
 constexpr VertexId kNumVertices = 1u << 16;
 // Per-kernel op counts at shift 0, sized so the whole scenario is
 // tens of milliseconds in a release build on one core.

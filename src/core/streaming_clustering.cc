@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "exec/parallel_for_edges.h"
+#include "util/prefetch.h"
 
 namespace tpsl {
 namespace {
@@ -31,6 +32,26 @@ struct AtomicClusteringState {
   }
   std::atomic_ref<uint64_t> Volume(ClusterId c) const {
     return std::atomic_ref<uint64_t>(vol[c]);
+  }
+
+  /// The two prefetch stages of a streaming pass (ForEachStaged): the
+  /// far stage pulls both endpoints' labels and degrees, the near stage
+  /// reads the labels, cached by then, and pulls their volumes. An
+  /// unlabeled vertex founds the cluster labeled by its own id. Always
+  /// inlined (see util/prefetch.h).
+  [[gnu::always_inline]] void PrefetchVertexRows(const Edge& e) const {
+    PrefetchRead(v2c + e.first);
+    PrefetchRead(v2c + e.second);
+    const uint32_t* degree_data = degrees->degrees.data();
+    PrefetchRead(degree_data + e.first);
+    PrefetchRead(degree_data + e.second);
+  }
+
+  [[gnu::always_inline]] void PrefetchVolumes(const Edge& e) const {
+    for (const VertexId v : {e.first, e.second}) {
+      const ClusterId c = Label(v).load(std::memory_order_relaxed);
+      PrefetchRead(vol + (c == kInvalidCluster ? v : c));
+    }
   }
 
   void EnsureCluster(VertexId v) {
@@ -147,18 +168,15 @@ StatusOr<Clustering> ParallelStreamingClustering(
     TPSL_RETURN_IF_ERROR(exec::ParallelForEdges(
         stream, exec,
         [&state](const Edge* edges, size_t count) -> Status {
-          // In-batch software prefetch: the random accesses are the
-          // v2c/vol rows of both endpoints a few edges ahead, same
-          // distance as the scoring kernels' ForEachEdgePrefetched.
-          constexpr size_t kPrefetchDistance = 8;
-          for (size_t i = 0; i < count; ++i) {
-            if (i + kPrefetchDistance < count) {
-              const Edge& ahead = edges[i + kPrefetchDistance];
-              __builtin_prefetch(state.v2c + ahead.first, 0, 3);
-              __builtin_prefetch(state.v2c + ahead.second, 0, 3);
-            }
-            state.ProcessEdge(edges[i]);
-          }
+          ForEachStaged(
+              edges, count,
+              [&state] [[gnu::always_inline]] (const Edge& e) {
+                state.PrefetchVertexRows(e);
+              },
+              [&state] [[gnu::always_inline]] (const Edge& e) {
+                state.PrefetchVolumes(e);
+              },
+              [&state](const Edge& e) { state.ProcessEdge(e); });
           return Status::OK();
         }));
   }

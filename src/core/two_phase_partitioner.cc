@@ -9,6 +9,7 @@
 #include "exec/parallel_for_edges.h"
 #include "graph/degrees.h"
 #include "partition/score_tables.h"
+#include "util/prefetch.h"
 #include "util/timer.h"
 
 namespace tpsl {
@@ -23,14 +24,16 @@ obs::Counter* PrepartitionedEdgesCounter() {
 }
 
 /// One engine-driven pass: workers run `process(edge)`, which returns
-/// the chosen partition or kInvalidPartition to skip; placed edges are
+/// the chosen partition or kInvalidPartition to skip, behind the
+/// prefetch stages `far` and `near` (ForEachStaged); placed edges are
 /// added to `*placed` and, one Add per batch, to `placed_counter`. Each
 /// batch's assignments go out in one AssignBatch call under the pass's
 /// one mutex, so the sink sees one caller at a time at every thread
 /// count.
-template <typename ProcessFn>
+template <typename FarFn, typename NearFn, typename ProcessFn>
 Status ParallelPass(EdgeStream& stream, const exec::ExecContext& exec,
-                    AssignmentSink& sink, const ProcessFn& process,
+                    AssignmentSink& sink, const FarFn& far,
+                    const NearFn& near, const ProcessFn& process,
                     uint64_t* placed, obs::Counter* placed_counter) {
   std::mutex sink_mutex;
   uint64_t total = 0;  // guarded by sink_mutex
@@ -40,12 +43,12 @@ Status ParallelPass(EdgeStream& stream, const exec::ExecContext& exec,
         obs::TraceSpan span("score.batch", "partition");
         std::vector<Assignment> results;
         results.reserve(count);
-        for (size_t i = 0; i < count; ++i) {
-          const PartitionId p = process(edges[i]);
+        ForEachStaged(edges, count, far, near, [&](const Edge& e) {
+          const PartitionId p = process(e);
           if (p != kInvalidPartition) {
-            results.push_back({edges[i], p});
+            results.push_back({e, p});
           }
-        }
+        });
         if (!results.empty()) {
           std::lock_guard<std::mutex> lock(sink_mutex);
           sink.AssignBatch(results.data(), results.size());
@@ -127,8 +130,15 @@ Status TwoPhasePartitioner::Partition(EdgeStream& stream,
   // the rest (lines 27-44).
   const bool linear = options_.scoring == ScoringMode::kLinear;
   for (const bool prepartition : {true, false}) {
+    const bool scoring = !prepartition;
     TPSL_RETURN_IF_ERROR(ParallelPass(
         stream, config.exec, sink,
+        [&] [[gnu::always_inline]] (const Edge& e) {
+          state.PrefetchVertexRows(e, scoring);
+        },
+        [&] [[gnu::always_inline]] (const Edge& e) {
+          state.PrefetchClusterRows(e, scoring);
+        },
         [&](const Edge& e) -> PartitionId {
           const Phase2State::Candidates c = state.Classify(e);
           if (c.prepartitioned() != prepartition) {

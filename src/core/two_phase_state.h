@@ -13,6 +13,7 @@
 #include "graph/degrees.h"
 #include "graph/types.h"
 #include "partition/replica_matrix.h"
+#include "util/prefetch.h"
 #include "util/random.h"
 
 namespace tpsl {
@@ -80,6 +81,41 @@ struct Phase2State {
 
     bool prepartitioned() const { return p1 == p2; }
   };
+
+  /// The two prefetch stages of the Phase-2 passes (ForEachStaged). The
+  /// far stage pulls the rows the pass reads by vertex id: the
+  /// endpoints' cluster ids and, in the scoring pass, their degrees and
+  /// replica rows. The near stage reads the cluster ids, cached by then,
+  /// and pulls the rows they index: the clusters' partitions and, in the
+  /// scoring pass, their volumes. Both are always inlined (see
+  /// util/prefetch.h).
+  [[gnu::always_inline]] void PrefetchVertexRows(const Edge& e,
+                                                 bool scoring) const {
+    const ClusterId* clusters = plan.clustering.vertex_cluster.data();
+    PrefetchRead(clusters + e.first);
+    PrefetchRead(clusters + e.second);
+    if (scoring) {
+      const uint32_t* degrees = plan.degrees.degrees.data();
+      PrefetchRead(degrees + e.first);
+      PrefetchRead(degrees + e.second);
+      replicas.PrefetchRow(e.first);
+      replicas.PrefetchRow(e.second);
+    }
+  }
+
+  [[gnu::always_inline]] void PrefetchClusterRows(const Edge& e,
+                                                  bool scoring) const {
+    const ClusterId c1 = plan.clustering.vertex_cluster[e.first];
+    const ClusterId c2 = plan.clustering.vertex_cluster[e.second];
+    const PartitionId* partitions = plan.schedule.cluster_partition.data();
+    PrefetchRead(partitions + c1);
+    PrefetchRead(partitions + c2);
+    if (scoring) {
+      const uint64_t* volumes = plan.clustering.cluster_volumes.data();
+      PrefetchRead(volumes + c1);
+      PrefetchRead(volumes + c2);
+    }
+  }
 
   Candidates Classify(const Edge& e) const {
     const ClusterId c1 = plan.clustering.vertex_cluster[e.first];

@@ -6,6 +6,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/prefetch.h"
+
 namespace tpsl {
 
 /// Word-parallel dense bitset — the shared bit-storage primitive of the
@@ -150,9 +152,10 @@ class DenseBitset {
 
   /// Software-prefetches the cache line holding bit `i` (read intent).
   /// A scoring loop calls this a few edges ahead so the replica words
-  /// are resident by the time they are tested.
-  void Prefetch(uint64_t i) const {
-    __builtin_prefetch(words_.data() + (i >> 6), /*rw=*/0, /*locality=*/3);
+  /// are resident by the time they are tested. Always inlined, or GCC
+  /// deletes the calls (see util/prefetch.h).
+  [[gnu::always_inline]] void Prefetch(uint64_t i) const {
+    PrefetchRead(words_.data() + (i >> 6));
   }
 
   uint64_t HeapBytes() const { return words_.size() * sizeof(uint64_t); }

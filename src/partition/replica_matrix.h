@@ -65,8 +65,10 @@ class ReplicaMatrix {
   }
 
   /// Pulls vertex v's row toward the cache; scoring loops call this a
-  /// few edges ahead of the test.
-  void PrefetchRow(VertexId v) const { bits_.Prefetch(Index(v, 0)); }
+  /// few edges ahead of the test. Always inlined (see util/prefetch.h).
+  [[gnu::always_inline]] void PrefetchRow(VertexId v) const {
+    bits_.Prefetch(Index(v, 0));
+  }
 
   /// Σ_v replicas(v): the matrix popcount, an O(|V|·k / 64) sweep.
   template <Access kAccess = Access::kPlain>

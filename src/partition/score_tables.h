@@ -10,6 +10,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "partition/replica_matrix.h"
+#include "util/prefetch.h"
 #include "util/status.h"
 
 namespace tpsl {
@@ -117,7 +118,8 @@ class ScoreTables {
 
   /// Pulls both endpoints' replica rows toward the cache; scoring
   /// loops issue this a few edges ahead (see ForEachEdgePrefetched).
-  void PrefetchEdge(const Edge& e) const {
+  /// Always inlined (see util/prefetch.h).
+  [[gnu::always_inline]] void PrefetchEdge(const Edge& e) const {
     replicas_.PrefetchRow(e.first);
     replicas_.PrefetchRow(e.second);
   }
@@ -198,11 +200,6 @@ class ScoreTables {
   uint64_t max_load_ = 0;
 };
 
-/// How many edges ahead the batched loops prefetch. Far enough to beat
-/// a memory round-trip at a few ns per scored edge, near enough that
-/// the lines are still resident when used.
-inline constexpr size_t kScorePrefetchDistance = 8;
-
 /// The shared per-batch throughput counter behind every scoring loop:
 /// one relaxed Add per batch, so obs snapshots
 /// can report edges scored without touching the per-edge path.
@@ -213,9 +210,10 @@ inline obs::Counter* ScoredEdgesCounter() {
 }
 
 /// One full pass in stream order — the batched score-then-assign
-/// driver. `prefetch(edge)` is issued kScorePrefetchDistance edges
-/// ahead of `process(edge)`; processing order is exactly stream order,
-/// so the pass is byte-identical to a plain ForEachEdge.
+/// driver. `prefetch(edge)`, which must be [[gnu::always_inline]], is
+/// ForEachStaged's near stage, issued kNearPrefetchDistance edges ahead
+/// of `process(edge)`; processing order is exactly stream order, so the
+/// pass is byte-identical to a plain ForEachEdge.
 template <typename PrefetchFn, typename ProcessFn>
 Status ForEachEdgePrefetched(EdgeStream& stream, PrefetchFn&& prefetch,
                              ProcessFn&& process) {
@@ -225,16 +223,7 @@ Status ForEachEdgePrefetched(EdgeStream& stream, PrefetchFn&& prefetch,
   size_t n;
   while ((n = stream.Next(buffer, kBatch)) > 0) {
     obs::TraceSpan span("score.batch", "partition");
-    const size_t lead = n < kScorePrefetchDistance ? n : kScorePrefetchDistance;
-    for (size_t i = 0; i < lead; ++i) {
-      prefetch(buffer[i]);
-    }
-    for (size_t i = 0; i < n; ++i) {
-      if (i + lead < n) {
-        prefetch(buffer[i + lead]);
-      }
-      process(buffer[i]);
-    }
+    ForEachStaged(buffer, n, NoPrefetch(), prefetch, process);
     ScoredEdgesCounter()->Add(n);
   }
   return stream.Health();

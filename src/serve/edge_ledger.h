@@ -46,8 +46,10 @@ class EdgeLedger {
     }
   }
 
-  /// Hints that `edge` is pushed soon: prefetches its home slot.
-  void Prefetch(const Edge& edge) const {
+  /// Hints that `edge` is pushed soon: prefetches its home slot. Always
+  /// inlined: GCC deletes calls to a prefetch-only function it has not
+  /// inlined (see util/prefetch.h).
+  [[gnu::always_inline]] void Prefetch(const Edge& edge) const {
     if (!slots_.empty()) {
       __builtin_prefetch(&slots_[Home(Pack(edge))], /*rw=*/1, /*locality=*/3);
     }

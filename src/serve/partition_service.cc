@@ -5,6 +5,7 @@
 
 #include "graph/in_memory_edge_stream.h"
 #include "partition/assignment_sink.h"
+#include "util/prefetch.h"
 #include "util/timer.h"
 
 namespace tpsl {
@@ -14,9 +15,6 @@ namespace {
 
 /// Log positions are the ledger's uint32 values, which exclude kNone.
 constexpr size_t kMaxLogPositions = EdgeLedger::kNone;
-
-/// Edges ahead whose ledger slot the bootstrap prefetches.
-constexpr size_t kLedgerPrefetchDistance = 8;
 
 /// Frees the newest of an edge's live occurrences under the LIFO rule
 /// and kills the oldest position, which earliest-first compaction
@@ -108,14 +106,14 @@ Status PartitionService::Bootstrap(EdgeStream& base_graph) {
     return Status::OutOfRange("base graph exceeds the edge log's positions");
   }
   // Build the ledger after scoring, in one pass, rather than inserting
-  // at random from inside the scoring loop.
+  // at random from inside the scoring loop. Each edge's home slot is
+  // prefetched a few edges ahead.
   placements_.Reserve(edge_log_.size());
-  for (size_t pos = 0; pos < edge_log_.size(); ++pos) {
-    if (pos + kLedgerPrefetchDistance < edge_log_.size()) {
-      placements_.Prefetch(edge_log_[pos + kLedgerPrefetchDistance]);
-    }
-    placements_.Push(edge_log_[pos], static_cast<uint32_t>(pos));
-  }
+  uint32_t pos = 0;
+  ForEachStaged(
+      edge_log_.data(), edge_log_.size(), NoPrefetch(),
+      [&] [[gnu::always_inline]] (const Edge& e) { placements_.Prefetch(e); },
+      [&](const Edge& e) { placements_.Push(e, pos++); });
   InstallTableLocked(BuildServingTable(*partitioner_, 1));
   ++epochs_published_;
   publishes_counter_->Increment();

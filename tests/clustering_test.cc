@@ -183,6 +183,33 @@ void ExpectCompactionContract(const std::vector<Edge>& edges,
   EXPECT_EQ(clustering.cluster_volumes, volumes);
 }
 
+/// The streaming pass prefetches ahead within each batch; at t=1 the
+/// clustering is the same at batch sizes below, at and above both
+/// prefetch distances (util/prefetch.h).
+TEST(StreamingClusteringTest, IndependentOfBatchSize) {
+  RmatConfig rmat;
+  rmat.scale = 12;
+  rmat.edge_factor = 10;
+  const std::vector<Edge> edges = GenerateRmat(rmat);
+  InMemoryEdgeStream stream(edges);
+  auto degrees = ComputeDegrees(stream);
+  ASSERT_TRUE(degrees.ok());
+  ClusteringConfig config;
+  config.num_passes = 2;
+  const Clustering reference = ClusterEdges(edges, 16, config);
+  for (const uint32_t batch_size : {1u, 7u, 8u, 9u, 16u, 17u, 8192u}) {
+    exec::ExecContext exec;
+    exec.batch_size = batch_size;
+    auto clustering =
+        ParallelStreamingClustering(stream, *degrees, 16, config, exec);
+    ASSERT_TRUE(clustering.ok());
+    EXPECT_EQ(clustering->vertex_cluster, reference.vertex_cluster)
+        << "batch_size=" << batch_size;
+    EXPECT_EQ(clustering->cluster_volumes, reference.cluster_volumes)
+        << "batch_size=" << batch_size;
+  }
+}
+
 TEST(StreamingClusteringTest, CompactsSparseIdsInPlace) {
   // Labels are founding-vertex ids, so the ids here are sparse and a
   // cluster's label (9 below) need not be its first member (5).

@@ -20,8 +20,8 @@ namespace {
 ///  (c) RF >= 1 and RF <= min(k, max-degree bound),
 ///  (d) deterministic output under a fixed seed.
 /// Parameterized sweep: partitioner name × graph kind × k. The
-/// degenerate kinds (no edges, one edge, one self-loop, a star, one
-/// edge repeated) and k=1 probe the edges of the input contract.
+/// degenerate kinds (no edges, one edge, one self-loop, a star, a path,
+/// one edge repeated) and k=1 probe the edges of the input contract.
 
 enum class GraphKind {
   kSocial,
@@ -32,6 +32,7 @@ enum class GraphKind {
   kOneEdge,
   kSelfLoop,
   kStar,
+  kPath,
   kMultiEdge,
 };
 
@@ -71,6 +72,13 @@ std::vector<Edge> MakeGraph(GraphKind kind) {
       }
       return edges;
     }
+    case GraphKind::kPath: {
+      std::vector<Edge> edges;
+      for (VertexId v = 0; v < 300; ++v) {
+        edges.push_back({v, v + 1});
+      }
+      return edges;
+    }
     case GraphKind::kMultiEdge:
       return std::vector<Edge>(300, Edge{2, 3});
   }
@@ -95,6 +103,8 @@ const char* GraphKindName(GraphKind kind) {
       return "self_loop";
     case GraphKind::kStar:
       return "star";
+    case GraphKind::kPath:
+      return "path";
     case GraphKind::kMultiEdge:
       return "multi_edge";
   }
@@ -219,7 +229,7 @@ INSTANTIATE_TEST_SUITE_P(
                         GraphKind::kUniform, GraphKind::kTiny,
                         GraphKind::kEmpty, GraphKind::kOneEdge,
                         GraphKind::kSelfLoop, GraphKind::kStar,
-                        GraphKind::kMultiEdge),
+                        GraphKind::kPath, GraphKind::kMultiEdge),
         testing::Values(1u, 2u, 5u, 32u)),
     ParamName);
 

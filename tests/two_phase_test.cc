@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "baselines/hash.h"
 #include "core/two_phase_partitioner.h"
+#include "exec/thread_pool.h"
 #include "graph/binary_edge_list.h"
 #include "graph/generators.h"
 #include "graph/in_memory_edge_stream.h"
@@ -162,6 +164,65 @@ TEST(TwoPhaseTest, DeterministicAcrossRuns) {
   ASSERT_TRUE(partitioner.Partition(stream, config, sink_a, nullptr).ok());
   ASSERT_TRUE(partitioner.Partition(stream, config, sink_b, nullptr).ok());
   EXPECT_EQ(sink_a.partitions(), sink_b.partitions());
+}
+
+/// Batch sizes below, at and above both prefetch distances of the
+/// Phase-2 passes' staged loop (util/prefetch.h), and the default.
+constexpr uint32_t kStagedBatchSizes[] = {1, 7, 8, 9, 16, 17, 8192};
+
+/// The prefetch stages are hints: at t=1 the assignment stream is the
+/// same at every batch size, in both scoring modes.
+TEST(TwoPhaseTest, AssignmentIndependentOfBatchSize) {
+  const auto edges = SocialGraph();
+  TwoPhasePartitioner::Options hdrf;
+  hdrf.scoring = TwoPhasePartitioner::ScoringMode::kHdrf;
+  for (const TwoPhasePartitioner::Options& options :
+       {TwoPhasePartitioner::Options(), hdrf}) {
+    TwoPhasePartitioner partitioner(options);
+    InMemoryEdgeStream stream(edges);
+    PartitionConfig config;
+    config.num_partitions = 16;
+    EdgeListSink reference(16);
+    ASSERT_TRUE(partitioner.Partition(stream, config, reference, nullptr).ok());
+    for (const uint32_t batch_size : kStagedBatchSizes) {
+      config.exec.batch_size = batch_size;
+      EdgeListSink sink(16);
+      ASSERT_TRUE(partitioner.Partition(stream, config, sink, nullptr).ok());
+      EXPECT_EQ(sink.partitions(), reference.partitions())
+          << partitioner.name() << " batch_size=" << batch_size;
+    }
+  }
+}
+
+/// On four workers, at every batch size, each edge is placed exactly
+/// once and no partition exceeds its capacity.
+TEST(TwoPhaseTest, PlacesEveryEdgeOnceAtEveryBatchSizeOnFourWorkers) {
+  RmatConfig rmat;
+  rmat.scale = 10;
+  rmat.edge_factor = 8;
+  const std::vector<Edge> edges = GenerateRmat(rmat);
+  std::vector<Edge> expected = edges;
+  std::sort(expected.begin(), expected.end());
+  exec::ThreadPool pool(4);
+  TwoPhasePartitioner partitioner;
+  for (const uint32_t batch_size : kStagedBatchSizes) {
+    InMemoryEdgeStream stream(edges);
+    PartitionConfig config;
+    config.num_partitions = 16;
+    config.exec.threads = 4;
+    config.exec.pool = &pool;
+    config.exec.batch_size = batch_size;
+    EdgeListSink sink(16);
+    ASSERT_TRUE(partitioner.Partition(stream, config, sink, nullptr).ok());
+    std::vector<Edge> placed;
+    for (const std::vector<Edge>& partition : sink.partitions()) {
+      EXPECT_LE(partition.size(), config.PartitionCapacity(edges.size()))
+          << "batch_size=" << batch_size;
+      placed.insert(placed.end(), partition.begin(), partition.end());
+    }
+    std::sort(placed.begin(), placed.end());
+    EXPECT_EQ(placed, expected) << "batch_size=" << batch_size;
+  }
 }
 
 TEST(TwoPhaseTest, FileStreamMatchesMemoryStream) {
