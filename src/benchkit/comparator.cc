@@ -119,11 +119,14 @@ ToleranceSpec DefaultToleranceFor(const std::string& metric) {
   if (metric == "max_rss_bytes") {
     // The out-of-core honesty gate (disk-backed scenarios only):
     // resident memory must be bounded by algorithm state + fixed
-    // buffers, never by |E|. Upper-only with a generous band —
-    // allocator arenas and libc versions move RSS by megabytes — but
-    // an O(|E|) edge-set rematerialization blows far past +50% on the
-    // pinned out-of-core tiers. Faster/leaner runs pass as IMPROVED.
-    return {.rel = 0.5, .abs_floor = 16.0 * 1024 * 1024, .upper_only = true,
+    // buffers, never by |E|. Upper-only; the 16 MiB floor absorbs
+    // allocator arenas and libc versions, which move RSS by megabytes.
+    // A +25% band still admits that noise on the pinned out-of-core
+    // tiers but not a lost memory saving: the s22 spill pin of 94.7 MB
+    // admits 118 MB, short of the 132.6 MB that run peaked at before
+    // clusters were compacted in place. Faster/leaner runs pass as
+    // IMPROVED.
+    return {.rel = 0.25, .abs_floor = 16.0 * 1024 * 1024, .upper_only = true,
             .informational = false};
   }
   if (metric == "edges_per_sec/partitioning") {

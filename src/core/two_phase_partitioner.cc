@@ -23,41 +23,63 @@ obs::Counter* PrepartitionedEdgesCounter() {
   return counter;
 }
 
+/// Edges whose claimed partition differs from the one they were placed
+/// toward: the preferred partition was full (Algorithm 2, line 41).
+obs::Counter* OverflowEdgesCounter() {
+  static obs::Counter* counter =
+      obs::MetricsRegistry::Default().GetCounter("partition.overflow_edges");
+  return counter;
+}
+
+/// Where one edge went: the partition it was placed toward and the one
+/// it claimed. A skipped edge has `claimed` == kInvalidPartition.
+struct Placement {
+  PartitionId preferred;
+  PartitionId claimed;
+};
+
 /// One engine-driven pass: workers run `process(edge)`, which returns
-/// the chosen partition or kInvalidPartition to skip, behind the
-/// prefetch stages `far` and `near` (ForEachStaged); placed edges are
-/// added to `*placed` and, one Add per batch, to `placed_counter`. Each
-/// batch's assignments go out in one AssignBatch call under the pass's
-/// one mutex, so the sink sees one caller at a time at every thread
-/// count.
+/// the edge's Placement, behind the prefetch stages `far` and `near`
+/// (ForEachStaged). Placed edges are added to `*placed` and, one Add
+/// per batch, to `placed_counter`; overflowed ones likewise to
+/// `*overflowed` and partition.overflow_edges. Each batch's assignments
+/// go out in one AssignBatch call under the pass's one mutex, so the
+/// sink sees one caller at a time at every thread count.
 template <typename FarFn, typename NearFn, typename ProcessFn>
 Status ParallelPass(EdgeStream& stream, const exec::ExecContext& exec,
                     AssignmentSink& sink, const FarFn& far,
                     const NearFn& near, const ProcessFn& process,
-                    uint64_t* placed, obs::Counter* placed_counter) {
+                    uint64_t* placed, uint64_t* overflowed,
+                    obs::Counter* placed_counter) {
   std::mutex sink_mutex;
-  uint64_t total = 0;  // guarded by sink_mutex
+  uint64_t total = 0;            // guarded by sink_mutex
+  uint64_t total_overflows = 0;  // guarded by sink_mutex
   TPSL_RETURN_IF_ERROR(exec::ParallelForEdges(
       stream, exec,
       [&](const Edge* edges, size_t count) -> Status {
         obs::TraceSpan span("score.batch", "partition");
         std::vector<Assignment> results;
         results.reserve(count);
+        uint64_t overflows = 0;
         ForEachStaged(edges, count, far, near, [&](const Edge& e) {
-          const PartitionId p = process(e);
-          if (p != kInvalidPartition) {
-            results.push_back({e, p});
+          const Placement placement = process(e);
+          if (placement.claimed != kInvalidPartition) {
+            results.push_back({e, placement.claimed});
+            overflows += placement.claimed != placement.preferred;
           }
         });
         if (!results.empty()) {
           std::lock_guard<std::mutex> lock(sink_mutex);
           sink.AssignBatch(results.data(), results.size());
           total += results.size();
+          total_overflows += overflows;
         }
         placed_counter->Add(results.size());
+        OverflowEdgesCounter()->Add(overflows);
         return Status::OK();
       }));
   *placed += total;
+  *overflowed += total_overflows;
   return Status::OK();
 }
 
@@ -139,17 +161,20 @@ Status TwoPhasePartitioner::Partition(EdgeStream& stream,
         [&] [[gnu::always_inline]] (const Edge& e) {
           state.PrefetchClusterRows(e, scoring);
         },
-        [&](const Edge& e) -> PartitionId {
+        [&](const Edge& e) -> Placement {
           const Phase2State::Candidates c = state.Classify(e);
           if (c.prepartitioned() != prepartition) {
-            return kInvalidPartition;  // The other pass places it.
+            // The other pass places it.
+            return {kInvalidPartition, kInvalidPartition};
           }
-          if (!linear && !prepartition) {
-            return state.Place(e, state.PickHdrf(e));
-          }
-          return state.PlaceLinear(e, c, options_.use_cluster_volume_term);
+          const PartitionId preferred =
+              !linear && !prepartition
+                  ? state.PickHdrf(e)
+                  : state.PreferLinear(e, c, options_.use_cluster_volume_term);
+          return {preferred, state.Place(e, preferred)};
         },
         prepartition ? &out.prepartitioned_edges : &out.remaining_edges,
+        &out.overflow_edges,
         prepartition ? PrepartitionedEdgesCounter() : ScoredEdgesCounter()));
     out.stream_passes += 1;
   }

@@ -83,23 +83,27 @@ struct Phase2State {
   };
 
   /// The two prefetch stages of the Phase-2 passes (ForEachStaged). The
-  /// far stage pulls the rows the pass reads by vertex id: the
-  /// endpoints' cluster ids and, in the scoring pass, their degrees and
-  /// replica rows. The near stage reads the cluster ids, cached by then,
-  /// and pulls the rows they index: the clusters' partitions and, in the
-  /// scoring pass, their volumes. Both are always inlined (see
-  /// util/prefetch.h).
+  /// far stage pulls the rows the pass touches by vertex id: the
+  /// endpoints' cluster ids and replica rows in both passes (the
+  /// pre-partition pass writes the rows of every edge it places, the
+  /// scoring pass reads and writes them) and, in the scoring pass only,
+  /// their degrees. The near stage reads the cluster ids, cached by
+  /// then, and pulls the rows they index: the clusters' partitions and,
+  /// in the scoring pass, their volumes. Degrees and volumes are not
+  /// pulled in the pre-partition pass, which reads degrees only on
+  /// overflow: pulling them there slowed that pass down. Both stages
+  /// are always inlined (see util/prefetch.h).
   [[gnu::always_inline]] void PrefetchVertexRows(const Edge& e,
                                                  bool scoring) const {
     const ClusterId* clusters = plan.clustering.vertex_cluster.data();
     PrefetchRead(clusters + e.first);
     PrefetchRead(clusters + e.second);
+    replicas.PrefetchRow(e.first);
+    replicas.PrefetchRow(e.second);
     if (scoring) {
       const uint32_t* degrees = plan.degrees.degrees.data();
       PrefetchRead(degrees + e.first);
       PrefetchRead(degrees + e.second);
-      replicas.PrefetchRow(e.first);
-      replicas.PrefetchRow(e.second);
     }
   }
 
@@ -124,22 +128,26 @@ struct Phase2State {
             plan.schedule.cluster_partition[c2]};
   }
 
-  /// 2PS-L's step for one edge (Algorithm 2): a pre-partitioned edge
+  /// 2PS-L's choice for one edge (Algorithm 2): a pre-partitioned edge
   /// goes to its clusters' partition (lines 16-26); any other is scored
   /// on exactly its two candidate partitions (lines 27-44), with the
-  /// cluster-volume terms unless `volume_term` is off. Place claims the
-  /// pick.
-  PartitionId PlaceLinear(const Edge& e, const Candidates& c,
-                          bool volume_term) {
+  /// cluster-volume terms unless `volume_term` is off.
+  PartitionId PreferLinear(const Edge& e, const Candidates& c,
+                           bool volume_term) const {
     if (c.prepartitioned()) {
-      return Place(e, c.p1);
+      return c.p1;
     }
     const std::vector<uint64_t>& volumes = plan.clustering.cluster_volumes;
-    return Place(e, PickLinear<ReplicaMatrix::Access::kRelaxed>(
-                        replicas, e, plan.degrees.degree(e.first),
-                        plan.degrees.degree(e.second),
-                        volume_term ? volumes[c.c1] : 0,
-                        volume_term ? volumes[c.c2] : 0, c.p1, c.p2));
+    return PickLinear<ReplicaMatrix::Access::kRelaxed>(
+        replicas, e, plan.degrees.degree(e.first),
+        plan.degrees.degree(e.second), volume_term ? volumes[c.c1] : 0,
+        volume_term ? volumes[c.c2] : 0, c.p1, c.p2);
+  }
+
+  /// 2PS-L's step for one edge: Place claims PreferLinear's pick.
+  PartitionId PlaceLinear(const Edge& e, const Candidates& c,
+                          bool volume_term) {
+    return Place(e, PreferLinear(e, c, volume_term));
   }
 
   /// Claims a partition for `e` and records both endpoints' replicas:

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/huge_page_allocator.h"
 #include "util/prefetch.h"
 
 namespace tpsl {
@@ -19,7 +20,10 @@ namespace tpsl {
 /// Flat uint64_t words, no bounds checks beyond the vector's own, and
 /// word-at-a-time bulk operations (popcount, non-empty rows, OR,
 /// intersection counts) so mirror-overlap style queries run at memory
-/// bandwidth instead of hash-set speed.
+/// bandwidth instead of hash-set speed. Words of 2 MiB and more sit on
+/// huge pages where the kernel grants them (HugePageAllocator): a
+/// replica matrix's rows are read at random, and on 4 KiB pages nearly
+/// every row access misses the TLB.
 class DenseBitset {
  public:
   /// How Test, Set and the row/bit counts touch the words. kPlain is
@@ -195,7 +199,7 @@ class DenseBitset {
   }
 
   uint64_t num_bits_ = 0;
-  std::vector<uint64_t> words_;
+  std::vector<uint64_t, HugePageAllocator<uint64_t>> words_;
 };
 
 }  // namespace tpsl

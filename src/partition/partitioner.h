@@ -74,6 +74,10 @@ struct PartitionStats {
   uint64_t prepartitioned_edges = 0;
   uint64_t remaining_edges = 0;
 
+  /// 2PS-specific: edges whose claimed partition differs from the one
+  /// they were placed toward, because that partition was full.
+  uint64_t overflow_edges = 0;
+
   double TotalSeconds() const {
     double total = 0;
     for (const auto& [name, seconds] : phase_seconds) {

@@ -330,6 +330,18 @@ TEST(ComparatorTest, MaxRssGatesOutOfCoreRegressions) {
   bloated.SetMetric("max_rss_bytes", 256.0 * 1024 * 1024);
   const ScenarioComparison comparison = CompareRecord(baseline, bloated);
   EXPECT_FALSE(comparison.passed);
+
+  // The band is +25% above the floor: against the s22 spill pin a
+  // 115 MB run passes, the 132.6 MB peak of the uncompacted clustering
+  // fails.
+  BenchRecord pinned = MakeRecord();
+  pinned.SetMetric("max_rss_bytes", 94.7e6);
+  BenchRecord within = pinned;
+  within.SetMetric("max_rss_bytes", 115.0e6);
+  EXPECT_TRUE(CompareRecord(pinned, within).passed);
+  BenchRecord uncompacted = pinned;
+  uncompacted.SetMetric("max_rss_bytes", 132.6e6);
+  EXPECT_FALSE(CompareRecord(pinned, uncompacted).passed);
 }
 
 TEST(ComparatorTest, SpillBytesGatedLikeBytesRead) {

@@ -8,10 +8,18 @@
 #include <atomic>
 #include <cstdint>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "obs/metrics.h"
+#include "partition/replica_matrix.h"
+#include "util/huge_page_allocator.h"
 #include "util/random.h"
+
+#ifdef __SANITIZE_ADDRESS__
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace tpsl {
 namespace {
@@ -269,6 +277,169 @@ TEST(DenseBitsetPropertyTest, BinaryOpsAgreeWithOracle) {
       EXPECT_EQ(or_ab.Test(i), oa[i] || ob[i]);
     }
   }
+}
+
+
+// ---------------------------------------------------------------------------
+// Huge-page backing: a bitset of 2 MiB and more is mapped by
+// HugePageAllocator, a smaller one comes from the heap.
+// ---------------------------------------------------------------------------
+
+/// Bits in exactly one huge page of words.
+constexpr uint64_t kHugePageBits = uint64_t{kHugePageBytes} * 8;
+
+uint64_t HugePageBytesRequested() {
+  return obs::MetricsRegistry::Default()
+      .GetCounter("memory.huge_page_bytes")
+      ->Total();
+}
+
+TEST(HugePageAllocatorTest, LargeBlocksAreAlignedAndZeroed) {
+  HugePageAllocator<uint64_t> allocator;
+  constexpr size_t kWordsPerPage = kHugePageBytes / sizeof(uint64_t);
+  for (const size_t words : {kWordsPerPage, kWordsPerPage + 3,
+                             3 * kWordsPerPage - 1}) {
+    const uint64_t requested_before = HugePageBytesRequested();
+    uint64_t* block = allocator.allocate(words);
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(block) % kHugePageBytes, 0u)
+        << words;
+    uint64_t any = 0;
+    for (size_t w = 0; w < words; ++w) {
+      any |= block[w];
+    }
+    EXPECT_EQ(any, 0u) << words;
+    block[words - 1] = 1;
+    // Counted iff the kernel took the advice, and then whole pages.
+    const uint64_t requested = HugePageBytesRequested() - requested_before;
+    const uint64_t pages = (words * sizeof(uint64_t) + kHugePageBytes - 1) /
+                           kHugePageBytes;
+    EXPECT_TRUE(requested == 0 || requested == pages * kHugePageBytes)
+        << requested;
+#ifdef __SANITIZE_ADDRESS__
+    // The rounding slack past the caller's words stays out of bounds.
+    if (words % kWordsPerPage != 0) {
+      EXPECT_TRUE(__asan_address_is_poisoned(block + words));
+    }
+#endif
+    allocator.deallocate(block, words);
+  }
+}
+
+TEST(HugePageAllocatorTest, SmallBlocksComeFromTheHeap) {
+  HugePageAllocator<uint64_t> allocator;
+  const uint64_t requested_before = HugePageBytesRequested();
+  const size_t words = kHugePageBytes / sizeof(uint64_t) - 1;
+  uint64_t* block = allocator.allocate(words);
+  block[0] = 1;
+  block[words - 1] = 1;
+  allocator.deallocate(block, words);
+  EXPECT_EQ(HugePageBytesRequested(), requested_before);
+}
+
+TEST(DenseBitsetTest, ResizeAcrossHugePageThresholdKeepsBitsAndTail) {
+  // Below the threshold (heap), up across it (mapped), then back down.
+  const uint64_t small = kHugePageBits - 64 * 5 - 17;
+  const uint64_t large = kHugePageBits + 64 * 9 + 5;
+  const std::vector<uint64_t> kept = {0, 63, 64, small / 2, small - 1};
+  DenseBitset bits(small);
+  for (const uint64_t i : kept) {
+    bits.Set(i);
+  }
+  EXPECT_LT(bits.HeapBytes(), kHugePageBytes);
+  bits.Resize(large);
+  EXPECT_GT(bits.HeapBytes(), kHugePageBytes);
+  EXPECT_EQ(bits.Count(), kept.size());
+  for (const uint64_t i : kept) {
+    EXPECT_TRUE(bits.Test(i)) << i;
+  }
+  for (uint64_t i = small; i < large; ++i) {
+    ASSERT_FALSE(bits.Test(i)) << i;
+  }
+  bits.Set(large - 1);
+  bits.Set(kHugePageBits);
+  // Shrink below the threshold into the middle of a word: the tail is
+  // masked, and a copy (allocated at the shrunk size) keeps the bits.
+  const uint64_t shrunk = 64 * 3 + 7;
+  bits.Resize(shrunk);
+  bits.Set(shrunk - 1);
+  EXPECT_EQ(bits.Count(), 4u);  // 0, 63, 64, shrunk - 1
+  const DenseBitset copy = bits;
+  EXPECT_EQ(copy.HeapBytes(), 4 * sizeof(uint64_t));
+  EXPECT_EQ(copy.Count(), 4u);
+  EXPECT_TRUE(copy.Test(shrunk - 1));
+  bits.Resize(large);
+  EXPECT_EQ(bits.Count(), 4u);
+  EXPECT_FALSE(bits.Test(shrunk));
+  EXPECT_FALSE(bits.Test(large - 1));
+  EXPECT_FALSE(bits.Test(kHugePageBits));
+}
+
+TEST(DenseBitsetTest, HugePageBackedCopyAndMove) {
+  const uint64_t size = 2 * kHugePageBits + 100;
+  DenseBitset bits(size);
+  bits.Set(1);
+  bits.Set(kHugePageBits);
+  bits.Set(size - 1);
+
+  DenseBitset copy = bits;
+  copy.Set(2);
+  EXPECT_EQ(copy.Count(), 4u);
+  EXPECT_EQ(bits.Count(), 3u);  // The copy owns its own block.
+
+  DenseBitset moved = std::move(copy);
+  EXPECT_EQ(moved.Count(), 4u);
+  EXPECT_TRUE(moved.Test(size - 1));
+
+  DenseBitset assigned(10);
+  assigned = bits;
+  EXPECT_EQ(assigned.Count(), 3u);
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.Count(), 4u);
+  EXPECT_EQ(assigned.HeapBytes(), bits.HeapBytes());
+}
+
+/// A 2^19 x 256 matrix (16 MiB of words, the size 2PS-L keeps for a
+/// half-million-vertex graph at k=256) answers Test and the two sweeps
+/// exactly as a std::vector<bool> reference does.
+TEST(ReplicaMatrixTest, HugePageBackedMatrixAgreesWithReference) {
+  constexpr VertexId kVertices = VertexId{1} << 19;
+  constexpr uint32_t kPartitions = 256;
+  ReplicaMatrix matrix(kVertices, kPartitions);
+  EXPECT_EQ(matrix.HeapBytes(), uint64_t{kVertices} * kPartitions / 8);
+  std::vector<bool> reference(uint64_t{kVertices} * kPartitions);
+  std::vector<bool> covered(kVertices);
+  uint64_t total = 0;
+  uint64_t rows = 0;
+  SplitMix64 rng(0x4a6e0ULL);
+  std::vector<std::pair<VertexId, PartitionId>> probes;
+  for (int i = 0; i < 300000; ++i) {
+    // Half the sets land in the first and last rows' neighbourhoods.
+    VertexId v = static_cast<VertexId>(rng.NextBounded(kVertices));
+    if (i % 4 == 0) {
+      v = static_cast<VertexId>(rng.NextBounded(64));
+    } else if (i % 4 == 1) {
+      v = kVertices - 1 - static_cast<VertexId>(rng.NextBounded(64));
+    }
+    const PartitionId p = static_cast<PartitionId>(rng.NextBounded(kPartitions));
+    matrix.Set(v, p);
+    const uint64_t bit = uint64_t{v} * kPartitions + p;
+    total += reference[bit] ? 0 : 1;
+    rows += covered[v] ? 0 : 1;
+    reference[bit] = true;
+    covered[v] = true;
+    probes.push_back({v, p});
+    probes.push_back({static_cast<VertexId>(rng.NextBounded(kVertices)),
+                      static_cast<PartitionId>(rng.NextBounded(kPartitions))});
+  }
+  for (const auto& [v, p] : probes) {
+    ASSERT_EQ(matrix.Test(v, p), reference[uint64_t{v} * kPartitions + p])
+        << v << "," << p;
+  }
+  EXPECT_EQ(matrix.TotalReplicas(), total);
+  EXPECT_EQ(matrix.CoveredVertices(), rows);
+  using Access = ReplicaMatrix::Access;
+  EXPECT_EQ(matrix.TotalReplicas<Access::kRelaxed>(), total);
+  EXPECT_EQ(matrix.CoveredVertices<Access::kRelaxed>(), rows);
 }
 
 }  // namespace

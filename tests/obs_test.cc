@@ -385,17 +385,21 @@ StatusOr<RunResult> RunOnRmat(const std::string& name, uint32_t scale,
 
 /// The 2PS placement counters count what their names say: the first
 /// pass adds the edges it pre-partitions, the scoring pass the edges it
-/// scores, so both reconcile with the run's PartitionStats exactly.
+/// scores, and both the edges that overflowed, so all three reconcile
+/// with the run's PartitionStats exactly.
 TEST(PlacementCounterTest, TwoPhaseCountersMatchPartitionStats) {
   Counter* scored = MetricsRegistry::Default().GetCounter(
       "partition.edges_scored");
   Counter* prepartitioned = MetricsRegistry::Default().GetCounter(
       "partition.prepartitioned_edges");
+  Counter* overflowed = MetricsRegistry::Default().GetCounter(
+      "partition.overflow_edges");
   exec::ThreadPool pool(4);
   for (const char* name : {"2PS-L", "2PS-HDRF"}) {
     for (const uint32_t threads : {1u, 4u}) {
       const uint64_t scored_before = scored->Total();
       const uint64_t prepartitioned_before = prepartitioned->Total();
+      const uint64_t overflowed_before = overflowed->Total();
       auto result = RunOnRmat(name, /*scale=*/12, threads, &pool);
       ASSERT_TRUE(result.ok()) << result.status().ToString();
       const PartitionStats& stats = result->stats;
@@ -407,6 +411,8 @@ TEST(PlacementCounterTest, TwoPhaseCountersMatchPartitionStats) {
           << name << " threads=" << threads;
       EXPECT_EQ(prepartitioned->Total() - prepartitioned_before,
                 stats.prepartitioned_edges)
+          << name << " threads=" << threads;
+      EXPECT_EQ(overflowed->Total() - overflowed_before, stats.overflow_edges)
           << name << " threads=" << threads;
     }
   }

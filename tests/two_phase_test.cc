@@ -258,6 +258,33 @@ TEST(TwoPhaseTest, TightBalanceFactorStillFeasible) {
   EXPECT_EQ(result->quality.num_edges, edges.size());
 }
 
+/// With no slack in the capacity, some edges find the partition 2PS-L
+/// placed them toward full and overflow. The count is part of the
+/// placement, so at t=1 it is the same at every batch size.
+TEST(TwoPhaseTest, CountsOverflowedEdgesUnderTightCapacity) {
+  const auto edges = SocialGraph();
+  TwoPhasePartitioner partitioner;
+  InMemoryEdgeStream stream(edges);
+  PartitionConfig config;
+  config.num_partitions = 7;
+  config.balance_factor = 1.0;
+  PartitionStats reference;
+  CountingSink reference_sink(7);
+  ASSERT_TRUE(
+      partitioner.Partition(stream, config, reference_sink, &reference).ok());
+  EXPECT_GT(reference.overflow_edges, 0u);
+  EXPECT_LE(reference.overflow_edges,
+            reference.prepartitioned_edges + reference.remaining_edges);
+  for (const uint32_t batch_size : kStagedBatchSizes) {
+    config.exec.batch_size = batch_size;
+    PartitionStats stats;
+    CountingSink sink(7);
+    ASSERT_TRUE(partitioner.Partition(stream, config, sink, &stats).ok());
+    EXPECT_EQ(stats.overflow_edges, reference.overflow_edges)
+        << "batch_size=" << batch_size;
+  }
+}
+
 TEST(TwoPhaseTest, KEqualsOneDegeneratesGracefully) {
   TwoPhasePartitioner partitioner;
   const RunResult result = MustRun(partitioner, SocialGraph(), 1);
