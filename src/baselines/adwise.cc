@@ -78,6 +78,7 @@ Status AdwisePartitioner::Partition(EdgeStream& stream,
       ScoredEdge fresh = score_edge(window[i].edge);
       assign(fresh);
     }
+    ScoredEdgesCounter()->Add(amount);
     window.erase(window.begin(), window.begin() + amount);
   };
 

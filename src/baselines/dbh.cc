@@ -45,6 +45,7 @@ Status DbhPartitioner::Partition(EdgeStream& stream,
                                                                 : e.second;
         sink.Assign(
             e, static_cast<PartitionId>(Mix64(HashCombine(seed, pivot)) % k));
+        return true;
       }));
   out.stream_passes += 1;
   return Status::OK();

@@ -39,6 +39,7 @@ Status GreedyPartitioner::Partition(EdgeStream& stream,
         const PartitionId target = tables.PickGreedy(e);
         tables.Commit(e, target);
         sink.Assign(e, target);
+        return true;
       }));
   out.stream_passes += 1;
   return Status::OK();

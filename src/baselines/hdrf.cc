@@ -51,6 +51,7 @@ Status HdrfPartitioner::Partition(EdgeStream& stream,
                 .partition;
         tables.Commit(e, target);
         sink.Assign(e, target);
+        return true;
       }));
   out.stream_passes += 1;
   return Status::OK();

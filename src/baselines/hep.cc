@@ -110,13 +110,14 @@ Status HepPartitioner::Partition(EdgeStream& stream,
       [&] [[gnu::always_inline]] (const Edge& e) { tables.PrefetchEdge(e); },
       [&](const Edge& e) {
         if (is_low(e)) {
-          return;  // Already assigned in the in-memory phase.
+          return false;  // Already assigned in the in-memory phase.
         }
         const PartitionId target =
             tables
                 .PickHdrf(e, degrees.degree(e.first), degrees.degree(e.second))
                 .partition;
         tracking_sink.Assign(e, target);
+        return true;
       }));
   out.stream_passes += 1;
 

@@ -61,6 +61,12 @@ StatusOr<std::vector<Edge>> ReadTextEdgeList(const std::string& path) {
     edges.push_back(
         Edge{static_cast<VertexId>(u), static_cast<VertexId>(v)});
   }
+  // getline returns -1 on a read error as on EOF; only ferror tells
+  // them apart, and a failed read must not pass for a shorter graph.
+  if (status.ok() && std::ferror(file)) {
+    status = Status::IoError("read failed for " + path + ": " +
+                             std::strerror(errno));
+  }
   std::free(line);
   std::fclose(file);
   if (!status.ok()) {

@@ -13,9 +13,8 @@ namespace tpsl {
 
 /// Word-parallel dense bitset — the shared bit-storage primitive of the
 /// partitioner-state kernel. Hosts the `v2p` replica matrix
-/// (ReplicaMatrix, also the per-partition vertex covers of hypergraph
-/// quality and procsim topology) and claimed-edge masks (NE/SNE
-/// expansion).
+/// (ReplicaMatrix, also procsim topology) and claimed-edge masks
+/// (NE/SNE expansion).
 ///
 /// Flat uint64_t words, no bounds checks beyond the vector's own, and
 /// word-at-a-time bulk operations (popcount, non-empty rows, OR,

@@ -15,21 +15,6 @@
 
 namespace tpsl {
 
-/// Maximum size of one of `num_partitions` parts holding `num_items`
-/// items under imbalance factor α = `balance_factor`: ceil(α·n/k), but
-/// never below ceil(n/k) so a feasible assignment always exists.
-inline uint64_t BalancedCapacity(uint64_t num_items, uint32_t num_partitions,
-                                 double balance_factor) {
-  const double cap =
-      balance_factor * static_cast<double>(num_items) / num_partitions;
-  uint64_t capacity = static_cast<uint64_t>(cap);
-  if (static_cast<double>(capacity) < cap) {
-    ++capacity;
-  }
-  const uint64_t floor_cap = (num_items + num_partitions - 1) / num_partitions;
-  return capacity < floor_cap ? floor_cap : capacity;
-}
-
 /// User-facing configuration of an edge-partitioning run, matching the
 /// paper's problem statement (§II-A): k partitions, balance factor α.
 struct PartitionConfig {
@@ -49,9 +34,18 @@ struct PartitionConfig {
   exec::ExecContext exec;
 
   /// Maximum edge capacity of one partition for a graph with
-  /// `num_edges` edges (BalancedCapacity).
+  /// `num_edges` edges: ceil(α·|E|/k), but never below ceil(|E|/k) so a
+  /// feasible assignment always exists.
   uint64_t PartitionCapacity(uint64_t num_edges) const {
-    return BalancedCapacity(num_edges, num_partitions, balance_factor);
+    const double cap =
+        balance_factor * static_cast<double>(num_edges) / num_partitions;
+    uint64_t capacity = static_cast<uint64_t>(cap);
+    if (static_cast<double>(capacity) < cap) {
+      ++capacity;
+    }
+    const uint64_t floor_cap =
+        (num_edges + num_partitions - 1) / num_partitions;
+    return capacity < floor_cap ? floor_cap : capacity;
   }
 };
 

@@ -16,9 +16,9 @@
 namespace tpsl {
 
 /// The shared partitioner-state kernel: every stateful scoring loop in
-/// the repo (the HDRF/Greedy/ADWISE/HEP/SNE/DNE baselines, the
-/// hypergraph path) scores against this one struct
-/// instead of carrying its own ad-hoc copies of the same arrays.
+/// the repo (the HDRF/Greedy/ADWISE/HEP/SNE/DNE baselines) scores
+/// against this one struct instead of carrying its own ad-hoc copies of
+/// the same arrays.
 ///
 /// Layout is deliberately flat — the HDRF idiom (Petroni et al.,
 /// CIKM'15) where the score decomposes into per-partition arrays:
@@ -50,11 +50,6 @@ class ScoreTables {
 
   const std::vector<uint64_t>& loads() const { return loads_; }
   uint64_t load(PartitionId p) const { return loads_[p]; }
-  bool IsFull(PartitionId p) const { return loads_[p] >= capacity_; }
-
-  /// Running maximum load, maintained incrementally by Commit — always
-  /// equal to max(loads), without the O(k) rescan per edge.
-  uint64_t max_load() const { return max_load_; }
 
   /// Minimum load, O(k) scan (the minimum can move on any commit).
   uint64_t MinLoad() const {
@@ -112,8 +107,8 @@ class ScoreTables {
   }
 
   /// Removes one edge from p (DNE-style over-claim rebalancing). After
-  /// a SubLoad, max_load() is an upper bound rather than exact; only
-  /// callers that never score against max_load may use this.
+  /// a SubLoad, the running max is an upper bound rather than exact;
+  /// only callers that never score against it may use this.
   void SubLoad(PartitionId p) { --loads_[p]; }
 
   /// Pulls both endpoints' replica rows toward the cache; scoring
@@ -197,6 +192,8 @@ class ScoreTables {
   ReplicaMatrix replicas_;
   std::vector<uint64_t> loads_;
   uint64_t capacity_;
+  /// Running maximum load, maintained incrementally by Commit/AddLoad:
+  /// equal to max(loads) without the O(k) rescan per edge.
   uint64_t max_load_ = 0;
 };
 
@@ -213,7 +210,9 @@ inline obs::Counter* ScoredEdgesCounter() {
 /// driver. `prefetch(edge)`, which must be [[gnu::always_inline]], is
 /// ForEachStaged's near stage, issued kNearPrefetchDistance edges ahead
 /// of `process(edge)`; processing order is exactly stream order, so the
-/// pass is byte-identical to a plain ForEachEdge.
+/// pass is byte-identical to a plain ForEachEdge. `process` returns
+/// whether it scored and placed the edge; each batch adds those edges,
+/// and only those, to partition.edges_scored.
 template <typename PrefetchFn, typename ProcessFn>
 Status ForEachEdgePrefetched(EdgeStream& stream, PrefetchFn&& prefetch,
                              ProcessFn&& process) {
@@ -223,8 +222,10 @@ Status ForEachEdgePrefetched(EdgeStream& stream, PrefetchFn&& prefetch,
   size_t n;
   while ((n = stream.Next(buffer, kBatch)) > 0) {
     obs::TraceSpan span("score.batch", "partition");
-    ForEachStaged(buffer, n, NoPrefetch(), prefetch, process);
-    ScoredEdgesCounter()->Add(n);
+    uint64_t scored = 0;
+    ForEachStaged(buffer, n, NoPrefetch(), prefetch,
+                  [&](const Edge& e) { scored += process(e) ? 1 : 0; });
+    ScoredEdgesCounter()->Add(scored);
   }
   return stream.Health();
 }

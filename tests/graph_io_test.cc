@@ -255,5 +255,13 @@ TEST(TextEdgeListTest, MissingFileIsNotFound) {
   EXPECT_EQ(edges_or.status().code(), StatusCode::kNotFound);
 }
 
+TEST(TextEdgeListTest, ReadErrorFailsWithStatus) {
+  // A directory opens for reading, but every read of it fails (EISDIR):
+  // the reader must report that, not return an empty graph.
+  auto edges_or = ReadTextEdgeList(testing::TempDir());
+  ASSERT_FALSE(edges_or.ok());
+  EXPECT_EQ(edges_or.status().code(), StatusCode::kIoError);
+}
+
 }  // namespace
 }  // namespace tpsl

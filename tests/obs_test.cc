@@ -418,6 +418,64 @@ TEST(PlacementCounterTest, TwoPhaseCountersMatchPartitionStats) {
   }
 }
 
+/// partition.edges_scored counts the edges a scoring pass scores and
+/// places, nothing else. On a 50-leaf star plus a 30-edge matching,
+/// HEP's streaming pass scores only the edges with an endpoint above
+/// τ·(mean degree); the in-memory phase placed the rest. Partitioners
+/// without a scoring pass add nothing.
+TEST(PlacementCounterTest, EveryRegistryPartitionerCountsWhatItScores) {
+  std::vector<Edge> edges;
+  for (VertexId leaf = 1; leaf <= 50; ++leaf) {
+    edges.push_back({0, leaf});
+  }
+  for (VertexId i = 0; i < 30; ++i) {
+    edges.push_back({51 + 2 * i, 52 + 2 * i});
+  }
+  std::vector<uint32_t> degree(111, 0);
+  for (const Edge& e : edges) {
+    ++degree[e.first];
+    ++degree[e.second];
+  }
+  // Every vertex is covered, so the mean degree is 2|E| / |V|.
+  const double mean_degree = 2.0 * edges.size() / degree.size();
+  const auto high_degree_edges = [&](double tau) {
+    const double threshold = tau * mean_degree;
+    uint64_t count = 0;
+    for (const Edge& e : edges) {
+      count += degree[e.first] > threshold || degree[e.second] > threshold;
+    }
+    return count;
+  };
+  ASSERT_EQ(high_degree_edges(10), 50u);
+
+  Counter* scored = MetricsRegistry::Default().GetCounter(
+      "partition.edges_scored");
+  for (const std::string name :
+       {"2PS-L", "2PS-L(par)", "2PS-HDRF", "2PS-HDRF(par)", "HDRF", "DBH",
+        "Grid", "Hash", "Greedy", "ADWISE", "NE", "SNE", "DNE", "HEP-1",
+        "HEP-10", "HEP-100", "METIS*"}) {
+    auto partitioner = MakePartitioner(name);
+    ASSERT_TRUE(partitioner.ok()) << name;
+    InMemoryEdgeStream stream(edges);
+    PartitionConfig config;
+    config.num_partitions = 4;
+    config.exec.threads = 1;
+    const uint64_t before = scored->Total();
+    auto result = RunPartitioner(**partitioner, stream, config);
+    ASSERT_TRUE(result.ok()) << name << ": " << result.status().ToString();
+    uint64_t expected = 0;
+    if (name.rfind("2PS-", 0) == 0) {
+      expected = result->stats.remaining_edges;
+    } else if (name == "HDRF" || name == "Greedy" || name == "DBH" ||
+               name == "ADWISE") {
+      expected = edges.size();
+    } else if (name.rfind("HEP-", 0) == 0) {
+      expected = high_degree_edges(std::stod(name.substr(4)));
+    }
+    EXPECT_EQ(scored->Total() - before, expected) << name;
+  }
+}
+
 using QualityGaugeTest = TraceQuiescent;
 
 /// The quality gauges describe the run they follow: the runner sets

@@ -7,16 +7,14 @@
 #include "core/two_phase_partitioner.h"
 #include "graph/generators.h"
 #include "graph/in_memory_edge_stream.h"
-#include "hypergraph/hypergraph.h"
-#include "hypergraph/hypergraph_partitioner.h"
 #include "partition/runner.h"
 
 namespace tpsl {
 namespace {
 
 /// Parameterized invariant sweeps over the configuration spaces the
-/// paper's evaluation varies: clustering (passes × cap × k), the full
-/// 2PS-L pipeline (k × alpha), and the hypergraph generalization (k).
+/// paper's evaluation varies: clustering (passes × cap × k) and the full
+/// 2PS-L pipeline (k × alpha).
 
 using ClusteringParam = std::tuple<uint32_t, double, uint32_t>;
 
@@ -133,40 +131,6 @@ INSTANTIATE_TEST_SUITE_P(
       name += std::to_string(static_cast<int>(std::get<1>(info.param) * 100));
       return name;
     });
-
-class HypergraphSweepTest : public testing::TestWithParam<uint32_t> {};
-
-TEST_P(HypergraphSweepTest, TwoPhaseContractAcrossK) {
-  const uint32_t k = GetParam();
-  PlantedHypergraphConfig config;
-  config.num_vertices = 1 << 11;
-  config.num_hyperedges = 8000;
-  config.num_communities = 64;
-  const Hypergraph hg = GeneratePlantedHypergraph(config);
-
-  HypergraphPartitionConfig partition_config;
-  partition_config.num_partitions = k;
-  auto assignment = TwoPhasePartitionHypergraph(hg, partition_config);
-  ASSERT_TRUE(assignment.ok());
-
-  const auto quality = ComputeHypergraphQuality(hg, *assignment, k);
-  EXPECT_EQ(quality.num_hyperedges, hg.edges.size());
-  const uint64_t capacity =
-      partition_config.PartitionCapacity(hg.edges.size());
-  for (const uint64_t size : quality.partition_sizes) {
-    EXPECT_LE(size, capacity);
-  }
-  EXPECT_GE(quality.replication_factor, 1.0);
-}
-
-INSTANTIATE_TEST_SUITE_P(K, HypergraphSweepTest,
-                         testing::Values(2u, 5u, 16u, 64u, 128u),
-                         [](const testing::TestParamInfo<uint32_t>& info) {
-                           // += instead of operator+ — see the first sweep.
-                           std::string name = "k";
-                           name += std::to_string(info.param);
-                           return name;
-                         });
 
 }  // namespace
 }  // namespace tpsl
