@@ -1,7 +1,8 @@
 // Reproduces paper Table IV: end-to-end time (partitioning + 100
 // PageRank iterations) on OK and WI at k = 32 for 2PS-L, 2PS-HDRF,
 // HDRF, DBH, SNE, HEP-1. The Spark/GraphX cluster is replaced by the
-// distributed-processing simulator (DESIGN.md §4): PageRank values are
+// distributed-processing simulator (src/procsim; README "Streaming sink
+// pipeline"): PageRank values are
 // computed for real; processing time is modeled as compute + replica
 // synchronization, so it grows with the replication factor exactly as
 // in the paper.
@@ -40,7 +41,6 @@ int main() {
       config.num_partitions = 32;
       tpsl::RunOptions options;
       options.keep_partitions = true;
-      options.validate = false;  // DBH does not enforce the cap
       auto run_or =
           tpsl::RunPartitioner(**partitioner_or, stream, config, options);
       if (!run_or.ok()) {
@@ -72,6 +72,6 @@ int main() {
       "total time. Note: at laptop scale the in-memory phases of "
       "HEP-1/SNE are disproportionately cheap compared to the paper's "
       "billion-edge runs, so their partitioning-time disadvantage "
-      "shrinks here (see EXPERIMENTS.md).\n");
+      "shrinks here.\n");
   return 0;
 }

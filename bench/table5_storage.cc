@@ -1,8 +1,8 @@
 // Reproduces paper Table V: 2PS-L partitioning time when the graph
 // must be re-read from storage on every streaming pass (page cache
 // dropped between passes). Physical devices are replaced by the
-// bandwidth-accounting ThrottledEdgeStream (DESIGN.md §4) using the
-// paper's fio-profiled speeds: SSD 938 MB/s, HDD 158 MB/s. The
+// bandwidth-accounting ThrottledEdgeStream (io/throttled_edge_stream.h)
+// using the paper's fio-profiled speeds: SSD 938 MB/s, HDD 158 MB/s. The
 // reported time for a device is compute time + simulated I/O time (a
 // conservative no-overlap model, as in a single-threaded reader).
 #include <cstdio>

@@ -40,7 +40,6 @@ int main() {
     tpsl::PartitionConfig config;
     config.num_partitions = 32;
     tpsl::RunOptions options;
-    options.validate = false;
     // Spill instead of keep_partitions: partitions land on disk as one
     // compressed edge-block file each, ready for the processing layer.
     options.spill_dir = "/tmp/tpsl_e2e_spill";

@@ -10,6 +10,9 @@
 namespace tpsl {
 namespace {
 
+/// Number of buffered edges.
+constexpr uint32_t kWindowSize = 512;
+
 struct ScoredEdge {
   Edge edge;
   PartitionId best_partition;
@@ -24,9 +27,6 @@ Status AdwisePartitioner::Partition(EdgeStream& stream,
                                     PartitionStats* stats) {
   if (config.num_partitions == 0) {
     return Status::InvalidArgument("num_partitions must be positive");
-  }
-  if (options_.window_size == 0) {
-    return Status::InvalidArgument("window_size must be positive");
   }
   PartitionStats local;
   PartitionStats& out = stats != nullptr ? *stats : local;
@@ -44,10 +44,10 @@ Status AdwisePartitioner::Partition(EdgeStream& stream,
   const LentReplicas lent(sink, tables.replicas());
   out.state_bytes = tables.HeapBytes() +
                     degrees.degrees.size() * sizeof(uint32_t) +
-                    options_.window_size * sizeof(ScoredEdge);
+                    kWindowSize * sizeof(ScoredEdge);
 
   std::vector<ScoredEdge> window;
-  window.reserve(options_.window_size);
+  window.reserve(kWindowSize);
 
   const auto score_edge = [&](const Edge& e) -> ScoredEdge {
     const ScoreTables::Choice choice =
@@ -89,8 +89,8 @@ Status AdwisePartitioner::Partition(EdgeStream& stream,
   while ((n = stream.Next(buffer, kBatch)) > 0) {
     for (size_t i = 0; i < n; ++i) {
       window.push_back(ScoredEdge{buffer[i], kInvalidPartition, -1.0});
-      if (window.size() >= options_.window_size) {
-        drain(options_.window_size / 2 + 1);
+      if (window.size() >= kWindowSize) {
+        drain(kWindowSize / 2 + 1);
       }
     }
   }

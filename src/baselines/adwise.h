@@ -13,30 +13,19 @@ namespace tpsl {
 /// highest-confidence edge in the window, allowing it to "look into the
 /// future" of the stream and detect local clusters within the buffer.
 ///
-/// Re-implementation notes (see DESIGN.md §4): the original adapts its
-/// window size to a run-time bound; we expose the window size directly
-/// and assign the top half of the window per scoring round, which
+/// Re-implementation notes: the original adapts its window size to a
+/// run-time bound; we fix the window at 512 edges and assign the top
+/// half of the window per scoring round, which
 /// keeps the characteristic O(|E|·k·c) cost (c = amortized window
 /// overhead) without the original's time-control machinery. As in the
 /// paper's evaluation, ADWISE's quality advantage vanishes when the
 /// window is small relative to the graph.
 class AdwisePartitioner : public Partitioner {
  public:
-  struct Options {
-    /// Number of buffered edges.
-    uint32_t window_size = 512;
-  };
-
-  AdwisePartitioner() = default;
-  explicit AdwisePartitioner(Options options) : options_(options) {}
-
   std::string name() const override { return "ADWISE"; }
 
   Status Partition(EdgeStream& stream, const PartitionConfig& config,
                    AssignmentSink& sink, PartitionStats* stats) override;
-
- private:
-  Options options_;
 };
 
 }  // namespace tpsl

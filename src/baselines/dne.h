@@ -8,8 +8,9 @@
 namespace tpsl {
 
 /// DNE — Distributed Neighborhood Expansion (Hanai et al., VLDB'19),
-/// reproduced as a shared-memory parallel partitioner (see DESIGN.md
-/// §4): all k partitions expand concurrently, claiming edges through
+/// reproduced as a shared-memory parallel partitioner in place of the
+/// original's MPI cluster: all k partitions expand concurrently,
+/// claiming edges through
 /// atomic compare-and-swap on a per-edge owner array. Quality is
 /// slightly below sequential NE (concurrent expansions collide at
 /// cluster borders), run-time is much lower, memory is O(|E|) — the

@@ -11,6 +11,14 @@
 namespace tpsl {
 namespace {
 
+/// Coarsening stops once |V| falls below `kCoarsestFactor * k` (at
+/// least 64 vertices).
+constexpr uint32_t kCoarsestFactor = 32;
+/// Refinement sweeps per level.
+constexpr uint32_t kRefinePasses = 4;
+/// Vertex-weight balance slack during refinement.
+constexpr double kVertexBalance = 1.10;
+
 /// Fisher-Yates shuffle with the library's deterministic PRNG.
 void ShuffleOrder(std::vector<VertexId>& order, uint64_t seed) {
   SplitMix64 rng(seed);
@@ -178,8 +186,7 @@ std::vector<PartitionId> InitialPartition(const LevelGraph& g, uint32_t k) {
 
 /// Boundary refinement: move vertices to the neighboring partition with
 /// the highest positive gain, subject to vertex-weight balance.
-void Refine(const LevelGraph& g, uint32_t k, double balance,
-            uint32_t passes, std::vector<PartitionId>* part) {
+void Refine(const LevelGraph& g, uint32_t k, std::vector<PartitionId>* part) {
   const VertexId n = g.num_vertices();
   std::vector<uint64_t> weight(k, 0);
   uint64_t total_weight = 0;
@@ -188,11 +195,11 @@ void Refine(const LevelGraph& g, uint32_t k, double balance,
     total_weight += g.vertex_weight[v];
   }
   const uint64_t max_weight = static_cast<uint64_t>(
-      balance * static_cast<double>(total_weight) / k) + 1;
+      kVertexBalance * static_cast<double>(total_weight) / k) + 1;
 
   std::vector<int64_t> link(k, 0);  // edge weight from v to each part
   std::vector<PartitionId> touched;
-  for (uint32_t pass = 0; pass < passes; ++pass) {
+  for (uint32_t pass = 0; pass < kRefinePasses; ++pass) {
     uint64_t moves = 0;
     for (VertexId v = 0; v < n; ++v) {
       const PartitionId home = (*part)[v];
@@ -270,8 +277,7 @@ Status MultilevelPartitioner::Partition(EdgeStream& stream,
     std::vector<LevelGraph> levels;
     std::vector<std::vector<VertexId>> mappings;
     levels.push_back(BuildLevelGraph(edges, num_vertices));
-    const VertexId coarsest =
-        std::max<VertexId>(64, options_.coarsest_factor * k);
+    const VertexId coarsest = std::max<VertexId>(64, kCoarsestFactor * k);
     while (levels.back().num_vertices() > coarsest) {
       VertexId num_coarse = 0;
       std::vector<VertexId> mapping = HeavyEdgeMatching(
@@ -291,16 +297,14 @@ Status MultilevelPartitioner::Partition(EdgeStream& stream,
 
     // --- Initial partition + uncoarsening with refinement. ---
     std::vector<PartitionId> part = InitialPartition(levels.back(), k);
-    Refine(levels.back(), k, options_.vertex_balance, options_.refine_passes,
-           &part);
+    Refine(levels.back(), k, &part);
     for (size_t level = mappings.size(); level-- > 0;) {
       std::vector<PartitionId> fine_part(levels[level].num_vertices());
       for (VertexId v = 0; v < fine_part.size(); ++v) {
         fine_part[v] = part[mappings[level][v]];
       }
       part = std::move(fine_part);
-      Refine(levels[level], k, options_.vertex_balance,
-             options_.refine_passes, &part);
+      Refine(levels[level], k, &part);
     }
     vertex_part = std::move(part);
   }

@@ -8,7 +8,8 @@
 namespace tpsl {
 
 /// Multilevel in-memory partitioner — the repository's METIS stand-in
-/// (see DESIGN.md §4). Classic three-stage pipeline (Karypis & Kumar):
+/// (METIS itself is not a dependency). Classic three-stage pipeline
+/// (Karypis & Kumar):
 ///   1. Coarsening by heavy-edge matching until the graph is small.
 ///   2. Greedy balanced initial partitioning of the coarsest graph.
 ///   3. Uncoarsening with boundary gain refinement at every level.
@@ -19,25 +20,10 @@ namespace tpsl {
 /// above streaming partitioners.
 class MultilevelPartitioner : public Partitioner {
  public:
-  struct Options {
-    /// Stop coarsening when |V| falls below `coarsest_factor * k`.
-    uint32_t coarsest_factor = 32;
-    /// Refinement sweeps per level.
-    uint32_t refine_passes = 4;
-    /// Vertex-weight balance slack during refinement.
-    double vertex_balance = 1.10;
-  };
-
-  MultilevelPartitioner() = default;
-  explicit MultilevelPartitioner(Options options) : options_(options) {}
-
   std::string name() const override { return "METIS*"; }
 
   Status Partition(EdgeStream& stream, const PartitionConfig& config,
                    AssignmentSink& sink, PartitionStats* stats) override;
-
- private:
-  Options options_;
 };
 
 }  // namespace tpsl

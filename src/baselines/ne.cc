@@ -10,72 +10,48 @@
 namespace tpsl {
 namespace expansion {
 
-namespace {
-
-/// Edges below which the chunked build costs more than it saves.
-constexpr size_t kParallelBuildMinEdges = 1 << 15;
-
-}  // namespace
-
 IndexedAdjacency IndexedAdjacency::Build(const std::vector<Edge>& edges,
                                          VertexId num_vertices,
                                          const exec::ExecContext& exec) {
-  IndexedAdjacency adj;
-  adj.offsets.assign(static_cast<size_t>(num_vertices) + 1, 0);
-
-  const uint32_t threads = exec.ResolveThreads();
-  if (threads <= 1 || edges.size() < kParallelBuildMinEdges) {
-    for (const Edge& e : edges) {
-      ++adj.offsets[e.first + 1];
-      ++adj.offsets[e.second + 1];
-    }
-    for (VertexId v = 0; v < num_vertices; ++v) {
-      adj.offsets[v + 1] += adj.offsets[v];
-    }
-    adj.neighbors.resize(adj.offsets[num_vertices]);
-    adj.edge_ids.resize(adj.offsets[num_vertices]);
-    std::vector<uint64_t> cursor(adj.offsets.begin(), adj.offsets.end() - 1);
-    for (uint64_t id = 0; id < edges.size(); ++id) {
-      const Edge& e = edges[id];
-      adj.neighbors[cursor[e.first]] = e.second;
-      adj.edge_ids[cursor[e.first]++] = id;
-      adj.neighbors[cursor[e.second]] = e.first;
-      adj.edge_ids[cursor[e.second]++] = id;
-    }
-    return adj;
-  }
-
-  // Stable parallel counting sort over contiguous edge-id chunks.
-  // Chunk w counts its own per-vertex degrees; the sequential reduce
-  // turns those into global offsets plus a per-chunk starting cursor
-  // for every vertex, after which each chunk fills disjoint slots —
-  // entry (v, id) lands at exactly the index the sequential loop gives
-  // it, so the arrays are byte-identical at any thread count.
-  const uint32_t chunks =
-      static_cast<uint32_t>(std::min<uint64_t>(threads, edges.size()));
+  // Stable counting sort over contiguous edge-id chunks, one per
+  // thread. Chunk w counts its own per-vertex degrees; the sequential
+  // reduce turns those into global offsets plus a per-chunk starting
+  // cursor for every vertex, after which each chunk fills disjoint
+  // slots in edge-id order — so entry (v, id) lands at the same index
+  // for any chunk count, and the arrays are byte-identical at any
+  // thread count. An empty edge list still gets one chunk.
+  const uint32_t chunks = static_cast<uint32_t>(std::clamp<uint64_t>(
+      edges.size(), 1, exec.ResolveThreads()));
   const size_t per_chunk = (edges.size() + chunks - 1) / chunks;
+  // Runs body(w, lo, hi) for every chunk [lo, hi) of edge ids.
+  const auto for_each_chunk = [&](const auto& body) {
+    if (chunks == 1) {
+      body(0, 0, edges.size());  // Inline on the caller; no pool.
+      return;
+    }
+    exec::TaskGroup group(exec.pool_or_global());
+    for (uint32_t w = 0; w < chunks; ++w) {
+      const size_t lo = w * per_chunk;
+      const size_t hi = std::min(edges.size(), lo + per_chunk);
+      group.Submit([&body, w, lo, hi]() { body(w, lo, hi); });
+    }
+    group.Wait();
+  };
   std::vector<std::vector<uint64_t>> chunk_cursor(
       chunks, std::vector<uint64_t>(num_vertices, 0));
 
-  exec::ThreadPool& pool = exec.pool_or_global();
-  {
-    exec::TaskGroup group(pool);
-    for (uint32_t w = 0; w < chunks; ++w) {
-      group.Submit([&, w]() {
-        std::vector<uint64_t>& counts = chunk_cursor[w];
-        const size_t lo = w * per_chunk;
-        const size_t hi = std::min(edges.size(), lo + per_chunk);
-        for (size_t id = lo; id < hi; ++id) {
-          ++counts[edges[id].first];
-          ++counts[edges[id].second];
-        }
-      });
+  for_each_chunk([&](uint32_t w, size_t lo, size_t hi) {
+    std::vector<uint64_t>& counts = chunk_cursor[w];
+    for (size_t id = lo; id < hi; ++id) {
+      ++counts[edges[id].first];
+      ++counts[edges[id].second];
     }
-    group.Wait();
-  }
+  });
 
   // offsets[v+1] = Σ_w counts[w][v]; chunk w's cursor for v starts at
   // offsets[v] + counts of all earlier chunks (computed in place).
+  IndexedAdjacency adj;
+  adj.offsets.assign(static_cast<size_t>(num_vertices) + 1, 0);
   for (VertexId v = 0; v < num_vertices; ++v) {
     uint64_t running = adj.offsets[v];
     for (uint32_t w = 0; w < chunks; ++w) {
@@ -88,24 +64,16 @@ IndexedAdjacency IndexedAdjacency::Build(const std::vector<Edge>& edges,
   adj.neighbors.resize(adj.offsets[num_vertices]);
   adj.edge_ids.resize(adj.offsets[num_vertices]);
 
-  {
-    exec::TaskGroup group(pool);
-    for (uint32_t w = 0; w < chunks; ++w) {
-      group.Submit([&, w]() {
-        std::vector<uint64_t>& cursor = chunk_cursor[w];
-        const size_t lo = w * per_chunk;
-        const size_t hi = std::min(edges.size(), lo + per_chunk);
-        for (size_t id = lo; id < hi; ++id) {
-          const Edge& e = edges[id];
-          adj.neighbors[cursor[e.first]] = e.second;
-          adj.edge_ids[cursor[e.first]++] = id;
-          adj.neighbors[cursor[e.second]] = e.first;
-          adj.edge_ids[cursor[e.second]++] = id;
-        }
-      });
+  for_each_chunk([&](uint32_t w, size_t lo, size_t hi) {
+    std::vector<uint64_t>& cursor = chunk_cursor[w];
+    for (size_t id = lo; id < hi; ++id) {
+      const Edge& e = edges[id];
+      adj.neighbors[cursor[e.first]] = e.second;
+      adj.edge_ids[cursor[e.first]++] = id;
+      adj.neighbors[cursor[e.second]] = e.first;
+      adj.edge_ids[cursor[e.second]++] = id;
     }
-    group.Wait();
-  }
+  });
   return adj;
 }
 

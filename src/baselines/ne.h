@@ -22,16 +22,15 @@ struct IndexedAdjacency {
   std::vector<VertexId> neighbors;  // 2|E|
   std::vector<uint64_t> edge_ids;   // 2|E|, parallel to neighbors
 
-  /// Builds the adjacency. With a multi-thread ExecContext the count
-  /// and fill passes fan out over contiguous edge-id chunks on the
-  /// shared pool (a stable parallel counting sort: per-chunk counts
-  /// are prefix-summed into per-chunk write cursors, so every entry
-  /// lands exactly where the sequential build puts it). The result is
-  /// byte-identical at any thread count — the profile-justified
-  /// parallel stage of NE/SNE/HEP, whose expansion cores stay
-  /// sequential (greedy, state-carrying).
-  /// The default context is sequential; partitioners forward their
-  /// PartitionConfig::exec to opt in.
+  /// Builds the adjacency with a stable counting sort whose count and
+  /// fill passes split the edge ids into one contiguous chunk per
+  /// thread: per-chunk counts are prefix-summed into per-chunk write
+  /// cursors, so every entry lands at the same index for any chunk
+  /// count and the result is byte-identical at any thread count. It is
+  /// the parallel stage of NE/SNE/HEP, whose expansion cores stay
+  /// sequential (greedy, state-carrying). With one thread (the default
+  /// context) the single chunk runs on the caller; partitioners forward
+  /// their PartitionConfig::exec to fan out on its pool.
   static IndexedAdjacency Build(const std::vector<Edge>& edges,
                                 VertexId num_vertices,
                                 const exec::ExecContext& exec = {});
@@ -53,7 +52,10 @@ struct IndexedAdjacency {
 /// Grows one partition at a time from low-degree seeds, repeatedly
 /// absorbing the boundary vertex with the fewest unclaimed incident
 /// edges (the min-external-degree heuristic of NE, Zhang et al.
-/// KDD'17; see DESIGN.md §4 for simplifications).
+/// KDD'17), simplified: a boundary vertex's score is its unclaimed
+/// degree, kept in a lazily validated min-heap, and an exhausted
+/// boundary restarts from the lowest-degree vertex with unclaimed
+/// edges.
 class Expander {
  public:
   Expander(const std::vector<Edge>* edges, const IndexedAdjacency* adjacency);

@@ -12,6 +12,9 @@
 namespace tpsl {
 namespace {
 
+/// Chunk capacity as a multiple of |V| (the paper's setting).
+constexpr double kCacheFactor = 2.0;
+
 /// Routes expansion output through a load-aware indirection: the
 /// expander claims edges for a "slot", the adapter maps the slot to the
 /// real partition chosen for this expansion round.
@@ -42,9 +45,6 @@ Status SnePartitioner::Partition(EdgeStream& stream,
   if (config.num_partitions == 0) {
     return Status::InvalidArgument("num_partitions must be positive");
   }
-  if (options_.cache_factor <= 0) {
-    return Status::InvalidArgument("cache_factor must be positive");
-  }
   PartitionStats local;
   PartitionStats& out = stats != nullptr ? *stats : local;
 
@@ -60,7 +60,7 @@ Status SnePartitioner::Partition(EdgeStream& stream,
   const uint64_t capacity = config.PartitionCapacity(degrees.num_edges);
   const VertexId num_vertices = degrees.num_vertices();
   const uint64_t chunk_capacity = std::max<uint64_t>(
-      1024, static_cast<uint64_t>(options_.cache_factor * num_vertices));
+      1024, static_cast<uint64_t>(kCacheFactor * num_vertices));
 
   // Chunked expansion only needs the load half of the kernel; a
   // zero-vertex table keeps the replica matrix empty.

@@ -17,21 +17,10 @@ namespace tpsl {
 /// cache sizes).
 class SnePartitioner : public Partitioner {
  public:
-  struct Options {
-    /// Chunk capacity as a multiple of |V| (paper setting: 2.0).
-    double cache_factor = 2.0;
-  };
-
-  SnePartitioner() = default;
-  explicit SnePartitioner(Options options) : options_(options) {}
-
   std::string name() const override { return "SNE"; }
 
   Status Partition(EdgeStream& stream, const PartitionConfig& config,
                    AssignmentSink& sink, PartitionStats* stats) override;
-
- private:
-  Options options_;
 };
 
 }  // namespace tpsl

@@ -154,14 +154,9 @@ StatusOr<Clustering> ParallelStreamingClustering(
   state.degrees = &degrees;
   state.v2c = result.vertex_cluster.data();
   state.vol = vol.data();
-  if (config.enforce_volume_cap) {
-    const double cap = config.volume_cap_factor *
-                       static_cast<double>(degrees.TotalVolume()) /
-                       num_partitions;
-    state.max_volume = static_cast<uint64_t>(cap);
-  } else {
-    state.max_volume = std::numeric_limits<uint64_t>::max();
-  }
+  state.max_volume = static_cast<uint64_t>(
+      config.volume_cap_factor * static_cast<double>(degrees.TotalVolume()) /
+      num_partitions);
 
   state.shared = exec.Workers() > 1;
   for (uint32_t pass = 0; pass < config.num_passes; ++pass) {

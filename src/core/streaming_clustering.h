@@ -26,12 +26,9 @@ struct ClusteringConfig {
   /// (§III-A2); our ablation (bench/ablation_design_choices) shows
   /// sub-partition-sized clusters (0.25x) partition best, because they
   /// bound the damage of volume-greedy mis-migrations and give the
-  /// scheduler packing freedom.
+  /// scheduler packing freedom. A factor of k makes the cap 2|E|, which
+  /// never binds: the original Hollocou behaviour, unbounded clusters.
   double volume_cap_factor = 0.25;
-
-  /// Disables the volume cap entirely (ablation: original Hollocou
-  /// behaviour, unbounded clusters).
-  bool enforce_volume_cap = true;
 };
 
 /// Result of the clustering phase, reused by Phase 2 as shared state.

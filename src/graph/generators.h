@@ -12,7 +12,8 @@ namespace tpsl {
 
 /// Deterministic synthetic graph generators. These stand in for the
 /// paper's public datasets (OK/IT/TW/FR/UK/GSH/WDC), which are not
-/// available offline; see DESIGN.md §4 for the substitution argument.
+/// available offline; graph/datasets.h maps each dataset to the
+/// generator that keeps its degree skew or community structure.
 /// All generators are pure functions of their config (seed included).
 ///
 /// The R-MAT, Erdős–Rényi and planted-partition generators draw each

@@ -9,6 +9,7 @@
 
 #include "graph/types.h"
 #include "ingest/checksum.h"
+#include "io/edge_block_format.h"
 #include "io/mmap_edge_stream.h"
 
 namespace tpsl {
@@ -423,10 +424,10 @@ Status VerifyCompressedDataset(const CatalogEntry& entry,
   }
   TPSL_ASSIGN_OR_RETURN(std::unique_ptr<io::MmapEdgeStream> stream,
                         io::MmapEdgeStream::Open(path));
-  Fnv1a64 hash;
+  uint64_t digest = io::kFnv1a64OffsetBasis;
   uint64_t count = 0;
   TPSL_RETURN_IF_ERROR(ForEachEdge(*stream, [&](const Edge& edge) {
-    hash.Update(&edge, sizeof(edge));
+    digest = io::Fnv1a64(&edge, sizeof(edge), digest);
     ++count;
   }));
   if (entry.expected_edges != 0 && count != entry.expected_edges) {
@@ -434,7 +435,7 @@ Status VerifyCompressedDataset(const CatalogEntry& entry,
                            std::to_string(count) + " edges, expected " +
                            std::to_string(entry.expected_edges));
   }
-  const std::string checksum = FormatChecksum(hash.digest());
+  const std::string checksum = FormatChecksum(digest);
   if (checksum != entry.expected_checksum) {
     return Status::IoError("dataset '" + entry.recipe.name +
                            "': decoded checksum " + checksum +

@@ -4,18 +4,10 @@
 #include <cstdio>
 #include <cstring>
 
+#include "io/edge_block_format.h"
+
 namespace tpsl {
 namespace ingest {
-
-void Fnv1a64::Update(const void* data, size_t bytes) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  uint64_t state = state_;
-  for (size_t i = 0; i < bytes; ++i) {
-    state ^= p[i];
-    state *= 0x100000001b3ULL;
-  }
-  state_ = state;
-}
 
 std::string FormatChecksum(uint64_t digest) {
   char buf[32];
@@ -30,18 +22,18 @@ StatusOr<std::string> ChecksumFile(const std::string& path) {
     return Status::NotFound("cannot open: " + path + ": " +
                             std::strerror(errno));
   }
-  Fnv1a64 hash;
+  uint64_t digest = io::kFnv1a64OffsetBasis;
   char buffer[1 << 16];
   size_t n = 0;
   while ((n = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
-    hash.Update(buffer, n);
+    digest = io::Fnv1a64(buffer, n, digest);
   }
   const bool read_error = std::ferror(file) != 0;
   std::fclose(file);
   if (read_error) {
     return Status::IoError("read failed while checksumming: " + path);
   }
-  return FormatChecksum(hash.digest());
+  return FormatChecksum(digest);
 }
 
 }  // namespace ingest

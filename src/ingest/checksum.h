@@ -1,7 +1,6 @@
 #ifndef TPSL_INGEST_CHECKSUM_H_
 #define TPSL_INGEST_CHECKSUM_H_
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -10,26 +9,16 @@
 namespace tpsl {
 namespace ingest {
 
-/// Incremental FNV-1a (64-bit) over raw bytes. Used to fingerprint
-/// on-disk datasets: fast enough to run at generation speed, stable
-/// across platforms, and strong enough to catch corruption/truncation
-/// (the catalog's --verify), which is all it is for — it is not a
-/// cryptographic hash.
-class Fnv1a64 {
- public:
-  void Update(const void* data, size_t bytes);
-  uint64_t digest() const { return state_; }
-
- private:
-  uint64_t state_ = 0xcbf29ce484222325ULL;
-};
-
-/// Renders a digest as the catalog's checksum string,
-/// "fnv1a64:<16 lowercase hex digits>". Checksums travel as strings
-/// because JSON numbers are doubles and cannot round-trip 64 bits.
+/// Renders an io::Fnv1a64 digest (io/edge_block_format.h) as the
+/// catalog's checksum string, "fnv1a64:<16 lowercase hex digits>".
+/// FNV-1a is fast enough to run at generation speed, stable across
+/// platforms, and strong enough to catch corruption/truncation (the
+/// catalog's --verify), which is all it is for — it is not a
+/// cryptographic hash. Checksums travel as strings because JSON numbers
+/// are doubles and cannot round-trip 64 bits.
 std::string FormatChecksum(uint64_t digest);
 
-/// Streams `path` through Fnv1a64 with a bounded buffer and returns
+/// Streams `path` through io::Fnv1a64 with a bounded buffer and returns
 /// the formatted checksum.
 StatusOr<std::string> ChecksumFile(const std::string& path);
 

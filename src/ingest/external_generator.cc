@@ -7,6 +7,7 @@
 #include "graph/generators.h"
 #include "ingest/checksum.h"
 #include "io/compressed_edge_writer.h"
+#include "io/edge_block_format.h"
 #include "util/timer.h"
 
 namespace tpsl {
@@ -30,18 +31,18 @@ class FileSink {
                                 std::strerror(errno));
       return;
     }
-    hash_.Update(edges, count * sizeof(Edge));
+    digest_ = io::Fnv1a64(edges, count * sizeof(Edge), digest_);
     num_edges_ += count;
   }
 
   const Status& status() const { return status_; }
   uint64_t num_edges() const { return num_edges_; }
-  uint64_t digest() const { return hash_.digest(); }
+  uint64_t digest() const { return digest_; }
 
  private:
   std::FILE* file_;
   Status status_;
-  Fnv1a64 hash_;
+  uint64_t digest_ = io::kFnv1a64OffsetBasis;
   uint64_t num_edges_ = 0;
 };
 

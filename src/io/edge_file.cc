@@ -30,7 +30,14 @@ StatusOr<EdgeFileFormat> SniffEdgeFileFormat(const std::string& path) {
   }
   char magic[8] = {0};
   const size_t read = std::fread(magic, 1, sizeof(magic), file);
+  // A short read is EOF or an error (a directory opens but fails here).
+  const bool failed = std::ferror(file) != 0;
+  const int read_errno = errno;
   std::fclose(file);
+  if (failed) {
+    return Status::IoError("read failed: " + path + ": " +
+                           std::strerror(read_errno));
+  }
   // A shorter-than-magic file cannot be compressed; let the raw reader
   // judge it (an empty raw file is legal).
   if (read == sizeof(magic) && std::memcmp(magic, kEdgeFileMagic, 8) == 0) {

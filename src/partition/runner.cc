@@ -100,24 +100,22 @@ StatusOr<RunResult> RunPipeline(Partitioner& partitioner, EdgeStream& stream,
   // none was lent, writer buffers, any opted-in edge lists) —
   // snapshot before Finish() releases the writer.
   result.stats.state_bytes += pipeline.StateBytes();
-  if (options.validate) {
-    // Before paying for the spill manifest: an invalid run needs none.
-    // Every edge must be assigned exactly once; the hard cap is checked
-    // only for partitioners that promise it (stateless hashing does
-    // not — the paper reports their measured α instead). Loads only
-    // grow, so the final loads catch any mid-stream breach too.
-    const std::vector<uint64_t>& loads = quality_sink.Loads();
-    uint64_t expected_edges = hint;
-    if (expected_edges == 0) {
-      for (const uint64_t load : loads) {
-        expected_edges += load;
-      }
+  // Before paying for the spill manifest: an invalid run needs none.
+  // Every edge must be assigned exactly once; the hard cap is checked
+  // only for partitioners that promise it (stateless hashing does
+  // not — the paper reports their measured α instead). Loads only
+  // grow, so the final loads catch any mid-stream breach too.
+  const std::vector<uint64_t>& loads = quality_sink.Loads();
+  uint64_t expected_edges = hint;
+  if (expected_edges == 0) {
+    for (const uint64_t load : loads) {
+      expected_edges += load;
     }
-    const uint64_t capacity = partitioner.enforces_balance_cap()
-                                  ? config.PartitionCapacity(expected_edges)
-                                  : ~uint64_t{0};
-    TPSL_RETURN_IF_ERROR(ValidateLoads(loads, expected_edges, capacity));
   }
+  const uint64_t capacity = partitioner.enforces_balance_cap()
+                                ? config.PartitionCapacity(expected_edges)
+                                : ~uint64_t{0};
+  TPSL_RETURN_IF_ERROR(ValidateLoads(loads, expected_edges, capacity));
   if (spill_sink) {
     obs::TraceSpan span("partition.finish", "partition");
     TPSL_RETURN_IF_ERROR(spill_sink->Finish());

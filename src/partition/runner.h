@@ -31,7 +31,7 @@ struct SpillInfo {
 /// composable sink pipeline — streaming quality metrics always (loads,
 /// plus an O(|V|·k) bit matrix only for partitioners that lend none;
 /// never an edge list), contract validation from the quality sink's
-/// loads by default, plus opt-in materialization and disk spill sinks.
+/// loads always, plus opt-in materialization and disk spill sinks.
 struct RunResult {
   std::string partitioner_name;
   PartitionQuality quality;
@@ -50,10 +50,6 @@ struct RunOptions {
   /// which defeats the out-of-core measurement path — prefer
   /// `spill_dir` + OpenSpilledPartitions for downstream processing.
   bool keep_partitions = false;
-  /// Fail the run if an edge is lost/duplicated or the hard balance
-  /// cap is violated (checked once, from the final per-partition
-  /// loads, right after the pass and before the spill is finalized).
-  bool validate = true;
   /// Non-empty: add a PartitionedWriter spill sink that streams every
   /// assignment to one compressed edge-block file per partition under
   /// this directory (created if missing). RunResult::spill describes
@@ -68,7 +64,10 @@ struct RunOptions {
 /// spill writer on request, at every thread count. Quality is computed
 /// single-pass by the QualitySink while assignments stream through, and
 /// validation reads that sink's loads — the default path holds no edge
-/// lists, so out-of-core runs stay out of core end to end. A partitioner
+/// lists, so out-of-core runs stay out of core end to end. The run fails
+/// if an edge is lost or duplicated, or if a partitioner whose
+/// `enforces_balance_cap()` holds exceeds the hard cap (checked once,
+/// after the pass and before the spill is finalized). A partitioner
 /// that keeps a replica matrix lends it, so it is the run's only `v2p`
 /// matrix and the sink holds loads only. Sets the
 /// `quality.replication_factor` and `quality.max_load_skew` gauges from

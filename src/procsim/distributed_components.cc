@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <numeric>
+#include <span>
 
+#include "graph/in_memory_edge_stream.h"
 #include "procsim/partition_streams.h"
 
 namespace tpsl {
@@ -97,14 +99,15 @@ StatusOr<ComponentsResult> SimulateDistributedComponents(
 StatusOr<ComponentsResult> SimulateDistributedComponents(
     const std::vector<std::vector<Edge>>& partitions,
     const ClusterModel& cluster) {
-  std::vector<VectorEdgeStream> streams;
+  // Borrowing streams: the span constructor copies no edges.
+  std::vector<InMemoryEdgeStream> streams;
   streams.reserve(partitions.size());
   for (const std::vector<Edge>& part : partitions) {
-    streams.emplace_back(part);
+    streams.emplace_back(std::span<const Edge>(part));
   }
   std::vector<EdgeStream*> pointers;
   pointers.reserve(streams.size());
-  for (VectorEdgeStream& stream : streams) {
+  for (InMemoryEdgeStream& stream : streams) {
     pointers.push_back(&stream);
   }
   return SimulateDistributedComponents(pointers, cluster);

@@ -1,7 +1,9 @@
 #include "procsim/distributed_pagerank.h"
 
 #include <algorithm>
+#include <span>
 
+#include "graph/in_memory_edge_stream.h"
 #include "procsim/partition_streams.h"
 
 namespace tpsl {
@@ -84,14 +86,15 @@ StatusOr<DistributedRunResult> SimulateDistributedPageRank(
 StatusOr<DistributedRunResult> SimulateDistributedPageRank(
     const std::vector<std::vector<Edge>>& partitions,
     const PageRankConfig& pagerank, const ClusterModel& cluster) {
-  std::vector<VectorEdgeStream> streams;
+  // Borrowing streams: the span constructor copies no edges.
+  std::vector<InMemoryEdgeStream> streams;
   streams.reserve(partitions.size());
   for (const std::vector<Edge>& part : partitions) {
-    streams.emplace_back(part);
+    streams.emplace_back(std::span<const Edge>(part));
   }
   std::vector<EdgeStream*> pointers;
   pointers.reserve(streams.size());
-  for (VectorEdgeStream& stream : streams) {
+  for (InMemoryEdgeStream& stream : streams) {
     pointers.push_back(&stream);
   }
   return SimulateDistributedPageRank(pointers, pagerank, cluster);

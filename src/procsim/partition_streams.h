@@ -1,9 +1,7 @@
 #ifndef TPSL_PROCSIM_PARTITION_STREAMS_H_
 #define TPSL_PROCSIM_PARTITION_STREAMS_H_
 
-#include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 #include "graph/edge_stream.h"
@@ -11,35 +9,6 @@
 #include "util/status.h"
 
 namespace tpsl {
-
-/// Non-owning EdgeStream view over a materialized partition; lets the
-/// in-memory procsim entry points reuse the stream-based simulators
-/// without copying the edge lists.
-class VectorEdgeStream : public EdgeStream {
- public:
-  explicit VectorEdgeStream(const std::vector<Edge>& edges)
-      : edges_(&edges) {}
-
-  Status Reset() override {
-    position_ = 0;
-    return Status::OK();
-  }
-
-  size_t Next(Edge* out, size_t capacity) override {
-    const size_t n = std::min(capacity, edges_->size() - position_);
-    if (n > 0) {
-      std::memcpy(out, edges_->data() + position_, n * sizeof(Edge));
-      position_ += n;
-    }
-    return n;
-  }
-
-  uint64_t NumEdgesHint() const override { return edges_->size(); }
-
- private:
-  const std::vector<Edge>* edges_;
-  size_t position_ = 0;
-};
 
 /// What one discovery pass over the partition streams learns: the
 /// vertex universe, per-partition edge counts, the replica structure

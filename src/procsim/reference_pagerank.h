@@ -4,13 +4,14 @@
 #include <cstdint>
 #include <vector>
 
-#include "graph/csr.h"
+#include "graph/types.h"
 
 namespace tpsl {
 
 /// Single-machine PageRank on an undirected graph (each edge treated
-/// as two directed edges), used as the correctness oracle for the
-/// distributed processing simulator:
+/// as two directed edges, so a self-loop counts twice), used as the
+/// correctness oracle for the distributed processing simulator. It
+/// sums along the edge list, sharing no code with the partitioners:
 ///   pr'[v] = (1 - damping)/N + damping · Σ_{u ∈ N(v)} pr[u]/deg(u).
 /// Runs a fixed number of power iterations (the paper's workload is
 /// static PageRank with 100 iterations).
@@ -19,7 +20,9 @@ struct PageRankConfig {
   double damping = 0.85;
 };
 
-std::vector<double> ReferencePageRank(const CsrGraph& graph,
+/// `num_vertices` must exceed every vertex id in `edges`.
+std::vector<double> ReferencePageRank(const std::vector<Edge>& edges,
+                                      VertexId num_vertices,
                                       const PageRankConfig& config);
 
 }  // namespace tpsl

@@ -100,7 +100,7 @@ TEST(StreamingClusteringTest, UncappedMergesMore) {
 
   ClusteringConfig capped;
   ClusteringConfig uncapped;
-  uncapped.enforce_volume_cap = false;
+  uncapped.volume_cap_factor = 64;  // = k: the cap 2|E| never binds
   const Clustering with_cap = ClusterEdges(edges, 64, capped);
   const Clustering without_cap = ClusterEdges(edges, 64, uncapped);
   // Without the cap, clusters can swallow whole communities, so there
@@ -236,7 +236,9 @@ TEST(StreamingClusteringTest, CompactsSparseIdsInPlace) {
           ASSERT_TRUE(degrees.ok());
           ClusteringConfig config;
           config.num_passes = passes;
-          config.enforce_volume_cap = capped;
+          if (!capped) {
+            config.volume_cap_factor = 4;  // = k: the cap never binds
+          }
           exec::ExecContext exec;
           exec.threads = threads;
           exec.batch_size = 64;

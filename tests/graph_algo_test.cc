@@ -1,13 +1,14 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <set>
+#include <utility>
 #include <vector>
 
-#include "graph/csr.h"
+#include "baselines/ne.h"
+#include "exec/thread_pool.h"
 #include "graph/degrees.h"
 #include "graph/in_memory_edge_stream.h"
 #include "graph/types.h"
+#include "util/random.h"
 
 namespace tpsl {
 namespace {
@@ -48,60 +49,70 @@ TEST(DegreesTest, MultiEdgesAccumulate) {
   EXPECT_EQ(table_or->degree(1), 3u);
 }
 
-TEST(CsrTest, NeighborsOfSquareGraph) {
-  const std::vector<Edge> edges = {{0, 1}, {1, 2}, {2, 3}, {3, 0}};
-  const CsrGraph graph = CsrGraph::FromEdges(edges);
-  EXPECT_EQ(graph.num_vertices(), 4u);
-  EXPECT_EQ(graph.num_edges(), 4u);
-  for (VertexId v = 0; v < 4; ++v) {
-    EXPECT_EQ(graph.degree(v), 2u);
+/// Checks `adj` against the definition: per-vertex degree counts as
+/// offsets, and each vertex's entries in ascending edge-id order (a
+/// self-loop appears twice, both times with its own id).
+void ExpectAdjacencyOf(const std::vector<Edge>& edges, VertexId num_vertices,
+                       const expansion::IndexedAdjacency& adj) {
+  std::vector<std::vector<std::pair<VertexId, uint64_t>>> lists(num_vertices);
+  for (uint64_t id = 0; id < edges.size(); ++id) {
+    lists[edges[id].first].push_back({edges[id].second, id});
+    lists[edges[id].second].push_back({edges[id].first, id});
   }
-  const auto n0 = graph.neighbors(0);
-  const std::set<VertexId> neighbors0(n0.begin(), n0.end());
-  EXPECT_EQ(neighbors0, (std::set<VertexId>{1, 3}));
+  ASSERT_EQ(adj.offsets.size(), static_cast<size_t>(num_vertices) + 1);
+  EXPECT_EQ(adj.offsets[0], 0u);
+  for (VertexId v = 0; v < num_vertices; ++v) {
+    ASSERT_EQ(adj.degree(v), lists[v].size()) << "vertex " << v;
+    for (size_t i = 0; i < lists[v].size(); ++i) {
+      EXPECT_EQ(adj.neighbors[adj.offsets[v] + i], lists[v][i].first);
+      EXPECT_EQ(adj.edge_ids[adj.offsets[v] + i], lists[v][i].second);
+    }
+  }
+  EXPECT_EQ(adj.neighbors.size(), 2 * edges.size());
+  EXPECT_EQ(adj.edge_ids.size(), 2 * edges.size());
 }
 
-TEST(CsrTest, FromStreamMatchesFromEdges) {
-  std::vector<Edge> edges;
-  for (uint32_t i = 0; i < 200; ++i) {
-    edges.push_back(Edge{i % 17, (i * 3) % 23});
+/// The chunked counting sort gives byte-identical arrays on the
+/// caller's thread and on four pool workers, for the degenerate graphs
+/// and for edge counts that do and do not split evenly into chunks.
+TEST(IndexedAdjacencyTest, ByteIdenticalAtOneAndFourThreads) {
+  struct Case {
+    const char* label;
+    std::vector<Edge> edges;
+    VertexId num_vertices;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"empty", {}, 0});
+  cases.push_back({"empty with isolated vertices", {}, 5});
+  cases.push_back({"self-loop listed twice", {{0, 0}, {0, 0}}, 1});
+  cases.push_back({"fewer edges than threads", {{2, 0}, {1, 2}}, 3});
+  for (const uint64_t m : {32767u, 32768u, 32769u, 40001u}) {
+    constexpr VertexId kVertices = 3000;
+    SplitMix64 rng(m);
+    Case c{"random", {}, kVertices};
+    for (uint64_t i = 0; i < m; ++i) {
+      c.edges.push_back({static_cast<VertexId>(rng.NextBounded(kVertices)),
+                         static_cast<VertexId>(rng.NextBounded(kVertices))});
+    }
+    cases.push_back(std::move(c));
   }
-  const CsrGraph from_edges = CsrGraph::FromEdges(edges);
-  InMemoryEdgeStream stream(edges);
-  auto from_stream_or = CsrGraph::FromStream(stream);
-  ASSERT_TRUE(from_stream_or.ok());
-  const CsrGraph& from_stream = *from_stream_or;
 
-  ASSERT_EQ(from_stream.num_vertices(), from_edges.num_vertices());
-  ASSERT_EQ(from_stream.num_edges(), from_edges.num_edges());
-  for (VertexId v = 0; v < from_edges.num_vertices(); ++v) {
-    const auto a = from_edges.neighbors(v);
-    const auto b = from_stream.neighbors(v);
-    std::vector<VertexId> va(a.begin(), a.end());
-    std::vector<VertexId> vb(b.begin(), b.end());
-    std::sort(va.begin(), va.end());
-    std::sort(vb.begin(), vb.end());
-    EXPECT_EQ(va, vb) << "vertex " << v;
+  exec::ThreadPool pool(4);
+  exec::ExecContext parallel;
+  parallel.threads = 4;
+  parallel.pool = &pool;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message()
+                 << c.label << " |E|=" << c.edges.size());
+    const auto serial =
+        expansion::IndexedAdjacency::Build(c.edges, c.num_vertices);
+    const auto fanned =
+        expansion::IndexedAdjacency::Build(c.edges, c.num_vertices, parallel);
+    EXPECT_EQ(serial.offsets, fanned.offsets);
+    EXPECT_EQ(serial.neighbors, fanned.neighbors);
+    EXPECT_EQ(serial.edge_ids, fanned.edge_ids);
+    ExpectAdjacencyOf(c.edges, c.num_vertices, serial);
   }
-}
-
-TEST(CsrTest, SelfLoopAppearsTwiceInAdjacency) {
-  const CsrGraph graph = CsrGraph::FromEdges({{0, 0}});
-  EXPECT_EQ(graph.degree(0), 2u);
-  for (const VertexId v : graph.neighbors(0)) {
-    EXPECT_EQ(v, 0u);
-  }
-}
-
-TEST(CsrTest, HeapBytesIsPositive) {
-  const CsrGraph graph = CsrGraph::FromEdges({{0, 1}, {1, 2}});
-  EXPECT_GT(graph.HeapBytes(), 0u);
-}
-
-TEST(CsrTest, EmptyGraph) {
-  const CsrGraph graph = CsrGraph::FromEdges({});
-  EXPECT_EQ(graph.num_vertices(), 0u);
-  EXPECT_EQ(graph.num_edges(), 0u);
 }
 
 }  // namespace

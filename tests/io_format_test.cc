@@ -189,6 +189,17 @@ TEST(EdgeBlockFormatTest, SniffsRawFiles) {
   std::remove(path.c_str());
 }
 
+TEST(EdgeBlockFormatTest, DirectoryFailsAtOpen) {
+  // A directory opens for reading, but reading its leading bytes fails
+  // (EISDIR): sniffing must report that instead of calling it raw.
+  auto format = SniffEdgeFileFormat(testing::TempDir());
+  ASSERT_FALSE(format.ok());
+  EXPECT_EQ(format.status().code(), StatusCode::kIoError);
+  auto stream = OpenEdgeFile(testing::TempDir());
+  ASSERT_FALSE(stream.ok());
+  EXPECT_EQ(stream.status().code(), StatusCode::kIoError);
+}
+
 /// XORs the byte at `offset` of `path` with 0xff.
 void FlipByte(const std::string& path, long offset) {
   std::FILE* file = std::fopen(path.c_str(), "r+b");

@@ -392,7 +392,7 @@ TEST(ParallelClusteringTest, InlineMatchesCapturedDigests) {
   }
   {
     ClusteringConfig uncapped;
-    uncapped.enforce_volume_cap = false;
+    uncapped.volume_cap_factor = 8;  // = k: the cap 2|E| never binds
     variants.push_back({"uncapped", uncapped});
   }
   const std::map<std::pair<std::string, std::string>, uint64_t> golden = {

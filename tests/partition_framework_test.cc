@@ -254,6 +254,13 @@ class OverloadingPartitioner : public Partitioner {
   }
 };
 
+/// The same placement from a partitioner that declares no cap, as the
+/// hashing baselines do: the runner checks only the edge count.
+class UncappedOverloader : public OverloadingPartitioner {
+ public:
+  bool enforces_balance_cap() const override { return false; }
+};
+
 TEST(RunnerTest, CatchesCapViolation) {
   std::vector<Edge> edges;
   for (uint32_t i = 0; i < 100; ++i) {
@@ -360,11 +367,10 @@ TEST(RunnerTest, StreamingQualityMatchesOracleWithoutKeptPartitions) {
     edges.push_back(Edge{i % 97, (i * 7 + 3) % 89});
   }
   InMemoryEdgeStream stream(edges);
-  OverloadingPartitioner all_in_one;  // deterministic sink pattern
+  UncappedOverloader all_in_one;  // deterministic sink pattern
   PartitionConfig config;
   config.num_partitions = 3;
   RunOptions options;
-  options.validate = false;  // Overloader ignores the cap by design
   options.keep_partitions = true;
   auto result = RunPartitioner(all_in_one, stream, config, options);
   ASSERT_TRUE(result.ok());
@@ -380,11 +386,10 @@ TEST(RunnerTest, SinkStateCountsTowardStateBytes) {
   for (uint32_t i = 0; i < 200; ++i) {
     edges.push_back(Edge{i, i + 1});
   }
-  OverloadingPartitioner partitioner;  // reports no state of its own
+  UncappedOverloader partitioner;  // reports no state of its own
   PartitionConfig config;
   config.num_partitions = 4;
   RunOptions options;
-  options.validate = false;
 
   InMemoryEdgeStream stream_a(edges);
   auto streaming = RunPartitioner(partitioner, stream_a, config, options);
@@ -489,9 +494,8 @@ TEST(RunnerTest, FailingStreamSurfacesHealthNotShortGraph) {
   OverloadingPartitioner partitioner;
   PartitionConfig config;
   config.num_partitions = 2;
-  RunOptions options;
-  options.validate = false;
-  auto result = RunPartitioner(partitioner, stream, config, options);
+  // The stream's health is checked before the loads are validated.
+  auto result = RunPartitioner(partitioner, stream, config);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kIoError);
 }

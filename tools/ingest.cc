@@ -7,48 +7,35 @@
 //   ingest --verify                   full re-checksum against the pins
 //   ingest --pin                      generate + write actual edge counts
 //                                     and checksums back into the catalog
-//   ingest --bench                    read-throughput: plain vs dataset
-//                                     stream (prefetched for raw files)
 //
 //   --catalog=FILE    catalog path (default bench/catalog.json)
 //   --dir=DIR         dataset cache dir (default bench/.datasets)
 //   --name=NAME       restrict to one dataset (repeatable)
 //   --format=F        override the on-disk encoding (raw | compressed)
-//                     for --generate/--verify/--bench; with --pin the
+//                     for --generate/--verify; with --pin the
 //                     catalog is rewritten to the chosen format
 //   --chunk-edges=N   generation chunk buffer, in edges (default 1Mi)
-//   --threads=N       with --bench: additionally run an out-of-core
-//                     parallel 2PS-L over each dataset on N execution-
-//                     engine workers and report time + replication
-//   --spill=DIR       with --bench --threads: stream the partition
-//                     assignments back to DIR as one compressed edge
-//                     file per partition (the full storage-to-storage
-//                     out-of-core loop); reports bytes written
 //   --trace=FILE      record spans while running (any mode) and export
 //                     Chrome trace-event JSON to FILE on exit (load in
 //                     ui.perfetto.dev or chrome://tracing)
 //   --verbose         emit debug-severity log lines too
 //
 // CI runs --generate (cache-backed via actions/cache keyed on the
-// catalog hash) and --verify before the bench_runner perf gate.
+// catalog hash) and --verify before the bench_runner perf gate. Read
+// and partitioning throughput on the datasets are measured by the
+// bench_runner ingest_* and disk scenarios.
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "benchkit/measure.h"
-#include "core/two_phase_partitioner.h"
 #include "ingest/catalog.h"
-#include "ingest/prefetching_edge_stream.h"
 #include "io/edge_file.h"
 #include "obs/trace.h"
-#include "partition/runner.h"
 #include "util/logging.h"
 #include "util/status.h"
-#include "util/timer.h"
 
 namespace {
 
@@ -59,29 +46,26 @@ using tpsl::ingest::DatasetPath;
 using tpsl::ingest::EnsureDataset;
 using tpsl::ingest::EnsureResult;
 using tpsl::ingest::LoadCatalog;
-using tpsl::ingest::OpenDatasetStream;
 using tpsl::ingest::SaveCatalog;
 using tpsl::ingest::VerifyDataset;
 
 struct Options {
-  enum class Mode { kNone, kDescribe, kGenerate, kVerify, kPin, kBench };
+  enum class Mode { kNone, kDescribe, kGenerate, kVerify, kPin };
   Mode mode = Mode::kNone;
   std::string catalog_path = "bench/catalog.json";
   std::string dir = "bench/.datasets";
   std::vector<std::string> names;
   int format_override = -1;  // -1 = catalog's; 0 = raw; 1 = compressed
   size_t chunk_edges = 1 << 20;
-  uint32_t threads = 0;  // --bench: partition on N workers (0 = scan only)
-  std::string spill_dir;  // --bench: spill partitions to disk when set
   std::string trace_path;  // --trace (empty = tracing off)
 };
 
 int Usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s (--describe | --generate | --verify | --pin |"
-               " --bench) [--catalog=FILE] [--dir=DIR] [--name=NAME ...]"
-               " [--format=raw|compressed] [--chunk-edges=N] [--threads=N]"
-               " [--spill=DIR] [--trace=FILE] [--verbose]\n",
+               "usage: %s (--describe | --generate | --verify | --pin)"
+               " [--catalog=FILE] [--dir=DIR] [--name=NAME ...]"
+               " [--format=raw|compressed] [--chunk-edges=N]"
+               " [--trace=FILE] [--verbose]\n",
                argv0);
   return 2;
 }
@@ -252,108 +236,6 @@ int Pin(Catalog catalog, const Options& options) {
   return 0;
 }
 
-int Bench(const Catalog& catalog, const Options& options) {
-  std::vector<CatalogEntry> entries;
-  if (!SelectEntries(catalog, options, &entries)) {
-    return 2;
-  }
-  std::printf("%-14s %14s %12s %12s %10s %10s\n", "name", "edges",
-              "plain MB/s", "prefetch MB/s", "plain s", "prefetch s");
-  for (const CatalogEntry& entry : entries) {
-    auto ensured = EnsureDataset(entry, options.dir, options.chunk_edges);
-    if (!ensured.ok()) {
-      TPSL_LOG(Error) << ensured.status().ToString();
-      return 1;
-    }
-    auto time_scan = [&](tpsl::EdgeStream& stream,
-                         double* out_seconds) -> Status {
-      uint64_t count = 0;
-      tpsl::WallTimer timer;
-      TPSL_RETURN_IF_ERROR(
-          tpsl::ForEachEdge(stream, [&count](const tpsl::Edge&) { ++count; }));
-      *out_seconds = timer.ElapsedSeconds();
-      if (count != ensured->num_edges) {
-        return Status::Internal("scan delivered " + std::to_string(count) +
-                                " of " + std::to_string(ensured->num_edges) +
-                                " edges");
-      }
-      return Status::OK();
-    };
-
-    double plain_seconds = 0.0;
-    double prefetch_seconds = 0.0;
-    {
-      // Sniffing open, no read-ahead: raw fread or synchronous block
-      // decode.
-      auto plain = tpsl::io::OpenEdgeFile(ensured->path);
-      if (!plain.ok()) {
-        TPSL_LOG(Error) << plain.status().ToString();
-        return 1;
-      }
-      const Status status = time_scan(**plain, &plain_seconds);
-      if (!status.ok()) {
-        TPSL_LOG(Error) << status.ToString();
-        return 1;
-      }
-    }
-    {
-      auto dataset = OpenDatasetStream(ensured->path);
-      if (!dataset.ok()) {
-        TPSL_LOG(Error) << dataset.status().ToString();
-        return 1;
-      }
-      const Status status = time_scan(**dataset, &prefetch_seconds);
-      if (!status.ok()) {
-        TPSL_LOG(Error) << status.ToString();
-        return 1;
-      }
-    }
-    const double mb = static_cast<double>(ensured->file_bytes) / 1e6;
-    std::printf("%-14s %14" PRIu64 " %12.1f %12.1f %10.3f %10.3f\n",
-                entry.recipe.name.c_str(), ensured->num_edges,
-                plain_seconds > 0 ? mb / plain_seconds : 0.0,
-                prefetch_seconds > 0 ? mb / prefetch_seconds : 0.0,
-                plain_seconds, prefetch_seconds);
-
-    if (options.threads != 0) {
-      // Out-of-core parallel 2PS-L: the dataset stream feeding the
-      // execution engine's workers, which decode compressed blocks
-      // themselves — the full pipeline the 2psl_par disk scenarios
-      // gate, on demand for any dataset.
-      auto dataset = OpenDatasetStream(ensured->path);
-      if (!dataset.ok()) {
-        TPSL_LOG(Error) << dataset.status().ToString();
-        return 1;
-      }
-      tpsl::TwoPhasePartitioner partitioner;
-      tpsl::PartitionConfig config;
-      config.exec.threads = options.threads;
-      tpsl::RunOptions run_options;
-      if (!options.spill_dir.empty()) {
-        run_options.spill_dir = options.spill_dir;
-        run_options.spill_stem = entry.recipe.name;
-      }
-      auto run = tpsl::RunPartitioner(partitioner, **dataset, config,
-                                      run_options);
-      if (!run.ok()) {
-        TPSL_LOG(Error) << run.status().ToString();
-        return 1;
-      }
-      std::printf("%-14s 2PS-L(par) k=%u threads=%u: %.3fs, rf %.3f\n",
-                  entry.recipe.name.c_str(), config.num_partitions,
-                  options.threads, run->stats.TotalSeconds(),
-                  run->quality.replication_factor);
-      if (run->spill.spilled()) {
-        std::printf("%-14s spilled %.1f MB to %s.part*.bin\n",
-                    entry.recipe.name.c_str(),
-                    static_cast<double>(run->spill.bytes_written) / 1e6,
-                    run->spill.prefix.c_str());
-      }
-    }
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -369,8 +251,6 @@ int main(int argc, char** argv) {
       options.mode = Options::Mode::kVerify;
     } else if (std::strcmp(arg, "--pin") == 0) {
       options.mode = Options::Mode::kPin;
-    } else if (std::strcmp(arg, "--bench") == 0) {
-      options.mode = Options::Mode::kBench;
     } else if (ParseFlag(arg, "--catalog", &value)) {
       options.catalog_path = value;
     } else if (ParseFlag(arg, "--dir", &value)) {
@@ -387,14 +267,6 @@ int main(int argc, char** argv) {
                         << "' (want raw | compressed)";
         return Usage(argv[0]);
       }
-    } else if (ParseFlag(arg, "--threads", &value)) {
-      if (!tpsl::benchkit::ParseThreadCount(value.c_str(),
-                                            &options.threads)) {
-        TPSL_LOG(Error) << "bad --threads '" << value << "' (want 1..1024)";
-        return Usage(argv[0]);
-      }
-    } else if (ParseFlag(arg, "--spill", &value)) {
-      options.spill_dir = value;
     } else if (ParseFlag(arg, "--trace", &value)) {
       options.trace_path = value;
     } else if (std::strcmp(arg, "--trace") == 0 && i + 1 < argc) {
@@ -438,9 +310,6 @@ int main(int argc, char** argv) {
       break;
     case Options::Mode::kPin:
       rc = Pin(std::move(*catalog), options);
-      break;
-    case Options::Mode::kBench:
-      rc = Bench(*catalog, options);
       break;
     case Options::Mode::kNone:
       return Usage(argv[0]);
