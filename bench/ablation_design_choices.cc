@@ -25,16 +25,18 @@ tpsl::StatusOr<tpsl::RunResult> RunVariant(
   return tpsl::RunPartitioner(partitioner, stream, config);
 }
 
-void Report(const char* label, const tpsl::StatusOr<tpsl::RunResult>& r,
+/// Prints one variant's row; returns whether the variant ran.
+bool Report(const char* label, const tpsl::StatusOr<tpsl::RunResult>& r,
             uint64_t num_edges) {
   if (!r.ok()) {
     std::printf("  %-28s FAILED: %s\n", label, r.status().ToString().c_str());
-    return;
+    return false;
   }
   std::printf("  %-28s rf=%7.3f time=%7.4fs prepart=%4.1f%%\n", label,
               r->quality.replication_factor, r->stats.TotalSeconds(),
               100.0 * static_cast<double>(r->stats.prepartitioned_edges) /
                   static_cast<double>(num_edges));
+  return true;
 }
 
 }  // namespace
@@ -43,6 +45,7 @@ int main() {
   const int shift = tpsl::benchkit::ScaleShift(2);
   tpsl::benchkit::PrintHeader("Ablation: 2PS-L design choices at k=32");
 
+  bool all_ran = true;
   for (const char* dataset : {"OK", "UK"}) {
     auto edges_or = tpsl::LoadDataset(dataset, shift);
     if (!edges_or.ok()) {
@@ -58,34 +61,35 @@ int main() {
       options.clustering.volume_cap_factor = cap;
       char label[64];
       std::snprintf(label, sizeof(label), "cap=%.2f", cap);
-      Report(label, RunVariant(edges, options), edges.size());
+      all_ran &= Report(label, RunVariant(edges, options), edges.size());
     }
     {
       tpsl::TwoPhasePartitioner::Options options;
       // A factor of k makes the cap 2|E|, which never binds.
       options.clustering.volume_cap_factor = kPartitions;
-      Report("cap disabled (Hollocou)", RunVariant(edges, options),
-             edges.size());
+      all_ran &= Report("cap disabled (Hollocou)",
+                        RunVariant(edges, options), edges.size());
     }
 
     std::printf(" cluster-to-partition mapping:\n");
     {
       tpsl::TwoPhasePartitioner::Options options;
-      Report("Graham LPT (default)", RunVariant(edges, options),
-             edges.size());
+      all_ran &= Report("Graham LPT (default)", RunVariant(edges, options),
+                        edges.size());
       options.scheduling =
           tpsl::TwoPhasePartitioner::SchedulingMode::kRoundRobin;
-      Report("round robin", RunVariant(edges, options), edges.size());
+      all_ran &=
+          Report("round robin", RunVariant(edges, options), edges.size());
     }
 
     std::printf(" scoring function:\n");
     {
       tpsl::TwoPhasePartitioner::Options options;
-      Report("with cluster-volume term", RunVariant(edges, options),
-             edges.size());
+      all_ran &= Report("with cluster-volume term",
+                        RunVariant(edges, options), edges.size());
       options.use_cluster_volume_term = false;
-      Report("without cluster-volume term", RunVariant(edges, options),
-             edges.size());
+      all_ran &= Report("without cluster-volume term",
+                        RunVariant(edges, options), edges.size());
     }
   }
   std::printf(
@@ -94,5 +98,5 @@ int main() {
       "prepartitioned share but ruins rf AND balance-feasibility); "
       "Graham clearly beats round robin; the cluster-volume scoring "
       "term is roughly neutral at laptop scale.\n");
-  return 0;
+  return all_ran ? 0 : 1;
 }

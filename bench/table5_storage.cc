@@ -1,17 +1,18 @@
 // Reproduces paper Table V: 2PS-L partitioning time when the graph
 // must be re-read from storage on every streaming pass (page cache
 // dropped between passes). Physical devices are replaced by the
-// bandwidth-accounting ThrottledEdgeStream (io/throttled_edge_stream.h)
-// using the paper's fio-profiled speeds: SSD 938 MB/s, HDD 158 MB/s. The
-// reported time for a device is compute time + simulated I/O time (a
-// conservative no-overlap model, as in a single-threaded reader).
+// bandwidth cost model SimulatedIoSeconds (io/storage_profile.h), which
+// prices the file stream's on-disk byte account at the paper's
+// fio-profiled speeds: SSD 938 MB/s, HDD 158 MB/s. The reported time for
+// a device is compute time + simulated I/O time (a conservative
+// no-overlap model, as in a single-threaded reader).
 #include <cstdio>
 #include <string>
 
 #include "baselines/registry.h"
 #include "benchkit/measure.h"
 #include "io/edge_file.h"
-#include "io/throttled_edge_stream.h"
+#include "io/storage_profile.h"
 
 int main() {
   const int shift = tpsl::benchkit::ScaleShift(2);
@@ -37,36 +38,32 @@ int main() {
       return 1;
     }
 
-    double compute_seconds = 0;
-    double io_seconds[2] = {0, 0};  // SSD, HDD
-    const tpsl::StorageProfile profiles[] = {tpsl::kSsdProfile,
-                                             tpsl::kHddProfile};
-    for (int device = 0; device < 2; ++device) {
-      auto file_or = tpsl::io::OpenEdgeFile(path);
-      if (!file_or.ok()) {
-        std::fprintf(stderr, "%s\n", file_or.status().ToString().c_str());
-        return 1;
-      }
-      tpsl::ThrottledEdgeStream throttled(file_or->get(), profiles[device]);
-
-      auto partitioner_or = tpsl::MakePartitioner("2PS-L");
-      tpsl::PartitionConfig config;
-      config.num_partitions = 32;
-      tpsl::CountingSink sink(32);
-      tpsl::PartitionStats stats;
-      const tpsl::Status status =
-          (*partitioner_or)->Partition(throttled, config, sink, &stats);
-      if (!status.ok()) {
-        std::fprintf(stderr, "%s\n", status.ToString().c_str());
-        return 1;
-      }
-      compute_seconds = stats.TotalSeconds();
-      io_seconds[device] = throttled.SimulatedIoSeconds();
+    // One run prices every device: the cost model reads the byte
+    // account the file stream keeps.
+    auto file_or = tpsl::io::OpenEdgeFile(path);
+    if (!file_or.ok()) {
+      std::fprintf(stderr, "%s\n", file_or.status().ToString().c_str());
+      return 1;
     }
+    auto partitioner_or = tpsl::MakePartitioner("2PS-L");
+    tpsl::PartitionConfig config;
+    config.num_partitions = 32;
+    tpsl::CountingSink sink(32);
+    tpsl::PartitionStats stats;
+    const tpsl::Status status =
+        (*partitioner_or)->Partition(**file_or, config, sink, &stats);
     std::remove(path.c_str());
+    if (!status.ok()) {
+      std::fprintf(stderr, "%s\n", status.ToString().c_str());
+      return 1;
+    }
 
-    const double ssd = compute_seconds + io_seconds[0];
-    const double hdd = compute_seconds + io_seconds[1];
+    const double compute_seconds = stats.TotalSeconds();
+    const tpsl::StreamIoStats io = (*file_or)->Io();
+    const double ssd =
+        compute_seconds + tpsl::SimulatedIoSeconds(io, tpsl::kSsdProfile);
+    const double hdd =
+        compute_seconds + tpsl::SimulatedIoSeconds(io, tpsl::kHddProfile);
     std::printf("%-8s %12.3f %12.3f %9.0f%% %12.3f %9.0f%%\n",
                 spec.name.c_str(), compute_seconds, ssd,
                 100.0 * (ssd - compute_seconds) / compute_seconds, hdd,

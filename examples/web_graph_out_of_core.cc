@@ -1,8 +1,8 @@
 // Out-of-core scenario (the paper's UK/GSH/WDC motivation): the graph
 // lives on disk as a binary edge list and never fits in memory as a
 // whole. 2PS-L streams it in 4 sequential passes with O(|V|*k) state.
-// The example also prices the run on slower storage with the
-// ThrottledEdgeStream (paper Table V): multi-pass streaming is cheap
+// The example also prices the run on slower storage from the stream's
+// on-disk byte account (paper Table V): multi-pass streaming is cheap
 // from page cache, noticeable on SSD, painful on HDD.
 #include <cstdio>
 #include <string>
@@ -11,7 +11,7 @@
 #include "graph/datasets.h"
 #include "io/mmap_edge_stream.h"
 #include "io/edge_file.h"
-#include "io/throttled_edge_stream.h"
+#include "io/storage_profile.h"
 #include "partition/runner.h"
 
 int main() {
@@ -45,7 +45,6 @@ int main() {
       "staged UK-like web graph: %zu edges (%.3f GiB decoded, %.3f GiB "
       "on disk, %.2fx) at %s\n",
       edges_or->size(), gib, disk_gib, gib / disk_gib, path.c_str());
-  tpsl::ThrottledEdgeStream metered(file_or->get(), tpsl::kHddProfile);
 
   tpsl::TwoPhasePartitioner partitioner;
   tpsl::PartitionConfig config;
@@ -56,22 +55,23 @@ int main() {
   tpsl::RunOptions options;
   options.spill_dir = "/tmp/tpsl_web_graph_spill";
   options.spill_stem = "web";
-  auto result = tpsl::RunPartitioner(partitioner, metered, config, options);
+  auto result = tpsl::RunPartitioner(partitioner, **file_or, config, options);
   if (!result.ok()) {
     std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
     return 1;
   }
 
   const double compute = result->stats.TotalSeconds();
+  const tpsl::StreamIoStats io = (*file_or)->Io();
   std::printf("\nk=128 out-of-core partitioning\n");
   std::printf("replication factor : %.3f\n",
               result->quality.replication_factor);
   std::printf("compute time       : %.3f s\n", compute);
   std::printf("stream passes      : %llu (degree, clustering, "
               "pre-partition, scoring)\n",
-              static_cast<unsigned long long>(metered.passes()));
+              static_cast<unsigned long long>(io.passes));
   std::printf("bytes streamed     : %.3f GiB\n",
-              static_cast<double>(metered.bytes_read()) / (1 << 30));
+              static_cast<double>(io.disk_bytes_total) / (1 << 30));
   std::printf("run state          : %.1f MiB incl. metric/writer sinks "
               "(vs %.3f GiB edge data)\n",
               static_cast<double>(result->stats.state_bytes) / (1 << 20),
@@ -82,11 +82,10 @@ int main() {
   tpsl::RemoveSpilledFiles(result->spill);
   std::printf("\nstorage cost model (paper Table V):\n");
   std::printf("  page cache : %.3f s\n", compute);
-  const double ssd_io = static_cast<double>(metered.bytes_read()) /
-                        tpsl::kSsdProfile.bytes_per_second;
+  const double ssd_io = tpsl::SimulatedIoSeconds(io, tpsl::kSsdProfile);
   std::printf("  SSD        : %.3f s (+%.0f%%)\n", compute + ssd_io,
               100.0 * ssd_io / compute);
-  const double hdd_io = metered.SimulatedIoSeconds();
+  const double hdd_io = tpsl::SimulatedIoSeconds(io, tpsl::kHddProfile);
   std::printf("  HDD        : %.3f s (+%.0f%%)\n", compute + hdd_io,
               100.0 * hdd_io / compute);
 

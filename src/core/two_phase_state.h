@@ -144,12 +144,6 @@ struct Phase2State {
         volume_term ? volumes[c.c2] : 0, c.p1, c.p2);
   }
 
-  /// 2PS-L's step for one edge: Place claims PreferLinear's pick.
-  PartitionId PlaceLinear(const Edge& e, const Candidates& c,
-                          bool volume_term) {
-    return Place(e, PreferLinear(e, c, volume_term));
-  }
-
   /// Claims a partition for `e` and records both endpoints' replicas:
   /// `preferred`, then the overflow chain of Algorithm 2 — degree-based
   /// hashing on the higher-degree endpoint (line 41), then the

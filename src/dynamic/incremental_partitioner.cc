@@ -60,7 +60,8 @@ void IncrementalPartitioner::EnsureVertex(VertexId v) {
 
 PartitionId IncrementalPartitioner::PlaceEdge(const Edge& e) {
   state_->capacity = Capacity();
-  return state_->PlaceLinear(e, state_->Classify(e), /*volume_term=*/true);
+  return state_->Place(
+      e, state_->PreferLinear(e, state_->Classify(e), /*volume_term=*/true));
 }
 
 StatusOr<PartitionId> IncrementalPartitioner::AddEdge(const Edge& edge) {

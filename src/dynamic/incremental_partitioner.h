@@ -22,8 +22,8 @@ namespace tpsl {
 /// A thin layer over the batch engine's state: Bootstrap() builds the
 /// Phase-1 plan (BuildTwoPhasePlan on config.exec) and places the base
 /// graph in one pass, in stream order, through the same
-/// Phase2State::PlaceLinear step 2PS-L's passes use. It keeps that
-/// Phase2State: the plan (degrees, clustering, schedule), the replica
+/// Phase2State::PreferLinear + Place step 2PS-L's passes use. It keeps
+/// that Phase2State: the plan (degrees, clustering, schedule), the replica
 /// matrix and the loads. AddEdge() then places arriving edges in O(1):
 ///  * unseen vertices join the cluster of their first neighbor,
 ///  * the edge is scored on the two candidate partitions with the

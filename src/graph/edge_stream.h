@@ -14,8 +14,9 @@ namespace tpsl {
 /// storage boundary differ once files are block-compressed — and disk
 /// bandwidth, not decoded volume, is what bounds an out-of-core run.
 /// `disk_bytes_*` therefore count on-disk (possibly compressed) bytes;
-/// wrappers (prefetchers, throttles) forward their inner stream's
-/// account instead of re-deriving it from delivered edge counts.
+/// the prefetching wrapper forwards its inner stream's account instead
+/// of re-deriving it from delivered edge counts. The storage cost model
+/// (io/storage_profile.h) prices this account.
 struct StreamIoStats {
   /// False for in-memory streams; their disk counters stay zero.
   bool disk_backed = false;
@@ -32,8 +33,8 @@ struct StreamIoStats {
 /// Sequential, restartable edge stream — the out-of-core access model
 /// of the paper. A stream can be consumed any number of times; each
 /// pass starts with Reset() and pulls batches with Next() until it
-/// returns 0. Implementations: in-memory vectors, binary files, and
-/// bandwidth-throttled wrappers (storage simulation).
+/// returns 0. Implementations: in-memory vectors, raw and compressed
+/// edge files, and a prefetching wrapper over any of them.
 ///
 /// Streaming partitioners in this library interact with graphs only
 /// through this interface, which keeps them honest: no random access,

@@ -130,43 +130,6 @@ void GenerateErdosRenyiChunked(const ErdosRenyiConfig& config,
   buffer.Flush();
 }
 
-std::vector<Edge> GenerateBarabasiAlbert(const BarabasiAlbertConfig& config) {
-  TPSL_CHECK(config.attachment > 0);
-  TPSL_CHECK(config.num_vertices > config.attachment);
-  SplitMix64 rng(config.seed);
-
-  // Endpoint list doubles as the preferential-attachment sampler: a
-  // vertex appears once per incident edge, so sampling a uniform entry
-  // samples proportionally to degree.
-  std::vector<VertexId> endpoints;
-  const uint64_t expected_edges =
-      static_cast<uint64_t>(config.num_vertices) * config.attachment;
-  endpoints.reserve(2 * expected_edges);
-
-  std::vector<Edge> edges;
-  edges.reserve(expected_edges);
-
-  // Seed clique over the first `attachment + 1` vertices.
-  const VertexId seed_n = config.attachment + 1;
-  for (VertexId u = 0; u < seed_n; ++u) {
-    for (VertexId v = u + 1; v < seed_n; ++v) {
-      edges.push_back(Edge{u, v});
-      endpoints.push_back(u);
-      endpoints.push_back(v);
-    }
-  }
-
-  for (VertexId u = seed_n; u < config.num_vertices; ++u) {
-    for (uint32_t j = 0; j < config.attachment; ++j) {
-      const VertexId v = endpoints[rng.NextBounded(endpoints.size())];
-      edges.push_back(Edge{u, v});
-      endpoints.push_back(u);
-      endpoints.push_back(v);
-    }
-  }
-  return edges;
-}
-
 namespace {
 
 template <typename EmitFn>

@@ -71,16 +71,6 @@ std::vector<Edge> GenerateErdosRenyi(const ErdosRenyiConfig& config);
 void GenerateErdosRenyiChunked(const ErdosRenyiConfig& config,
                                size_t chunk_edges, const EdgeChunkSink& sink);
 
-/// Barabási–Albert preferential attachment: power-law degrees with a
-/// strict lower bound (every vertex has degree >= attachment).
-struct BarabasiAlbertConfig {
-  VertexId num_vertices = 1 << 16;
-  uint32_t attachment = 8;  // edges added per new vertex
-  uint64_t seed = 1;
-};
-
-std::vector<Edge> GenerateBarabasiAlbert(const BarabasiAlbertConfig& config);
-
 /// Planted-partition ("stochastic block") generator with power-law
 /// community sizes — models web graphs (IT, UK, GSH, WDC): strong
 /// locality / community structure, where most edges are intra-cluster.

@@ -143,7 +143,6 @@ Status PrefetchingEdgeStream::Reset() {
   consume_slot_ = 0;
   consume_pos_ = 0;
   consumer_holds_slot_ = false;
-  bytes_this_pass_ = 0;
   drained_inner_io_.disk_bytes_this_pass = 0;
   passes_ += 1;
   TPSL_RETURN_IF_ERROR(inner_->Reset());
@@ -208,8 +207,6 @@ size_t PrefetchingEdgeStream::Next(Edge* out, size_t capacity) {
     consume_pos_ += n;
     delivered += n;
   }
-  bytes_read_ += delivered * sizeof(Edge);
-  bytes_this_pass_ += delivered * sizeof(Edge);
   return delivered;
 }
 

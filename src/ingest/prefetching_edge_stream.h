@@ -26,9 +26,8 @@ namespace ingest {
 /// size.
 ///
 /// Composes with the rest of the stream stack: it is an EdgeStream, so
-/// it can wrap a BinaryFileEdgeStream and be wrapped by a
-/// ThrottledEdgeStream (whose virtual-I/O accounting then sees the
-/// same bytes this reader reports via bytes_read()/bytes_this_pass()).
+/// it can wrap a BinaryFileEdgeStream, and its Io() forwards that
+/// file's byte account (the input to SimulatedIoSeconds).
 ///
 /// Reset() stops the worker, resets the inner stream, and restarts
 /// prefetching — each pass re-reads the file, matching the paper's
@@ -58,13 +57,6 @@ class PrefetchingEdgeStream : public EdgeStream {
   /// with what has been delivered, at slot granularity. Once the pass
   /// completes the account is exact.
   StreamIoStats Io() const override;
-
-  /// Total bytes delivered to the consumer across all passes.
-  uint64_t bytes_read() const { return bytes_read_; }
-  /// Bytes delivered since the last Reset().
-  uint64_t bytes_this_pass() const { return bytes_this_pass_; }
-  /// Number of Reset() calls (≈ passes started).
-  uint64_t passes() const { return passes_; }
 
  private:
   /// One of the two ping-pong slots. `filled` is valid edges in
@@ -99,8 +91,7 @@ class PrefetchingEdgeStream : public EdgeStream {
   size_t consume_pos_ = 0;
   bool consumer_holds_slot_ = false;
 
-  uint64_t bytes_read_ = 0;
-  uint64_t bytes_this_pass_ = 0;
+  /// Number of Reset() calls (≈ passes started), reported by Io().
   uint64_t passes_ = 0;
   /// Inner Io() as of the last slot the consumer fully drained.
   StreamIoStats drained_inner_io_;

@@ -54,12 +54,12 @@ StatusOr<benchkit::BenchRecord> RunServeScenario(
       benchkit::ScaleOps(uint64_t{1} << 18, options.extra_scale_shift);
   traffic.mutation_fraction = 0.2;
   traffic.removal_interval = 8;
-  traffic.publish_batch_edges = 256;
+  traffic.service.publish_batch_edges = 256;
   // Low enough that the 20% mutation tail crosses it mid-run (so every
   // baseline exercises a live re-bootstrap), and adoption is pinned a
   // fixed publish count after the fork to keep placements exact.
-  traffic.rebootstrap_threshold = 0.1;
-  traffic.adopt_after_publishes = 4;
+  traffic.service.rebootstrap_threshold = 0.1;
+  traffic.service.adopt_after_publishes = 4;
   traffic.seed = scenario.seed;
   obs::Histogram* latency =
       obs::MetricsRegistry::Default().GetHistogram("serve.lookup_seconds");

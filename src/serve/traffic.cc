@@ -29,10 +29,7 @@ StatusOr<TrafficResult> RunTraffic(const std::vector<Edge>& edges,
   mutation_count = std::min(mutation_count, edges.size() - 1);
   const size_t base_count = edges.size() - mutation_count;
 
-  PartitionService::Options service_options;
-  service_options.publish_batch_edges = options.publish_batch_edges;
-  service_options.rebootstrap_threshold = options.rebootstrap_threshold;
-  service_options.adopt_after_publishes = options.adopt_after_publishes;
+  PartitionService::Options service_options = options.service;
   service_options.max_readers = readers;
   PartitionService service(options.config, service_options);
 

@@ -7,6 +7,7 @@
 #include "graph/types.h"
 #include "obs/metrics.h"
 #include "partition/partitioner.h"
+#include "serve/partition_service.h"
 #include "util/status.h"
 
 namespace tpsl {
@@ -33,10 +34,9 @@ struct TrafficOptions {
   /// one (0 disables removals).
   uint32_t removal_interval = 8;
 
-  /// Forwarded to PartitionService::Options.
-  uint32_t publish_batch_edges = 256;
-  double rebootstrap_threshold = 0.5;
-  uint32_t adopt_after_publishes = 4;
+  /// The service under traffic; its max_readers is replaced by the
+  /// resolved reader count.
+  PartitionService::Options service;
 
   /// Seeds the reader key streams and the removal picker; independent
   /// of config.seed (which drives placement).

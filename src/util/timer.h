@@ -12,10 +12,7 @@ class WallTimer {
  public:
   WallTimer() : start_(Clock::now()) {}
 
-  /// Restarts the stopwatch.
-  void Restart() { start_ = Clock::now(); }
-
-  /// Elapsed time since construction or the last Restart().
+  /// Elapsed time since construction.
   double ElapsedSeconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
@@ -29,21 +26,6 @@ class WallTimer {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// Accumulates elapsed seconds into a double on destruction; used to
-/// attribute run-time to algorithm phases (paper Fig. 5).
-class ScopedTimer {
- public:
-  explicit ScopedTimer(double* sink) : sink_(sink) {}
-  ~ScopedTimer() { *sink_ += timer_.ElapsedSeconds(); }
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  double* sink_;
-  WallTimer timer_;
 };
 
 }  // namespace tpsl

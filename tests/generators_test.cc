@@ -88,27 +88,6 @@ TEST(ErdosRenyiTest, Deterministic) {
   EXPECT_EQ(GenerateErdosRenyi(config), GenerateErdosRenyi(config));
 }
 
-TEST(BarabasiAlbertTest, MinimumDegreeHolds) {
-  BarabasiAlbertConfig config;
-  config.num_vertices = 2000;
-  config.attachment = 4;
-  const auto edges = GenerateBarabasiAlbert(config);
-  InMemoryEdgeStream stream(edges);
-  auto table = ComputeDegrees(stream);
-  ASSERT_TRUE(table.ok());
-  for (VertexId v = 0; v < config.num_vertices; ++v) {
-    EXPECT_GE(table->degree(v), config.attachment) << "vertex " << v;
-  }
-}
-
-TEST(BarabasiAlbertTest, HubsEmerge) {
-  BarabasiAlbertConfig config;
-  config.num_vertices = 5000;
-  config.attachment = 4;
-  const auto edges = GenerateBarabasiAlbert(config);
-  EXPECT_GT(MaxDegree(edges), 20u * config.attachment);
-}
-
 TEST(PlantedPartitionTest, IntraFractionApproximatelyHolds) {
   PlantedPartitionConfig config;
   config.num_vertices = 4096;

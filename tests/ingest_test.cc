@@ -17,7 +17,7 @@
 #include "ingest/prefetching_edge_stream.h"
 #include "ingest/scenario_runner.h"
 #include "io/edge_file.h"
-#include "io/throttled_edge_stream.h"
+#include "io/storage_profile.h"
 
 namespace tpsl {
 namespace ingest {
@@ -292,10 +292,10 @@ TEST(PrefetchingEdgeStreamTest, MultiplePassesAndByteAccounting) {
     uint64_t count = 0;
     ASSERT_TRUE(ForEachEdge(stream, [&](const Edge&) { ++count; }).ok());
     EXPECT_EQ(count, edges.size());
-    EXPECT_EQ(stream.bytes_this_pass(), edges.size() * sizeof(Edge));
+    EXPECT_EQ(stream.Io().disk_bytes_this_pass, edges.size() * sizeof(Edge));
   }
-  EXPECT_EQ(stream.passes(), 3u);
-  EXPECT_EQ(stream.bytes_read(), 3 * edges.size() * sizeof(Edge));
+  EXPECT_EQ(stream.Io().passes, 3u);
+  EXPECT_EQ(stream.Io().disk_bytes_total, 3 * edges.size() * sizeof(Edge));
   std::remove(path.c_str());
 }
 
@@ -318,22 +318,23 @@ TEST(PrefetchingEdgeStreamTest, ResetMidStreamRestarts) {
   std::remove(path.c_str());
 }
 
-TEST(PrefetchingEdgeStreamTest, ComposesWithThrottledAccounting) {
-  // Throttled-over-prefetched: the virtual-I/O account sees exactly
-  // the bytes the prefetcher delivered.
+TEST(PrefetchingEdgeStreamTest, IoFeedsStorageCostModel) {
+  // The storage cost model prices exactly the file bytes the
+  // prefetcher's forwarded account reports.
   const std::vector<Edge> edges = PatternEdges(2000);
-  const std::string path = TempPath("prefetch_throttle.bin");
+  const std::string path = TempPath("prefetch_cost_model.bin");
   ASSERT_TRUE(WriteBinaryEdgeList(path, edges).ok());
   auto file = BinaryFileEdgeStream::Open(path);
   ASSERT_TRUE(file.ok());
   PrefetchingEdgeStream prefetched(std::move(*file), 256);
-  ThrottledEdgeStream throttled(&prefetched, kHddProfile);
   uint64_t count = 0;
-  ASSERT_TRUE(ForEachEdge(throttled, [&](const Edge&) { ++count; }).ok());
+  ASSERT_TRUE(ForEachEdge(prefetched, [&](const Edge&) { ++count; }).ok());
   EXPECT_EQ(count, edges.size());
-  EXPECT_EQ(throttled.bytes_read(), edges.size() * sizeof(Edge));
-  EXPECT_EQ(throttled.bytes_read(), prefetched.bytes_read());
-  EXPECT_GT(throttled.SimulatedIoSeconds(), 0.0);
+  const StreamIoStats io = prefetched.Io();
+  EXPECT_EQ(io.disk_bytes_total, edges.size() * sizeof(Edge));
+  EXPECT_DOUBLE_EQ(SimulatedIoSeconds(io, kHddProfile),
+                   static_cast<double>(edges.size() * sizeof(Edge)) /
+                       static_cast<double>(kHddProfile.bytes_per_second));
   std::remove(path.c_str());
 }
 

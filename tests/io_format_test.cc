@@ -17,7 +17,7 @@
 #include "io/edge_block_format.h"
 #include "io/edge_file.h"
 #include "io/mmap_edge_stream.h"
-#include "io/throttled_edge_stream.h"
+#include "io/storage_profile.h"
 #include "util/random.h"
 
 namespace tpsl {
@@ -75,10 +75,6 @@ TEST(EdgeBlockFormatTest, RoundTripsGeneratedFamilies) {
   er.num_vertices = 1 << 12;
   er.num_edges = 1 << 16;
   RoundTrip(GenerateErdosRenyi(er), "rt_er");
-
-  BarabasiAlbertConfig ba;
-  ba.num_vertices = 1 << 12;
-  RoundTrip(GenerateBarabasiAlbert(ba), "rt_ba");
 
   PlantedPartitionConfig pp;
   pp.num_vertices = 1 << 12;
@@ -428,6 +424,8 @@ TEST(EdgeBlockFormatTest, FinishedPassLeavesNothingMapped) {
 }
 
 TEST(EdgeBlockFormatTest, IoStatsReportCompressedBytes) {
+  // The storage cost model must bill the simulated device for the
+  // compressed (on-disk) bytes, not the decoded edge volume.
   RmatConfig rmat;
   rmat.scale = 12;
   const auto edges = GenerateRmat(rmat);
@@ -435,6 +433,7 @@ TEST(EdgeBlockFormatTest, IoStatsReportCompressedBytes) {
   ASSERT_TRUE(
       WriteEdgeFile(path, edges, EdgeFileFormat::kCompressedBlocks).ok());
   const uint64_t file_bytes = FileBytes(path);
+  ASSERT_LT(file_bytes, edges.size() * sizeof(Edge));
 
   auto stream = MmapEdgeStream::Open(path);
   ASSERT_TRUE(stream.ok());
@@ -448,35 +447,10 @@ TEST(EdgeBlockFormatTest, IoStatsReportCompressedBytes) {
     EXPECT_EQ(io.disk_bytes_total, file_bytes * pass);
     EXPECT_EQ(io.passes, static_cast<uint64_t>(pass));
   }
-  std::remove(path.c_str());
-}
-
-TEST(ThrottledCompressedTest, ChargesOnDiskBytesNotDecodedBytes) {
-  // Satellite: a throttled pass over a compressed file must bill the
-  // simulated device for the compressed (on-disk) bytes, not the
-  // decoded edge volume.
-  RmatConfig rmat;
-  rmat.scale = 12;
-  const auto edges = GenerateRmat(rmat);
-  const std::string path = TempPath("throttle");
-  ASSERT_TRUE(
-      WriteEdgeFile(path, edges, EdgeFileFormat::kCompressedBlocks).ok());
-  const uint64_t file_bytes = FileBytes(path);
-  const uint64_t decoded_bytes = edges.size() * sizeof(Edge);
-  ASSERT_LT(file_bytes, decoded_bytes);
-
-  auto stream = MmapEdgeStream::Open(path);
-  ASSERT_TRUE(stream.ok());
-  ThrottledEdgeStream throttled(stream->get(), kHddProfile);
-  for (int pass = 1; pass <= 3; ++pass) {
-    ASSERT_TRUE(ForEachEdge(throttled, [](const Edge&) {}).ok());
-    EXPECT_EQ(throttled.bytes_this_pass(), file_bytes);
-    EXPECT_EQ(throttled.bytes_read(), file_bytes * pass);
-  }
   // Simulated device time follows the compressed account.
   EXPECT_DOUBLE_EQ(
-      throttled.SimulatedIoSeconds(),
-      static_cast<double>(3 * file_bytes) /
+      SimulatedIoSeconds((*stream)->Io(), kHddProfile),
+      static_cast<double>(2 * file_bytes) /
           static_cast<double>(kHddProfile.bytes_per_second));
   std::remove(path.c_str());
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -966,9 +967,9 @@ TEST(TrafficTest, DeterministicPlacementSideResults) {
   traffic.lookups_per_reader = 2048;
   traffic.mutation_fraction = 0.2;
   traffic.removal_interval = 8;
-  traffic.publish_batch_edges = 64;
-  traffic.rebootstrap_threshold = 0.05;
-  traffic.adopt_after_publishes = 2;
+  traffic.service.publish_batch_edges = 64;
+  traffic.service.rebootstrap_threshold = 0.05;
+  traffic.service.adopt_after_publishes = 2;
 
   const auto first = RunTraffic(edges, traffic);
   const auto second = RunTraffic(edges, traffic);
@@ -977,6 +978,13 @@ TEST(TrafficTest, DeterministicPlacementSideResults) {
   EXPECT_GT(first->adds, 0u);
   EXPECT_GT(first->removals, 0u);
   EXPECT_GE(first->rebootstraps, 1u);
+  EXPECT_GT(first->live_edges, 0u);
+  EXPECT_GT(first->epochs_published, 1u);
+  EXPECT_TRUE(std::isfinite(first->replication_factor));
+  EXPECT_GE(first->replication_factor, 1.0);
+  EXPECT_TRUE(std::isfinite(first->measured_alpha));
+  EXPECT_GT(first->measured_alpha, 0.0);
+  EXPECT_GT(first->state_bytes, 0u);
   EXPECT_EQ(first->lookups,
             static_cast<uint64_t>(traffic.readers) *
                 traffic.lookups_per_reader);

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdio>
+#include <memory>
+#include <string>
 #include <vector>
 
-#include "graph/in_memory_edge_stream.h"
-#include "io/throttled_edge_stream.h"
+#include "graph/binary_edge_list.h"
+#include "io/storage_profile.h"
 
 namespace tpsl {
 namespace {
@@ -16,103 +21,90 @@ std::vector<Edge> SomeEdges(size_t n) {
   return edges;
 }
 
-TEST(ThrottledEdgeStreamTest, DeliversIdenticalEdges) {
-  InMemoryEdgeStream inner(SomeEdges(100));
-  ThrottledEdgeStream throttled(&inner, kHddProfile);
-  std::vector<Edge> got;
-  ASSERT_TRUE(
-      ForEachEdge(throttled, [&](const Edge& e) { got.push_back(e); }).ok());
-  EXPECT_EQ(got, SomeEdges(100));
-}
-
-TEST(ThrottledEdgeStreamTest, AccountsBytesAcrossPasses) {
-  InMemoryEdgeStream inner(SomeEdges(1000));
-  ThrottledEdgeStream throttled(&inner, kSsdProfile);
-  for (int pass = 0; pass < 3; ++pass) {
-    ASSERT_TRUE(ForEachEdge(throttled, [](const Edge&) {}).ok());
+/// A raw edge file of `n` edges, removed when the test ends.
+class RawFile {
+ public:
+  RawFile(const std::string& name, size_t n)
+      : path_(testing::TempDir() + "/" + name + "." +
+              std::to_string(::getpid())) {
+    EXPECT_TRUE(WriteBinaryEdgeList(path_, SomeEdges(n)).ok());
   }
-  EXPECT_EQ(throttled.bytes_read(), 3 * 1000 * sizeof(Edge));
-  EXPECT_EQ(throttled.passes(), 3u);
+  ~RawFile() { std::remove(path_.c_str()); }
+
+  std::unique_ptr<BinaryFileEdgeStream> Open() const {
+    auto stream = BinaryFileEdgeStream::Open(path_);
+    EXPECT_TRUE(stream.ok());
+    return stream.ok() ? std::move(*stream) : nullptr;
+  }
+
+ private:
+  std::string path_;
+};
+
+void ReadPass(EdgeStream& stream) {
+  ASSERT_TRUE(ForEachEdge(stream, [](const Edge&) {}).ok());
 }
 
-TEST(ThrottledEdgeStreamTest, SimulatedIoTimeMatchesBandwidth) {
-  InMemoryEdgeStream inner(SomeEdges(1000));
-  ThrottledEdgeStream throttled(&inner, StorageProfile{"Test", 8000});
-  ASSERT_TRUE(ForEachEdge(throttled, [](const Edge&) {}).ok());
+TEST(StorageProfileTest, PageCacheProfileIsFree) {
+  RawFile file("page_cache", 1000);
+  auto stream = file.Open();
+  ReadPass(*stream);
+  EXPECT_GT(stream->Io().disk_bytes_total, 0u);
+  EXPECT_DOUBLE_EQ(SimulatedIoSeconds(stream->Io(), kPageCacheProfile), 0.0);
+}
+
+TEST(StorageProfileTest, SimulatedIoTimeMatchesBandwidth) {
+  RawFile file("bandwidth", 1000);
+  auto stream = file.Open();
+  ReadPass(*stream);
   // 8000 bytes at 8000 B/s = 1 second.
-  EXPECT_DOUBLE_EQ(throttled.SimulatedIoSeconds(), 1.0);
+  EXPECT_DOUBLE_EQ(
+      SimulatedIoSeconds(stream->Io(), StorageProfile{"Test", 8000}), 1.0);
 }
 
-TEST(ThrottledEdgeStreamTest, PageCacheProfileIsFree) {
-  InMemoryEdgeStream inner(SomeEdges(1000));
-  ThrottledEdgeStream throttled(&inner, kPageCacheProfile);
-  ASSERT_TRUE(ForEachEdge(throttled, [](const Edge&) {}).ok());
-  EXPECT_DOUBLE_EQ(throttled.SimulatedIoSeconds(), 0.0);
+TEST(StorageProfileTest, HddSlowerThanSsd) {
+  RawFile file("hdd_ssd", 5000);
+  auto stream = file.Open();
+  ReadPass(*stream);
+  EXPECT_GT(SimulatedIoSeconds(stream->Io(), kHddProfile),
+            SimulatedIoSeconds(stream->Io(), kSsdProfile));
 }
 
-TEST(ThrottledEdgeStreamTest, HddSlowerThanSsd) {
-  InMemoryEdgeStream inner_a(SomeEdges(5000));
-  InMemoryEdgeStream inner_b(SomeEdges(5000));
-  ThrottledEdgeStream ssd(&inner_a, kSsdProfile);
-  ThrottledEdgeStream hdd(&inner_b, kHddProfile);
-  ASSERT_TRUE(ForEachEdge(ssd, [](const Edge&) {}).ok());
-  ASSERT_TRUE(ForEachEdge(hdd, [](const Edge&) {}).ok());
-  EXPECT_GT(hdd.SimulatedIoSeconds(), ssd.SimulatedIoSeconds());
-}
-
-TEST(ThrottledEdgeStreamTest, ForwardsHint) {
-  InMemoryEdgeStream inner(SomeEdges(42));
-  ThrottledEdgeStream throttled(&inner, kSsdProfile);
-  EXPECT_EQ(throttled.NumEdgesHint(), 42u);
-}
-
-TEST(ThrottledEdgeStreamTest, PerPassByteAccounting) {
-  InMemoryEdgeStream inner(SomeEdges(250));
-  ThrottledEdgeStream throttled(&inner, kSsdProfile);
-  for (int pass = 0; pass < 4; ++pass) {
-    ASSERT_TRUE(ForEachEdge(throttled, [](const Edge&) {}).ok());
+TEST(StorageProfileTest, PerPassAndCumulativeAccounting) {
+  RawFile file("per_pass", 250);
+  auto stream = file.Open();
+  for (uint64_t pass = 0; pass < 4; ++pass) {
+    ReadPass(*stream);
+    const StreamIoStats io = stream->Io();
     // The per-pass account covers exactly one pass...
-    EXPECT_EQ(throttled.bytes_this_pass(), 250 * sizeof(Edge));
-    // ...while the cumulative account keeps growing across passes.
-    EXPECT_EQ(throttled.bytes_read(), (pass + 1) * 250 * sizeof(Edge));
+    EXPECT_EQ(io.disk_bytes_this_pass, 250 * sizeof(Edge));
+    // ...while the cumulative account, which the cost model prices,
+    // keeps growing across passes.
+    EXPECT_EQ(io.disk_bytes_total, (pass + 1) * 250 * sizeof(Edge));
+    EXPECT_EQ(io.passes, pass + 1);
+    EXPECT_DOUBLE_EQ(
+        SimulatedIoSeconds(io, StorageProfile{"Test", 2000}),
+        static_cast<double>(pass + 1));
   }
 }
 
-TEST(ThrottledEdgeStreamTest, ResetDropsPerPassAccountOnly) {
+TEST(StorageProfileTest, ResetDropsPerPassAccountOnly) {
   // Reset() models a dropped page cache: the new pass starts at zero
   // bytes, but the device-time account keeps the full history (every
   // pass pays full I/O cost).
-  InMemoryEdgeStream inner(SomeEdges(100));
-  ThrottledEdgeStream throttled(&inner, StorageProfile{"Test", 800});
-  ASSERT_TRUE(ForEachEdge(throttled, [](const Edge&) {}).ok());
-  const double io_after_one_pass = throttled.SimulatedIoSeconds();
+  RawFile file("reset", 100);
+  auto stream = file.Open();
+  const StorageProfile device{"Test", 800};
+  ReadPass(*stream);
+  const double io_after_one_pass = SimulatedIoSeconds(stream->Io(), device);
   EXPECT_GT(io_after_one_pass, 0.0);
 
-  ASSERT_TRUE(throttled.Reset().ok());
-  EXPECT_EQ(throttled.bytes_this_pass(), 0u);
-  EXPECT_EQ(throttled.bytes_read(), 100 * sizeof(Edge));
-  EXPECT_DOUBLE_EQ(throttled.SimulatedIoSeconds(), io_after_one_pass);
-  EXPECT_EQ(throttled.passes(), 2u);
-}
-
-TEST(ThrottledEdgeStreamTest, SimulatedStallTime) {
-  InMemoryEdgeStream inner(SomeEdges(1000));
-  // 8000 bytes at 8000 B/s = 1 s of device time for one pass.
-  ThrottledEdgeStream throttled(&inner, StorageProfile{"Test", 8000});
-  ASSERT_TRUE(ForEachEdge(throttled, [](const Edge&) {}).ok());
-  // Compute slower than the device: I/O fully hidden, no stall.
-  EXPECT_DOUBLE_EQ(throttled.SimulatedStallSeconds(2.0), 0.0);
-  // Compute faster than the device: stall for the remainder.
-  EXPECT_DOUBLE_EQ(throttled.SimulatedStallSeconds(0.25), 0.75);
-  // Degenerate case: no compute at all stalls for the full I/O time.
-  EXPECT_DOUBLE_EQ(throttled.SimulatedStallSeconds(0.0),
-                   throttled.SimulatedIoSeconds());
-}
-
-TEST(ThrottledEdgeStreamTest, ForwardsHealth) {
-  InMemoryEdgeStream inner(SomeEdges(10));
-  ThrottledEdgeStream throttled(&inner, kSsdProfile);
-  EXPECT_TRUE(throttled.Health().ok());
+  ASSERT_TRUE(stream->Reset().ok());
+  const StreamIoStats io = stream->Io();
+  EXPECT_EQ(io.disk_bytes_this_pass, 0u);
+  EXPECT_EQ(io.disk_bytes_total, 100 * sizeof(Edge));
+  EXPECT_EQ(io.passes, 2u);
+  EXPECT_DOUBLE_EQ(SimulatedIoSeconds(io, device), io_after_one_pass);
 }
 
 }  // namespace

@@ -146,21 +146,6 @@ TEST(TimerTest, ElapsedIsMonotonic) {
   EXPECT_GT(t2, 0.0);
 }
 
-TEST(TimerTest, ScopedTimerAccumulates) {
-  double sink = 0.0;
-  {
-    ScopedTimer timer(&sink);
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  EXPECT_GT(sink, 0.0);
-  const double first = sink;
-  {
-    ScopedTimer timer(&sink);
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  EXPECT_GT(sink, first);
-}
-
 TEST(MemoryTest, RssIsReported) {
   // On Linux /proc/self/status always exists; both values are nonzero
   // for a running process.
