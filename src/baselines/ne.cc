@@ -95,10 +95,6 @@ Expander::Expander(const std::vector<Edge>* edges,
                    });
 }
 
-uint32_t Expander::UnclaimedDegree(VertexId v) const {
-  return unclaimed_degree_[v];
-}
-
 uint64_t Expander::ClaimVertexEdges(VertexId v, PartitionId partition,
                                     uint64_t budget, AssignmentSink& sink,
                                     std::vector<VertexId>* discovered) {

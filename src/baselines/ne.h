@@ -72,9 +72,6 @@ class Expander {
   uint64_t HeapBytes() const;
 
  private:
-  /// Number of unclaimed edges incident to v.
-  uint32_t UnclaimedDegree(VertexId v) const;
-
   /// Claims all unclaimed edges of `v`, stopping at the budget.
   uint64_t ClaimVertexEdges(VertexId v, PartitionId partition,
                             uint64_t budget, AssignmentSink& sink,

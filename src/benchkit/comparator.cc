@@ -144,7 +144,8 @@ ToleranceSpec DefaultToleranceFor(const std::string& metric) {
     return {.rel = 0.0, .abs_floor = 0.0, .upper_only = false,
             .informational = true, .higher_is_better = true};
   }
-  if (metric.starts_with("phase_seconds/") || metric == "peak_rss_bytes") {
+  if (metric.starts_with("phase_seconds/") ||
+      metric.starts_with("pass_seconds/") || metric == "peak_rss_bytes") {
     return {.rel = 0.0, .abs_floor = 0.0, .upper_only = false,
             .informational = true};
   }

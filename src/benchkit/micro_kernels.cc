@@ -74,7 +74,8 @@ KernelResult TwopsPick(uint32_t k, uint64_t seed, uint64_t ops) {
         item.e, PickLinear<ReplicaMatrix::Access::kRelaxed>(
                     state.replicas, item.e, degrees.degree(item.e.first),
                     degrees.degree(item.e.second), volumes[item.p1],
-                    volumes[item.p2], item.p1, item.p2));
+                    volumes[item.p2], item.p1, item.p2),
+        /*credits=*/nullptr);
     checksum = HashCombine(checksum, p);
   }
   return {timer.ElapsedSeconds(), ops, checksum};

@@ -38,16 +38,19 @@ struct Placement {
   PartitionId claimed;
 };
 
-/// One engine-driven pass: workers run `process(edge)`, which returns
-/// the edge's Placement, behind the prefetch stages `far` and `near`
-/// (ForEachStaged). Placed edges are added to `*placed` and, one Add
-/// per batch, to `placed_counter`; overflowed ones likewise to
-/// `*overflowed` and partition.overflow_edges. Each batch's assignments
-/// go out in one AssignBatch call under the pass's one mutex, so the
-/// sink sees one caller at a time at every thread count.
+/// One engine-driven pass: workers run `process(edge, credits)`, which
+/// returns the edge's Placement, behind the prefetch stages `far` and
+/// `near` (ForEachStaged). When `state` is shared, each batch places
+/// against its own ClaimCredits and returns what it did not spend when
+/// it ends; a single worker passes null credits. Placed edges are
+/// added to `*placed` and, one Add per batch, to `placed_counter`;
+/// overflowed ones likewise to `*overflowed` and
+/// partition.overflow_edges. Each batch's assignments go out in one
+/// AssignBatch call under the pass's one mutex, so the sink sees one
+/// caller at a time at every thread count.
 template <typename FarFn, typename NearFn, typename ProcessFn>
 Status ParallelPass(EdgeStream& stream, const exec::ExecContext& exec,
-                    AssignmentSink& sink, const FarFn& far,
+                    AssignmentSink& sink, Phase2State& state, const FarFn& far,
                     const NearFn& near, const ProcessFn& process,
                     uint64_t* placed, uint64_t* overflowed,
                     obs::Counter* placed_counter) {
@@ -61,13 +64,16 @@ Status ParallelPass(EdgeStream& stream, const exec::ExecContext& exec,
         std::vector<Assignment> results;
         results.reserve(count);
         uint64_t overflows = 0;
+        ClaimCredits credits(state.shared ? state.loads.size() : 0);
+        ClaimCredits* const batch_credits = state.shared ? &credits : nullptr;
         ForEachStaged(edges, count, far, near, [&](const Edge& e) {
-          const Placement placement = process(e);
+          const Placement placement = process(e, batch_credits);
           if (placement.claimed != kInvalidPartition) {
             results.push_back({e, placement.claimed});
             overflows += placement.claimed != placement.preferred;
           }
         });
+        state.ReturnCredits(credits);
         if (!results.empty()) {
           std::lock_guard<std::mutex> lock(sink_mutex);
           sink.AssignBatch(results.data(), results.size());
@@ -115,12 +121,16 @@ StatusOr<TwoPhasePlan> BuildTwoPhasePlan(
   {
     // Step 1 of Algorithm 2, so it counts as partitioning.
     PhaseTimer timer(stats, "partitioning");
+    const WallTimer pass_timer;
     plan.schedule =
         options.scheduling == TwoPhasePartitioner::SchedulingMode::kGraham
             ? ScheduleClustersGraham(plan.clustering.cluster_volumes,
                                      config.num_partitions)
             : ScheduleClustersRoundRobin(plan.clustering.cluster_volumes,
                                          config.num_partitions);
+    if (stats != nullptr) {
+      stats->pass_seconds["schedule"] += pass_timer.ElapsedSeconds();
+    }
   }
   if (stats != nullptr) {
     stats->stream_passes += 1 + options.clustering.num_passes;
@@ -153,15 +163,16 @@ Status TwoPhasePartitioner::Partition(EdgeStream& stream,
   const bool linear = options_.scoring == ScoringMode::kLinear;
   for (const bool prepartition : {true, false}) {
     const bool scoring = !prepartition;
+    const WallTimer pass_timer;
     TPSL_RETURN_IF_ERROR(ParallelPass(
-        stream, config.exec, sink,
+        stream, config.exec, sink, state,
         [&] [[gnu::always_inline]] (const Edge& e) {
           state.PrefetchVertexRows(e, scoring);
         },
         [&] [[gnu::always_inline]] (const Edge& e) {
           state.PrefetchClusterRows(e, scoring);
         },
-        [&](const Edge& e) -> Placement {
+        [&](const Edge& e, ClaimCredits* credits) -> Placement {
           const Phase2State::Candidates c = state.Classify(e);
           if (c.prepartitioned() != prepartition) {
             // The other pass places it.
@@ -171,11 +182,13 @@ Status TwoPhasePartitioner::Partition(EdgeStream& stream,
               !linear && !prepartition
                   ? state.PickHdrf(e)
                   : state.PreferLinear(e, c, options_.use_cluster_volume_term);
-          return {preferred, state.Place(e, preferred)};
+          return {preferred, state.Place(e, preferred, credits)};
         },
         prepartition ? &out.prepartitioned_edges : &out.remaining_edges,
         &out.overflow_edges,
         prepartition ? PrepartitionedEdgesCounter() : ScoredEdgesCounter()));
+    out.pass_seconds[prepartition ? "prepartition" : "scoring"] +=
+        pass_timer.ElapsedSeconds();
     out.stream_passes += 1;
   }
 

@@ -23,8 +23,9 @@ namespace tpsl {
 /// HDRF function over all k partitions (O(|E|·k) worst case).
 ///
 /// Every pass but the degree count runs on the execution engine
-/// (exec::ParallelForEdges over PartitionConfig::exec), with loads
-/// claimed by CAS so the balance cap holds at any thread count. With
+/// (exec::ParallelForEdges over PartitionConfig::exec). Shared workers
+/// reserve partition capacity per batch in chunks (Phase2State::Claim)
+/// so the balance cap holds at any thread count. With
 /// exec.threads == 1 (the default) the run is deterministic. With more
 /// threads, workers see slightly stale replication bits — the paper's
 /// "staleness in state synchronization ... can lead to lower

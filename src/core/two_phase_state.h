@@ -18,12 +18,31 @@
 
 namespace tpsl {
 
-/// Claims one load slot of a partition if it is below `capacity`: by
-/// CAS when `shared`, by a plain load and store for a single worker.
+/// Load slots a worker of a shared Phase-2 pass reserves from a
+/// partition's shared load with one CAS.
+inline constexpr uint32_t kCreditChunk = 64;
+
+/// The load slots one batch of a shared Phase-2 pass has reserved but
+/// not yet placed an edge in, one count per partition. They are taken
+/// kCreditChunk at a time, so a worker writes a shared load once per
+/// chunk instead of once per edge, and Phase2State::ReturnCredits
+/// gives back what is left when the batch ends.
+using ClaimCredits = std::vector<uint32_t>;
+
+/// Claims one load slot of a partition if it is below `capacity`. A
+/// single worker (`credit` null) does it with a plain load and store.
+/// A worker of a shared pass spends `*credit`, its batch's reserved
+/// slots of the partition, and when that is empty reserves
+/// min(kCreditChunk, capacity - load) slots with one CAS, keeping all
+/// but the one it claims. Reservations never pass `capacity`.
 inline bool TryClaim(std::atomic<uint64_t>& load, uint64_t capacity,
-                     bool shared) {
+                     uint32_t* credit) {
+  if (credit != nullptr && *credit > 0) {
+    --*credit;
+    return true;
+  }
   uint64_t current = load.load(std::memory_order_relaxed);
-  if (!shared) {
+  if (credit == nullptr) {
     if (current >= capacity) {
       return false;
     }
@@ -31,8 +50,11 @@ inline bool TryClaim(std::atomic<uint64_t>& load, uint64_t capacity,
     return true;
   }
   while (current < capacity) {
-    if (load.compare_exchange_weak(current, current + 1,
+    const uint64_t chunk =
+        std::min<uint64_t>(kCreditChunk, capacity - current);
+    if (load.compare_exchange_weak(current, current + chunk,
                                    std::memory_order_relaxed)) {
+      *credit = static_cast<uint32_t>(chunk - 1);
       return true;
     }
   }
@@ -55,11 +77,13 @@ struct TwoPhasePlan {
 };
 
 /// 2PS Phase-2 state of the engine's workers over the run's Phase-1
-/// plan: the replica matrix and the partition loads, claimed (by CAS
-/// when `shared` by several workers) before an edge is committed.
-/// Workers Test the matrix with relaxed loads and Set it relaxed only
-/// when shared; stale bits seen under concurrency affect scoring
-/// quality, never correctness.
+/// plan: the replica matrix and the partition loads, claimed before an
+/// edge is committed. When `shared` by several workers, each batch
+/// reserves load slots in chunks into its ClaimCredits and returns the
+/// unused ones when it ends, so between passes the loads count placed
+/// edges exactly. Workers Test the matrix with relaxed loads and Set it
+/// relaxed only when shared; stale bits seen under concurrency affect
+/// scoring quality, never correctness.
 struct Phase2State {
   Phase2State(TwoPhasePlan phase1_plan, uint32_t num_partitions,
               uint64_t partition_capacity, uint64_t hash_seed,
@@ -148,17 +172,25 @@ struct Phase2State {
   /// `preferred`, then the overflow chain of Algorithm 2 — degree-based
   /// hashing on the higher-degree endpoint (line 41), then the
   /// least-loaded partition as the last resort the paper's prose
-  /// describes. The CAS retry loops only matter under concurrency; some
-  /// partition is always open while edges remain (k * capacity >= |E|).
-  PartitionId Place(const Edge& e, PartitionId preferred) {
-    const PartitionId target = Claim(e, preferred);
+  /// describes. `credits` is the calling batch's ClaimCredits when the
+  /// state is shared and null for a single worker (see TryClaim).
+  PartitionId Place(const Edge& e, PartitionId preferred,
+                    ClaimCredits* credits) {
+    const PartitionId target = Claim(e, preferred, credits);
     replicas.Set(e.first, target);
     replicas.Set(e.second, target);
     return target;
   }
 
-  PartitionId Claim(const Edge& e, PartitionId preferred) {
-    if (TryClaim(loads[preferred], capacity, shared)) {
+  /// The overflow chain of Place. When shared, the last resort first
+  /// spends any credit the batch still holds: a load reads as full while
+  /// other batches hold its reserved slots, so two batches waiting on
+  /// loads while holding credit would wait on each other. It then
+  /// re-scans on CAS failure; some partition is always open while edges
+  /// remain (k * capacity >= |E|).
+  PartitionId Claim(const Edge& e, PartitionId preferred,
+                    ClaimCredits* credits) {
+    if (TryClaim(loads[preferred], capacity, Credit(credits, preferred))) {
       return preferred;
     }
     const VertexId pivot =
@@ -168,15 +200,40 @@ struct Phase2State {
     const uint32_t k = static_cast<uint32_t>(loads.size());
     const PartitionId hashed =
         static_cast<PartitionId>(Mix64(HashCombine(seed, pivot)) % k);
-    if (hashed != preferred && TryClaim(loads[hashed], capacity, shared)) {
+    if (hashed != preferred &&
+        TryClaim(loads[hashed], capacity, Credit(credits, hashed))) {
       return hashed;
     }
-    for (;;) {  // Re-scanned on CAS failure.
+    if (credits != nullptr) {
+      for (PartitionId p = 0; p < k; ++p) {
+        if ((*credits)[p] > 0) {
+          --(*credits)[p];
+          return p;
+        }
+      }
+    }
+    for (;;) {
       const PartitionId best = LeastLoaded();
-      if (TryClaim(loads[best], capacity, shared)) {
+      if (TryClaim(loads[best], capacity, Credit(credits, best))) {
         return best;
       }
     }
+  }
+
+  /// Gives a batch's unspent credit back to the shared loads, one
+  /// fetch_sub per partition it holds credit for, and empties it.
+  void ReturnCredits(ClaimCredits& credits) {
+    for (PartitionId p = 0; p < credits.size(); ++p) {
+      if (credits[p] > 0) {
+        loads[p].fetch_sub(credits[p], std::memory_order_relaxed);
+        credits[p] = 0;
+      }
+    }
+  }
+
+  /// The credit `credits` holds for partition p, or null without them.
+  static uint32_t* Credit(ClaimCredits* credits, PartitionId p) {
+    return credits != nullptr ? &(*credits)[p] : nullptr;
   }
 
   /// The least-loaded partition, lowest id on ties.
@@ -194,7 +251,8 @@ struct Phase2State {
   }
 
   /// 2PS-HDRF: HDRF over all k partitions with relaxed (stale-tolerant)
-  /// load reads. Capacity is left to the overflow chain of Place.
+  /// load reads, which when shared include the credit batches hold.
+  /// Capacity is left to the overflow chain of Place.
   PartitionId PickHdrf(const Edge& e) const {
     const uint32_t du = plan.degrees.degree(e.first);
     const uint32_t dv = plan.degrees.degree(e.second);

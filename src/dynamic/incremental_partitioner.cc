@@ -61,7 +61,8 @@ void IncrementalPartitioner::EnsureVertex(VertexId v) {
 PartitionId IncrementalPartitioner::PlaceEdge(const Edge& e) {
   state_->capacity = Capacity();
   return state_->Place(
-      e, state_->PreferLinear(e, state_->Classify(e), /*volume_term=*/true));
+      e, state_->PreferLinear(e, state_->Classify(e), /*volume_term=*/true),
+      /*credits=*/nullptr);
 }
 
 StatusOr<PartitionId> IncrementalPartitioner::AddEdge(const Edge& edge) {

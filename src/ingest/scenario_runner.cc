@@ -173,6 +173,9 @@ StatusOr<BenchRecord> RunPartitionScenario(const Scenario& scenario,
                        static_cast<double>(num_edges) / seconds);
     }
   }
+  for (const auto& [pass, seconds] : best.stats.pass_seconds) {
+    record.SetMetric("pass_seconds/" + pass, seconds);
+  }
   benchkit::AttachObsMetrics(&record, best_repeat.obs);
   benchkit::AttachHostMetrics(&record);
   return record;

@@ -38,7 +38,8 @@ struct ScenarioRunContext {
 ///
 /// Partition records: "seconds", "replication_factor",
 /// "measured_alpha", "state_bytes", "num_edges", "peak_rss_bytes",
-/// "phase_seconds/<phase>" and "edges_per_sec/<phase>". Disk records
+/// "phase_seconds/<phase>", "edges_per_sec/<phase>" and, for 2PS,
+/// "pass_seconds/<step>" (informational). Disk records
 /// add "io_bytes_per_pass" (= file bytes, deterministic), "io_passes"
 /// (partitioner passes over the file, deterministic), "bytes_read"
 /// (gated upper-only), "compression_ratio", "max_rss_bytes" (gated

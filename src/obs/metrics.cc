@@ -1,7 +1,5 @@
 #include "obs/metrics.h"
 
-#include <cstdio>
-
 namespace tpsl {
 namespace obs {
 
@@ -47,30 +45,6 @@ Histogram::Summary Histogram::Summarize() const {
   summary.p90 = percentile(0.90);
   summary.p99 = percentile(0.99);
   return summary;
-}
-
-std::string MetricsSnapshot::ToString() const {
-  std::string out;
-  char buf[256];
-  for (const auto& [name, value] : counters) {
-    std::snprintf(buf, sizeof(buf), "counter  %-36s %llu\n", name.c_str(),
-                  static_cast<unsigned long long>(value));
-    out.append(buf);
-  }
-  for (const auto& [name, value] : gauges) {
-    std::snprintf(buf, sizeof(buf), "gauge    %-36s %.6g\n", name.c_str(),
-                  value);
-    out.append(buf);
-  }
-  for (const HistogramRow& row : histograms) {
-    std::snprintf(buf, sizeof(buf),
-                  "hist     %-36s n=%llu p50=%.3gs p90=%.3gs p99=%.3gs\n",
-                  row.name.c_str(),
-                  static_cast<unsigned long long>(row.summary.count),
-                  row.summary.p50, row.summary.p90, row.summary.p99);
-    out.append(buf);
-  }
-  return out;
 }
 
 Counter* MetricsRegistry::GetCounter(const std::string& name) {

@@ -147,9 +147,6 @@ struct MetricsSnapshot {
   std::vector<std::pair<std::string, uint64_t>> counters;  // name-sorted
   std::vector<std::pair<std::string, double>> gauges;      // name-sorted
   std::vector<HistogramRow> histograms;                    // name-sorted
-
-  /// Human-readable multi-line dump for tool output.
-  std::string ToString() const;
 };
 
 /// Name -> metric map with stable handles: Get*() registers on first

@@ -56,6 +56,11 @@ struct PartitionStats {
   /// "partitioning". Sum = total partitioning time.
   std::map<std::string, double> phase_seconds;
 
+  /// 2PS-specific: wall seconds of Algorithm 2's steps, "schedule",
+  /// "prepartition" and "scoring" (one pass each). They lie inside the
+  /// "partitioning" phase, so TotalSeconds() leaves them out.
+  std::map<std::string, double> pass_seconds;
+
   /// Number of full passes over the edge stream performed.
   uint32_t stream_passes = 0;
 

@@ -285,6 +285,16 @@ TEST(ComparatorTest, InformationalMetricsNeverFail) {
   EXPECT_TRUE(CompareRecord(baseline, current).passed);
 }
 
+TEST(ComparatorTest, PassSecondsAreInformational) {
+  BenchRecord baseline = MakeRecord();
+  baseline.SetMetric("pass_seconds/scoring", 0.5);
+  BenchRecord current = baseline;
+  current.SetMetric("pass_seconds/scoring", 50.0);
+  EXPECT_TRUE(DefaultToleranceFor("pass_seconds/scoring").informational);
+  EXPECT_TRUE(DefaultToleranceFor("pass_seconds/schedule", 4).informational);
+  EXPECT_TRUE(CompareRecord(baseline, current).passed);
+}
+
 TEST(ComparatorTest, ConfigDriftFails) {
   const BenchRecord baseline = MakeRecord();
   BenchRecord current = baseline;

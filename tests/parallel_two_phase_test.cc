@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -7,6 +8,7 @@
 #include "core/two_phase_partitioner.h"
 #include "exec/thread_pool.h"
 #include "graph/datasets.h"
+#include "graph/generators.h"
 #include "graph/in_memory_edge_stream.h"
 #include "partition/runner.h"
 
@@ -128,6 +130,84 @@ TEST(ParallelTwoPhaseTest, RunsOnAnOwnedPool) {
   auto result = RunPartitioner(partitioner, stream, config);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->quality.num_edges, edges.size());
+}
+
+/// Three hub stars beside a planted-partition graph, trimmed to a
+/// multiple of `k` edges: the hubs' edges overflow any partition their
+/// clusters are scheduled to, so a cap of exactly |E| / k sends edges
+/// down the whole overflow chain to its least-loaded last resort.
+std::vector<Edge> OverflowingGraph(uint32_t k) {
+  PlantedPartitionConfig planted;
+  planted.num_vertices = 1 << 12;
+  planted.num_edges = 40000;
+  planted.num_communities = 24;
+  std::vector<Edge> edges = GeneratePlantedPartition(planted);
+  for (VertexId hub = planted.num_vertices; hub < planted.num_vertices + 3;
+       ++hub) {
+    for (VertexId v = 0; v < planted.num_vertices; ++v) {
+      edges.push_back({hub, v});
+    }
+  }
+  edges.resize(edges.size() - edges.size() % k);
+  return edges;
+}
+
+/// With balance_factor 1.0 and k dividing |E|, every partition must
+/// end exactly full: workers that reserve load slots in chunks have to
+/// give back what they did not place, and spend their own reserved
+/// slots before waiting on other workers' ones, or some edge finds
+/// every partition full and the run never ends.
+TEST(ParallelTwoPhaseTest, TightCapacityPlacesEveryEdgeOnce) {
+  constexpr uint32_t kParts = 16;
+  std::vector<Edge> edges = OverflowingGraph(kParts);
+  for (const uint32_t threads : {2u, 4u}) {
+    exec::ThreadPool pool(threads);
+    PartitionConfig config = ConfigWithThreads(kParts, threads);
+    config.balance_factor = 1.0;
+    config.exec.batch_size = 256;
+    config.exec.pool = &pool;
+    ASSERT_EQ(config.exec.Workers(), threads);
+    const uint64_t capacity = config.PartitionCapacity(edges.size());
+    ASSERT_EQ(capacity * kParts, edges.size());
+
+    TwoPhasePartitioner partitioner;
+    InMemoryEdgeStream stream(edges);
+    EdgeListSink sink(kParts);
+    PartitionStats stats;
+    ASSERT_TRUE(partitioner.Partition(stream, config, sink, &stats).ok());
+    EXPECT_GT(stats.overflow_edges, 0u) << "threads=" << threads;
+
+    std::vector<Edge> placed;
+    for (const std::vector<Edge>& part : sink.partitions()) {
+      EXPECT_EQ(part.size(), capacity) << "threads=" << threads;
+      placed.insert(placed.end(), part.begin(), part.end());
+    }
+    std::vector<Edge> expected = edges;
+    std::sort(expected.begin(), expected.end());
+    std::sort(placed.begin(), placed.end());
+    EXPECT_EQ(placed, expected) << "threads=" << threads;
+  }
+}
+
+/// 2PS times Algorithm 2's three steps apart from the phases, so
+/// TotalSeconds() does not count them twice.
+TEST(ParallelTwoPhaseTest, TimesEachPhase2Pass) {
+  TwoPhasePartitioner partitioner;
+  InMemoryEdgeStream stream(TestGraph());
+  CountingSink sink(8);
+  PartitionStats stats;
+  ASSERT_TRUE(
+      partitioner.Partition(stream, ConfigWithThreads(8, 2), sink, &stats)
+          .ok());
+  for (const char* pass : {"schedule", "prepartition", "scoring"}) {
+    EXPECT_TRUE(stats.pass_seconds.contains(pass)) << pass;
+    EXPECT_FALSE(stats.phase_seconds.contains(pass)) << pass;
+  }
+  ASSERT_EQ(stats.pass_seconds.size(), 3u);
+  EXPECT_LE(stats.pass_seconds.at("prepartition") +
+                stats.pass_seconds.at("scoring") +
+                stats.pass_seconds.at("schedule"),
+            stats.TotalSeconds());
 }
 
 TEST(ParallelTwoPhaseTest, RejectsBadExecConfig) {

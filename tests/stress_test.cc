@@ -84,7 +84,7 @@ TEST(FailureInjectionTest, SinglePassPartitionersPropagateToo) {
 
 /// Degenerate graph shapes every partitioner must survive. The
 /// engine-parallel entries (the "(par)" aliases and DNE) run on four
-/// workers with small batches, so CAS load claims, parallel expansion
+/// workers with small batches, so chunked load claims, parallel expansion
 /// and the runner's serialized sink delivery see the same shapes under
 /// contention.
 class DegenerateGraphTest : public testing::TestWithParam<std::string> {
@@ -206,7 +206,7 @@ TEST(CapStressTest, TightAlphaWithAwkwardK) {
       config.num_partitions = k;
       config.balance_factor = 1.0;
       if (std::string(name) == "2PS-L(par)") {
-        // CAS claims racing for the last slots.
+        // Chunked claims racing for the last slots.
         config.exec.threads = 4;
         config.exec.batch_size = 16;
       }
