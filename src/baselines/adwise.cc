@@ -82,18 +82,12 @@ Status AdwisePartitioner::Partition(EdgeStream& stream,
     window.erase(window.begin(), window.begin() + amount);
   };
 
-  TPSL_RETURN_IF_ERROR(stream.Reset());
-  constexpr size_t kBatch = 1024;
-  Edge buffer[kBatch];
-  size_t n;
-  while ((n = stream.Next(buffer, kBatch)) > 0) {
-    for (size_t i = 0; i < n; ++i) {
-      window.push_back(ScoredEdge{buffer[i], kInvalidPartition, -1.0});
-      if (window.size() >= kWindowSize) {
-        drain(kWindowSize / 2 + 1);
-      }
+  TPSL_RETURN_IF_ERROR(ForEachEdge(stream, [&](const Edge& e) {
+    window.push_back(ScoredEdge{e, kInvalidPartition, -1.0});
+    if (window.size() >= kWindowSize) {
+      drain(kWindowSize / 2 + 1);
     }
-  }
+  }));
   while (!window.empty()) {
     drain(window.size());
   }

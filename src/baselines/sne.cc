@@ -103,18 +103,12 @@ Status SnePartitioner::Partition(EdgeStream& stream,
     chunk.clear();
   };
 
-  TPSL_RETURN_IF_ERROR(stream.Reset());
-  constexpr size_t kBatch = 4096;
-  Edge buffer[kBatch];
-  size_t n;
-  while ((n = stream.Next(buffer, kBatch)) > 0) {
-    for (size_t i = 0; i < n; ++i) {
-      chunk.push_back(buffer[i]);
-      if (chunk.size() >= chunk_capacity) {
-        flush_chunk();
-      }
+  TPSL_RETURN_IF_ERROR(ForEachEdge(stream, [&](const Edge& e) {
+    chunk.push_back(e);
+    if (chunk.size() >= chunk_capacity) {
+      flush_chunk();
     }
-  }
+  }));
   flush_chunk();
   out.stream_passes += 1;
   out.state_bytes = degrees.degrees.size() * sizeof(uint32_t) +

@@ -85,23 +85,10 @@ void ThreadPool::Submit(std::function<void()> task) {
     TPSL_CHECK(!stop_);  // Submit after destruction began is a bug.
     queue_.push_back({std::move(task), enqueue_ns});
     depth = queue_.size();
-    ++pending_;
     EnsureStartedLocked();
   }
   QueueDepthGauge()->Set(static_cast<double>(depth));
   work_cv_.notify_one();
-}
-
-void ThreadPool::Wait() {
-  std::exception_ptr exception;
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    idle_cv_.wait(lock, [&] { return pending_ == 0; });
-    std::swap(exception, first_exception_);
-  }
-  if (exception) {
-    std::rethrow_exception(exception);
-  }
 }
 
 void ThreadPool::WorkerLoop() {
@@ -123,28 +110,11 @@ void ThreadPool::WorkerLoop() {
             : 0);
     obs::EmitComplete("exec.queue_wait", "exec", task.enqueue_ns,
                       start_ns - task.enqueue_ns);
-    try {
-      task.fn();
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (!first_exception_) {
-        first_exception_ = std::current_exception();
-      }
-    }
+    task.fn();  // a throw escapes the thread and ends the process
     const int64_t end_ns = obs::TraceNowNanos();
     TaskRunHist()->RecordNanos(static_cast<uint64_t>(end_ns - start_ns));
     TasksCounter()->Increment();
     obs::EmitComplete("exec.task", "exec", start_ns, end_ns - start_ns);
-    // Drop the task's captures before reporting completion: once
-    // pending_ hits 0 a Wait()er may destroy whatever they reference.
-    task.fn = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      --pending_;
-      if (pending_ == 0) {
-        idle_cv_.notify_all();
-      }
-    }
   }
 }
 
@@ -174,8 +144,8 @@ void TaskGroup::Submit(std::function<void()> task) {
         first_exception_ = std::current_exception();
       }
     }
-    // As in ThreadPool::WorkerLoop: release the task's captures before
-    // the group's Wait()er can return and destroy what they reference.
+    // Release the task's captures before the group's Wait()er can
+    // return and destroy what they reference.
     task = nullptr;
     {
       std::lock_guard<std::mutex> lock(mutex_);

@@ -30,15 +30,14 @@ uint32_t ResolveThreadCount(uint32_t requested, uint32_t cap = 0);
 /// task runs) and joins the workers, so shutdown under pending work is
 /// a wait, never a drop or a detach.
 ///
-/// Exception propagation: a task that throws does not take down the
-/// worker (or the process). The first exception is captured and
-/// rethrown from the next Wait() — after which the pool is usable
-/// again. Callers that need per-task error handling (ParallelForEdges)
-/// catch inside the task and report Status instead.
+/// Waiting and exceptions: the pool itself tracks no completion. A
+/// caller that needs to wait for its tasks or get their exceptions back
+/// submits through a TaskGroup. A task handed straight to Submit() must
+/// not throw: an exception that reaches a worker ends the process
+/// (std::terminate), rather than being swallowed while a waiter waits
+/// for a result that never comes.
 ///
-/// Submit() and Wait() are thread-safe; tasks may not Submit() to or
-/// Wait() on their own pool (a task waiting on its own pool deadlocks
-/// a worker slot).
+/// Submit() is thread-safe.
 class ThreadPool {
  public:
   /// `num_threads` as understood by ResolveThreadCount (0 = hardware).
@@ -52,10 +51,6 @@ class ThreadPool {
 
   /// Enqueues a task; workers are spawned on the first call.
   void Submit(std::function<void()> task);
-
-  /// Blocks until every task submitted so far has finished, then
-  /// rethrows the first exception any of them threw (clearing it).
-  void Wait();
 
   /// The process-wide shared pool, sized to hardware concurrency and
   /// constructed (but not started) on first use. Partitioners reach it
@@ -79,20 +74,19 @@ class ThreadPool {
 
   std::mutex mutex_;
   std::condition_variable work_cv_;  // pool -> workers: task available
-  std::condition_variable idle_cv_;  // workers -> Wait(): all done
   std::deque<QueuedTask> queue_;
-  uint64_t pending_ = 0;  // queued + currently running tasks
   bool stop_ = false;
   bool started_ = false;
-  std::exception_ptr first_exception_;
   std::vector<std::thread> workers_;
 };
 
 /// Tracks completion of one caller's tasks on a (possibly shared)
-/// pool: Submit() wraps the task with a pending counter, Wait() blocks
-/// on this group's tasks only — unlike ThreadPool::Wait(), which waits
-/// for everyone's. The destructor waits too (without rethrowing), so a
-/// group can never outlive the state its tasks capture.
+/// pool — the only way to wait for pool work. Submit() wraps the task
+/// with a pending counter and an exception catcher; Wait() blocks on
+/// this group's tasks only, never on other callers'. The destructor
+/// waits too (without rethrowing), so a group can never outlive the
+/// state its tasks capture. A task may not wait on a group of its own
+/// pool (a task waiting on its own pool can deadlock a worker slot).
 class TaskGroup {
  public:
   explicit TaskGroup(ThreadPool& pool) : pool_(pool) {}

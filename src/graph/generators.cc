@@ -37,7 +37,7 @@ void RmatEdgeLoop(const RmatConfig& config, EmitFn&& emit) {
         v |= VertexId{1} << bit;
       }
     }
-    if (config.remove_self_loops && u == v) {
+    if (u == v) {
       continue;
     }
     emit(Edge{u, v});
@@ -52,10 +52,8 @@ void ErdosRenyiEdgeLoop(const ErdosRenyiConfig& config, EmitFn&& emit) {
     const VertexId u =
         static_cast<VertexId>(rng.NextBounded(config.num_vertices));
     VertexId v = static_cast<VertexId>(rng.NextBounded(config.num_vertices));
-    if (config.remove_self_loops) {
-      while (v == u) {
-        v = static_cast<VertexId>(rng.NextBounded(config.num_vertices));
-      }
+    while (v == u) {
+      v = static_cast<VertexId>(rng.NextBounded(config.num_vertices));
     }
     emit(Edge{u, v});
   }
@@ -102,10 +100,6 @@ std::vector<Edge> GenerateRmat(const RmatConfig& config) {
   edges.reserve(static_cast<uint64_t>(config.edge_factor)
                 << config.scale);
   RmatEdgeLoop(config, [&](const Edge& e) { edges.push_back(e); });
-  if (config.deduplicate) {
-    DeduplicateUndirected(&edges);
-    ShuffleEdges(&edges, config.seed + 1);
-  }
   return edges;
 }
 
@@ -187,7 +181,7 @@ void PlantedPartitionEdgeLoop(const PlantedPartitionConfig& config,
       u = static_cast<VertexId>(rng.NextBounded(config.num_vertices));
       v = static_cast<VertexId>(rng.NextBounded(config.num_vertices));
     }
-    if (config.remove_self_loops && u == v) {
+    if (u == v) {
       v = (v + 1 == config.num_vertices) ? 0 : v + 1;
     }
     emit(Edge{u, v});
@@ -259,22 +253,6 @@ std::vector<Edge> GenerateSocialNetwork(const SocialNetworkConfig& config) {
   // streaming algorithms cannot rely on clique contiguity.
   ShuffleEdges(&edges, config.seed + 1);
   return edges;
-}
-
-void RemoveSelfLoops(std::vector<Edge>* edges) {
-  edges->erase(std::remove_if(edges->begin(), edges->end(),
-                              [](const Edge& e) { return e.first == e.second; }),
-               edges->end());
-}
-
-void DeduplicateUndirected(std::vector<Edge>* edges) {
-  for (Edge& e : *edges) {
-    if (e.first > e.second) {
-      std::swap(e.first, e.second);
-    }
-  }
-  std::sort(edges->begin(), edges->end());
-  edges->erase(std::unique(edges->begin(), edges->end()), edges->end());
 }
 
 void ShuffleEdges(std::vector<Edge>* edges, uint64_t seed) {

@@ -24,10 +24,13 @@ namespace tpsl {
 /// sequence, so for identical configs they produce identical edge
 /// streams — the out-of-core ingest layer (src/ingest) relies on that
 /// equivalence to generate multi-GB datasets straight to disk.
-/// Barabási–Albert and the social-network generator are inherently
-/// materializing (preferential attachment keeps an O(|E|) endpoint
-/// list; the social generator globally shuffles) and only exist in
-/// vector form.
+/// The social-network generator is inherently materializing (it
+/// globally shuffles) and only exists in vector form.
+///
+/// No generator emits a self-loop: a sampled (v, v) is dropped (R-MAT,
+/// social), its second endpoint re-drawn (Erdős–Rényi) or moved to the
+/// next vertex id (planted partition). Multi-edges are kept, as in real
+/// edge lists.
 
 /// Receives consecutive chunks of generated edges in stream order.
 /// The pointed-to array is only valid for the duration of the call.
@@ -43,16 +46,13 @@ struct RmatConfig {
   double b = 0.19;
   double c = 0.19;
   uint64_t seed = 1;
-  bool remove_self_loops = true;
-  bool deduplicate = false;      // real edge lists keep multi-edges
 };
 
 std::vector<Edge> GenerateRmat(const RmatConfig& config);
 
 /// Chunked R-MAT: emits the same edge sequence as GenerateRmat through
 /// `sink` in chunks of at most `chunk_edges`, holding only one chunk in
-/// memory. `config.deduplicate` is ignored (deduplication requires the
-/// full edge set; use the materializing form for that).
+/// memory.
 void GenerateRmatChunked(const RmatConfig& config, size_t chunk_edges,
                          const EdgeChunkSink& sink);
 
@@ -62,7 +62,6 @@ struct ErdosRenyiConfig {
   VertexId num_vertices = 1 << 16;
   uint64_t num_edges = 1 << 20;
   uint64_t seed = 1;
-  bool remove_self_loops = true;
 };
 
 std::vector<Edge> GenerateErdosRenyi(const ErdosRenyiConfig& config);
@@ -82,7 +81,6 @@ struct PlantedPartitionConfig {
   double intra_fraction = 0.95;
   double size_skew = 1.5;  // community-size Zipf exponent
   uint64_t seed = 1;
-  bool remove_self_loops = true;
 };
 
 std::vector<Edge> GeneratePlantedPartition(const PlantedPartitionConfig& config);
@@ -116,11 +114,6 @@ struct SocialNetworkConfig {
 
 std::vector<Edge> GenerateSocialNetwork(const SocialNetworkConfig& config);
 
-/// In-place cleanup helpers used by generators and data tooling.
-void RemoveSelfLoops(std::vector<Edge>* edges);
-/// Removes duplicates treating (u,v) and (v,u) as the same edge.
-/// Sorts the edge list as a side effect.
-void DeduplicateUndirected(std::vector<Edge>* edges);
 /// Randomly permutes edge order (stream order matters for streaming
 /// partitioners; the paper streams in file order).
 void ShuffleEdges(std::vector<Edge>* edges, uint64_t seed);

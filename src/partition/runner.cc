@@ -87,8 +87,11 @@ StatusOr<RunResult> RunPipeline(Partitioner& partitioner, EdgeStream& stream,
     TPSL_RETURN_IF_ERROR(
         partitioner.Partition(stream, config, pipeline, &result.stats));
   }
-  // Some partitioners drive Next() manually instead of via ForEachEdge;
-  // a stream that failed mid-pass looks like a short EOF to them.
+  // The library's partitioners read through ForEachEdge,
+  // ForEachEdgePrefetched or ParallelForEdges, which return the
+  // stream's health after each pass. This check holds the contract for
+  // any Partitioner that drives Next() itself, to which a stream that
+  // failed mid-pass looks like EOF.
   TPSL_RETURN_IF_ERROR(stream.Health());
   // Same for the sinks: Assign() has no error channel, so a spill
   // writer that hit a full disk or a quality sink handed an invalid

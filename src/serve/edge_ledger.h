@@ -32,7 +32,8 @@ namespace serve {
 /// sentinel. Looking it up finds nothing.
 class EdgeLedger {
  public:
-  /// The "no value" answer of Top() and the pops; never a stored value.
+  /// The "no value" answer of Top() and PopOldest(); never a stored
+  /// value.
   static constexpr uint32_t kNone = ~uint32_t{0};
 
   /// Sizes the table for `distinct_edges` keys without growing.
@@ -103,27 +104,6 @@ class EdgeLedger {
          node = pool_[node].next) {
       fn(pool_[node].value);
     }
-  }
-
-  /// Removes and returns the newest live value of `edge`; kNone (and
-  /// no change) if it has none.
-  uint32_t Pop(const Edge& edge) {
-    const size_t i = Find(Pack(edge));
-    if (i == kNotFound) {
-      return kNone;
-    }
-    Slot& slot = slots_[i];
-    const uint32_t top = slot.top;
-    if (slot.below == kNil) {
-      EraseAt(i);
-    } else {
-      const uint32_t node = slot.below;
-      slot.top = pool_[node].value;
-      slot.below = pool_[node].next;
-      FreeNode(node);
-    }
-    --entries_;
-    return top;
   }
 
   /// Removes and returns the oldest live value of `edge`; kNone (and

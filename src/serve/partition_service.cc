@@ -56,6 +56,9 @@ PartitionService::PartitionService(const PartitionConfig& config,
   if (options_.publish_batch_edges == 0) {
     options_.publish_batch_edges = 1;
   }
+  if (options_.adopt_after_publishes == 0) {
+    options_.adopt_after_publishes = 1;
+  }
   partitioner_ = std::make_unique<IncrementalPartitioner>(config_);
   slots_ = std::make_unique<ReaderSlot[]>(options_.max_readers);
   slot_used_.assign(options_.max_readers, false);
@@ -228,15 +231,7 @@ Status PartitionService::PublishLocked() {
   publish_hist_->RecordSeconds(timer.ElapsedSeconds());
 
   if (job_ != nullptr) {
-    ++publishes_since_fork_;
-    bool adopt_now;
-    if (options_.adopt_after_publishes == 0) {
-      std::lock_guard<std::mutex> jl(job_->mutex);
-      adopt_now = job_->done;
-    } else {
-      adopt_now = publishes_since_fork_ >= options_.adopt_after_publishes;
-    }
-    if (adopt_now) {
+    if (++publishes_since_fork_ >= options_.adopt_after_publishes) {
       return AdoptRebootstrapLocked();
     }
   } else {
@@ -311,6 +306,8 @@ void PartitionService::MaybeForkRebootstrapLocked() {
   exec::ThreadPool* pool =
       options_.pool != nullptr ? options_.pool : &exec::ThreadPool::Global();
   const PartitionConfig config = config_;
+  // Submitted without a TaskGroup: the job reports through job->status
+  // and must not throw.
   pool->Submit([job, config] {
     WallTimer job_timer;
     auto partitioner = std::make_unique<IncrementalPartitioner>(config);
@@ -345,7 +342,7 @@ Status PartitionService::AdoptRebootstrapLocked() {
   job_active_.store(false, std::memory_order_release);
   TPSL_RETURN_IF_ERROR(status);
 
-  rebootstraps_done_.fetch_add(1, std::memory_order_release);
+  ++rebootstraps_done_;
   rebootstraps_counter_->Increment();
   // The adopted state replaces every row, so publish a full rebuild.
   InstallTableLocked(BuildServingTable(
@@ -490,7 +487,7 @@ PartitionService::Stats PartitionService::GetStats() const {
   Stats stats;
   stats.epoch = epoch_.load(std::memory_order_relaxed);
   stats.epochs_published = epochs_published_;
-  stats.rebootstraps = rebootstraps_done_.load(std::memory_order_relaxed);
+  stats.rebootstraps = rebootstraps_done_;
   stats.mutations = mutations_;
   stats.live_edges = partitioner_->num_edges();
   stats.live_snapshots = snapshots_.size();

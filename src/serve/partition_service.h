@@ -72,13 +72,11 @@ class PartitionService {
     /// kNeverRebootstrap disables it.
     double rebootstrap_threshold = 0.5;
 
-    /// Adoption discipline for a finished re-bootstrap. 0 = adopt at
-    /// the first publish boundary after the background job completes
-    /// (timing-dependent). N > 0 = adopt exactly N publishes after the
+    /// Adopts a re-bootstrap exactly this many publishes after its
     /// fork, blocking the writer at that boundary if the job is still
-    /// running — this keeps the full placement sequence deterministic,
-    /// which the gated benchmark scenarios rely on.
-    uint32_t adopt_after_publishes = 0;
+    /// running. This keeps the full placement sequence deterministic,
+    /// which the gated benchmark scenarios rely on. 0 is read as 1.
+    uint32_t adopt_after_publishes = 4;
 
     /// Reader slot capacity (one slot per live Reader handle).
     uint32_t max_readers = 64;
@@ -169,9 +167,6 @@ class PartitionService {
   bool RebootstrapInFlight() const {
     return job_active_.load(std::memory_order_acquire);
   }
-  uint64_t Rebootstraps() const {
-    return rebootstraps_done_.load(std::memory_order_acquire);
-  }
 
   Stats GetStats() const;
 
@@ -243,7 +238,6 @@ class PartitionService {
   std::atomic<const ServingTable*> table_{nullptr};
   std::unique_ptr<ReaderSlot[]> slots_;
   std::atomic<bool> job_active_{false};
-  std::atomic<uint64_t> rebootstraps_done_{0};
 
   mutable std::mutex reader_mutex_;  // slot allocation only
   std::vector<bool> slot_used_;
@@ -259,6 +253,7 @@ class PartitionService {
   uint32_t pending_mutations_ = 0;
   uint64_t mutations_ = 0;
   uint64_t epochs_published_ = 0;
+  uint64_t rebootstraps_done_ = 0;
   std::vector<std::shared_ptr<const ServingTable>> snapshots_;  // back=current
   std::shared_ptr<RebootstrapJob> job_;
   uint64_t publishes_since_fork_ = 0;

@@ -42,18 +42,13 @@ TEST(ResolveThreadCountTest, CapBounds) {
 
 TEST(ThreadPoolTest, RunsSubmittedTasks) {
   ThreadPool pool(4);
+  TaskGroup group(pool);
   std::atomic<int> counter{0};
   for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter]() { counter.fetch_add(1); });
+    group.Submit([&counter]() { counter.fetch_add(1); });
   }
-  pool.Wait();
+  group.Wait();
   EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, WaitOnIdlePoolReturnsImmediately) {
-  ThreadPool pool(2);
-  pool.Wait();  // never started, nothing pending
-  EXPECT_EQ(pool.num_threads(), 2u);
 }
 
 TEST(ThreadPoolTest, ShutdownUnderPendingWorkDrainsEverything) {
@@ -69,24 +64,22 @@ TEST(ThreadPoolTest, ShutdownUnderPendingWorkDrainsEverything) {
         counter.fetch_add(1);
       });
     }
-    // No Wait(): destruction races with a mostly unconsumed queue.
+    // No group to wait on: destruction races with a mostly unconsumed
+    // queue.
   }
   EXPECT_EQ(counter.load(), 64);
 }
 
-TEST(ThreadPoolTest, ExceptionPropagatesThroughWait) {
-  ThreadPool pool(2);
-  std::atomic<int> survivors{0};
-  pool.Submit([]() { throw std::runtime_error("task boom"); });
-  for (int i = 0; i < 8; ++i) {
-    pool.Submit([&survivors]() { survivors.fetch_add(1); });
-  }
-  EXPECT_THROW(pool.Wait(), std::runtime_error);
-  // The throwing task took down neither its worker nor the pool.
-  EXPECT_EQ(survivors.load(), 8);
-  pool.Submit([&survivors]() { survivors.fetch_add(1); });
-  pool.Wait();  // exception was cleared by the previous Wait
-  EXPECT_EQ(survivors.load(), 9);
+TEST(ThreadPoolTest, ThrowingTaskEndsTheProcess) {
+  // The pool tracks no completion, so nobody could hear about a task's
+  // exception: it must end the process, never vanish.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        ThreadPool pool(1);
+        pool.Submit([]() { throw std::runtime_error("task boom"); });
+      },
+      "");
 }
 
 TEST(ThreadPoolTest, GlobalPoolIsShared) {
@@ -100,9 +93,10 @@ TEST(TaskGroupTest, WaitCoversOnlyOwnTasks) {
   ThreadPool pool(4);
   std::atomic<int> mine{0};
   std::atomic<int> theirs{0};
-  // A slow foreign task submitted directly to the pool must not block
-  // the group's Wait().
-  pool.Submit([&theirs]() {
+  // A slow foreign task submitted through another group on the same
+  // pool must not block this group's Wait().
+  TaskGroup foreign(pool);
+  foreign.Submit([&theirs]() {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     theirs.fetch_add(1);
   });
@@ -112,7 +106,7 @@ TEST(TaskGroupTest, WaitCoversOnlyOwnTasks) {
   }
   group.Wait();
   EXPECT_EQ(mine.load(), 16);
-  pool.Wait();
+  foreign.Wait();
   EXPECT_EQ(theirs.load(), 1);
 }
 
@@ -120,8 +114,14 @@ TEST(TaskGroupTest, ExceptionPropagatesThroughGroupWait) {
   ThreadPool pool(2);
   TaskGroup group(pool);
   group.Submit([]() { throw std::runtime_error("group boom"); });
+  // The group catches the exception inside the task; had it reached
+  // the pool's worker, the process would have ended here.
   EXPECT_THROW(group.Wait(), std::runtime_error);
-  pool.Wait();  // the group caught the exception before the pool saw it
+  // The exception was cleared, and the group is usable again.
+  std::atomic<int> ran{0};
+  group.Submit([&ran]() { ran.fetch_add(1); });
+  group.Wait();
+  EXPECT_EQ(ran.load(), 1);
 }
 
 TEST(ExecContextTest, DefaultsToGlobalPool) {

@@ -119,18 +119,6 @@ TEST(PlantedPartitionTest, Deterministic) {
             GeneratePlantedPartition(config));
 }
 
-TEST(CleanupTest, RemoveSelfLoops) {
-  std::vector<Edge> edges = {{0, 1}, {2, 2}, {1, 0}, {3, 3}};
-  RemoveSelfLoops(&edges);
-  EXPECT_EQ(edges, (std::vector<Edge>{{0, 1}, {1, 0}}));
-}
-
-TEST(CleanupTest, DeduplicateUndirected) {
-  std::vector<Edge> edges = {{1, 0}, {0, 1}, {2, 3}, {3, 2}, {2, 3}};
-  DeduplicateUndirected(&edges);
-  EXPECT_EQ(edges, (std::vector<Edge>{{0, 1}, {2, 3}}));
-}
-
 TEST(CleanupTest, ShuffleIsPermutation) {
   std::vector<Edge> edges;
   for (uint32_t i = 0; i < 100; ++i) {

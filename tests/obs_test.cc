@@ -344,8 +344,9 @@ TEST_F(ObsConcurrencyTest, SnapshotWhileWritingIsCleanAndExact) {
 
   {
     exec::ThreadPool pool(8);
+    exec::TaskGroup group(pool);
     for (int task = 0; task < kTasks; ++task) {
-      pool.Submit([counter, hist, task]() {
+      group.Submit([counter, hist, task]() {
         for (uint64_t i = 0; i < kItersPerTask; ++i) {
           TraceSpan span("obs_test.hammer_span", "test");
           counter->Increment();
@@ -353,7 +354,7 @@ TEST_F(ObsConcurrencyTest, SnapshotWhileWritingIsCleanAndExact) {
         }
       });
     }
-    pool.Wait();
+    group.Wait();
   }
   done.store(true, std::memory_order_release);
   reader.join();

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/registry.h"
@@ -498,6 +500,81 @@ TEST(RunnerTest, FailingStreamSurfacesHealthNotShortGraph) {
   auto result = RunPartitioner(partitioner, stream, config);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kIoError);
+}
+
+/// Delivers its edges in full on the first pass, then fails halfway
+/// through the second and every later pass: Next() returns 0 and
+/// Health() latches an I/O error.
+class SecondPassFailingStream : public EdgeStream {
+ public:
+  explicit SecondPassFailingStream(std::vector<Edge> edges)
+      : edges_(std::move(edges)) {}
+
+  Status Reset() override {
+    ++passes_;
+    pos_ = 0;
+    return Status::OK();
+  }
+
+  size_t Next(Edge* out, size_t capacity) override {
+    const size_t end = passes_ >= 2 ? edges_.size() / 2 : edges_.size();
+    if (pos_ >= end) {
+      if (end < edges_.size()) {
+        health_ = Status::IoError("simulated read failure on pass 2");
+      }
+      return 0;
+    }
+    const size_t n = std::min(capacity, end - pos_);
+    std::copy_n(edges_.begin() + static_cast<ptrdiff_t>(pos_), n, out);
+    pos_ += n;
+    return n;
+  }
+
+  uint64_t NumEdgesHint() const override { return edges_.size(); }
+  Status Health() const override { return health_; }
+  uint32_t passes() const { return passes_; }
+
+ private:
+  std::vector<Edge> edges_;
+  uint32_t passes_ = 0;
+  size_t pos_ = 0;
+  Status health_;
+};
+
+TEST(PartitionerContractTest, StreamFailingOnPassTwoFailsPartition) {
+  // Called directly, without RunPartitioner's own health check: every
+  // partitioner that reads a second pass must return the stream's
+  // error, never OK over the half of the graph it saw. One-pass
+  // partitioners (Grid, Hash, and NE, DNE and METIS*, which load the
+  // graph once) read it all and must return OK.
+  RmatConfig graph;
+  graph.scale = 10;
+  graph.edge_factor = 8;
+  const std::vector<Edge> edges = GenerateRmat(graph);
+  PartitionConfig config;
+  config.num_partitions = 8;
+  uint32_t failed_on_pass_two = 0;
+  for (const char* name :
+       {"2PS-L", "2PS-HDRF", "2PS-L(par)", "2PS-HDRF(par)", "HDRF", "DBH",
+        "Grid", "Hash", "Greedy", "ADWISE", "NE", "SNE", "DNE", "HEP-1",
+        "HEP-10", "HEP-100", "METIS*"}) {
+    auto partitioner = MakePartitioner(name);
+    ASSERT_TRUE(partitioner.ok()) << name;
+    SecondPassFailingStream stream(edges);
+    CountingSink sink(config.num_partitions);
+    PartitionStats stats;
+    const Status status =
+        (*partitioner)->Partition(stream, config, sink, &stats);
+    EXPECT_EQ(status.code(), stream.Health().code())
+        << name << " read " << stream.passes()
+        << " passes and returned " << status.ToString();
+    if (stream.passes() >= 2) {
+      EXPECT_EQ(status.code(), StatusCode::kIoError) << name;
+      ++failed_on_pass_two;
+    }
+  }
+  // The twelve multi-pass partitioners, SNE and ADWISE among them.
+  EXPECT_EQ(failed_on_pass_two, 12u);
 }
 
 }  // namespace

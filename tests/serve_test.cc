@@ -86,10 +86,11 @@ struct LedgerRunCounts {
   uint64_t readds = 0;  // pushes onto an edge whose stack was popped empty
 };
 
-/// Runs `ops` random Push/Pop/Top operations over edges with endpoints
-/// below `vertices` against a map-of-stacks oracle, checking every
-/// answer and the live count. Pushes and pops are equally likely and a
-/// stack never grows past 5, so stacks wander over depths 0-5.
+/// Runs `ops` random Push/PopOldest/Top operations over edges with
+/// endpoints below `vertices` against a map-of-stacks oracle (back =
+/// newest), checking every answer and the live count. Pushes and pops
+/// are equally likely and a stack never grows past 5, so stacks wander
+/// over depths 0-5.
 LedgerRunCounts RunLedgerAgainstOracle(EdgeLedger& ledger,
                                        LedgerOracle& oracle,
                                        VertexId vertices, int ops,
@@ -104,6 +105,8 @@ LedgerRunCounts RunLedgerAgainstOracle(EdgeLedger& ledger,
     std::vector<PartitionId>& stack = oracle[e];
     const PartitionId want_top =
         stack.empty() ? EdgeLedger::kNone : stack.back();
+    const PartitionId want_oldest =
+        stack.empty() ? EdgeLedger::kNone : stack.front();
     const uint64_t dice = rng.NextBounded(20);
     if (dice < 9 && stack.size() < 5) {
       const auto p = static_cast<PartitionId>(rng.NextBounded(64));
@@ -116,9 +119,9 @@ LedgerRunCounts RunLedgerAgainstOracle(EdgeLedger& ledger,
       counts.max_depth =
           std::max(counts.max_depth, static_cast<uint32_t>(stack.size()));
     } else if (dice < 18) {
-      EXPECT_EQ(ledger.Pop(e), want_top) << "op " << i;
+      EXPECT_EQ(ledger.PopOldest(e), want_oldest) << "op " << i;
       if (!stack.empty()) {
-        stack.pop_back();
+        stack.erase(stack.begin());
         --live;
       }
     } else {
@@ -179,9 +182,9 @@ TEST(EdgeLedgerTest, BackwardShiftKeepsCollisionChainsIntact) {
       ledger.Push(keys[i], static_cast<PartitionId>(i));
     }
     ASSERT_EQ(ledger.HeapBytes(), bytes) << "the table must not grow";
-    ASSERT_EQ(ledger.Pop(keys[erased]), erased);
+    ASSERT_EQ(ledger.PopOldest(keys[erased]), erased);
     EXPECT_EQ(ledger.Top(keys[erased]), EdgeLedger::kNone);
-    EXPECT_EQ(ledger.Pop(keys[erased]), EdgeLedger::kNone);
+    EXPECT_EQ(ledger.PopOldest(keys[erased]), EdgeLedger::kNone);
     for (size_t i = 0; i < keys.size(); ++i) {
       if (i != erased) {
         EXPECT_EQ(ledger.Top(keys[i]), i) << "erased " << erased;
@@ -196,7 +199,7 @@ TEST(EdgeLedgerTest, BackwardShiftKeepsCollisionChainsIntact) {
 TEST(EdgeLedgerTest, DistinctEdgesCostNoAllocationAndSentinelIsAbsent) {
   EdgeLedger ledger;
   EXPECT_EQ(ledger.Top(Edge{1, 2}), EdgeLedger::kNone);
-  EXPECT_EQ(ledger.Pop(Edge{1, 2}), EdgeLedger::kNone);
+  EXPECT_EQ(ledger.PopOldest(Edge{1, 2}), EdgeLedger::kNone);
   ledger.Reserve(3000);
   const uint64_t bytes = ledger.HeapBytes();
   // 3000 keys at load <= 3/4 need 4096 slots of 16 bytes.
@@ -209,24 +212,24 @@ TEST(EdgeLedgerTest, DistinctEdgesCostNoAllocationAndSentinelIsAbsent) {
   // The empty-slot key never matches, even in a populated table.
   EXPECT_EQ(ledger.Top(Edge{kInvalidVertex, kInvalidVertex}),
             EdgeLedger::kNone);
-  EXPECT_EQ(ledger.Pop(Edge{kInvalidVertex, kInvalidVertex}),
+  EXPECT_EQ(ledger.PopOldest(Edge{kInvalidVertex, kInvalidVertex}),
             EdgeLedger::kNone);
   // A duplicate's below-top entry takes one 8-byte pool node, which a
   // pop frees for the next duplicate.
   ledger.Push(Edge{0, 7}, 5);
   EXPECT_EQ(ledger.HeapBytes(), bytes + 8u);
-  EXPECT_EQ(ledger.Pop(Edge{0, 7}), 5u);
+  EXPECT_EQ(ledger.PopOldest(Edge{0, 7}), 0u);
   ledger.Push(Edge{1, 8}, 6);
   EXPECT_EQ(ledger.HeapBytes(), bytes + 8u);
-  EXPECT_EQ(ledger.Pop(Edge{1, 8}), 6u);
-  EXPECT_EQ(ledger.Pop(Edge{1, 8}), 1u);
-  EXPECT_EQ(ledger.Pop(Edge{0, 7}), 0u);
+  EXPECT_EQ(ledger.PopOldest(Edge{1, 8}), 1u);
+  EXPECT_EQ(ledger.PopOldest(Edge{1, 8}), 6u);
+  EXPECT_EQ(ledger.PopOldest(Edge{0, 7}), 5u);
   EXPECT_EQ(ledger.Top(Edge{0, 7}), EdgeLedger::kNone);
   EXPECT_EQ(ledger.size(), 2998u);
 }
 
-/// Runs random Push/Pop/PopOldest/ForEachValue/Top operations against
-/// a map of deques (front = oldest), with stacks wandering over depths
+/// Runs random Push/PopOldest/ForEachValue/Top operations against a
+/// map of deques (front = oldest), with stacks wandering over depths
 /// 0-5, checking every answer and the live count.
 TEST(EdgeLedgerTest, PopOldestAndForEachValueMatchDequeOracle) {
   for (const VertexId vertices : {6u, 64u}) {
@@ -245,14 +248,6 @@ TEST(EdgeLedgerTest, PopOldestAndForEachValueMatchDequeOracle) {
         ledger.Push(e, next_value);
         values.push_back(next_value++);
         ++live;
-      } else if (dice < 13) {
-        EXPECT_EQ(ledger.Pop(e),
-                  values.empty() ? EdgeLedger::kNone : values.back())
-            << "op " << i;
-        if (!values.empty()) {
-          values.pop_back();
-          --live;
-        }
       } else if (dice < 18) {
         EXPECT_EQ(ledger.PopOldest(e),
                   values.empty() ? EdgeLedger::kNone : values.front())
@@ -477,10 +472,9 @@ TEST(PartitionServiceTest, RebootstrapAdoptionPublishesFreshState) {
   }
   ASSERT_TRUE(service.Flush().ok());
   ASSERT_FALSE(service.RebootstrapInFlight());
-  EXPECT_GE(service.Rebootstraps(), 1u);
 
   const PartitionService::Stats stats = service.GetStats();
-  EXPECT_EQ(stats.rebootstraps, service.Rebootstraps());
+  EXPECT_GE(stats.rebootstraps, 1u);
   // The adopted partitioner was re-bootstrapped recently; only the
   // post-fork replay still counts as drift.
   EXPECT_LT(stats.staleness_ratio, 0.05);
@@ -505,7 +499,9 @@ TEST(PartitionServiceTest, LookupsSurviveConcurrentRebootstrap) {
   PartitionService::Options options;
   options.publish_batch_edges = 32;
   options.rebootstrap_threshold = 0.02;
-  options.adopt_after_publishes = 0;  // adopt on the job's schedule
+  // The writer blocks at the 4th publish after a fork until the job is
+  // done, so readers run beside the whole job.
+  options.adopt_after_publishes = 4;
   options.max_readers = 8;
   PartitionService service(Config(16), options);
   ASSERT_TRUE(service.Bootstrap(stream).ok());
@@ -550,9 +546,9 @@ TEST(PartitionServiceTest, LookupsSurviveConcurrentRebootstrap) {
   // logic bug fails the assertions below instead of hanging.
   SplitMix64 rng(17);
   uint64_t mutations = 0;
+  uint64_t rebootstraps = 0;
   while (mutations < 500'000 &&
-         (service.Rebootstraps() < 1 ||
-          lookups_during_rebootstrap.load() == 0)) {
+         (rebootstraps < 1 || lookups_during_rebootstrap.load() == 0)) {
     const VertexId u = static_cast<VertexId>(rng.NextBounded(kBaseVertices));
     VertexId v = static_cast<VertexId>(rng.NextBounded(kBaseVertices));
     if (u == v) {
@@ -560,6 +556,9 @@ TEST(PartitionServiceTest, LookupsSurviveConcurrentRebootstrap) {
     }
     ASSERT_TRUE(service.AddEdge(Edge{u, v}).ok());
     ++mutations;
+    if (mutations % options.publish_batch_edges == 0) {  // adoptions land here
+      rebootstraps = service.GetStats().rebootstraps;
+    }
   }
   ASSERT_TRUE(service.Flush().ok());
   stop.store(true);
@@ -567,7 +566,7 @@ TEST(PartitionServiceTest, LookupsSurviveConcurrentRebootstrap) {
     t.join();
   }
 
-  EXPECT_GE(service.Rebootstraps(), 1u);
+  EXPECT_GE(service.GetStats().rebootstraps, 1u);
   EXPECT_GT(total_lookups.load(), 0u);
   // Lookups completed while a re-bootstrap was in flight — the "never
   // drop reads during offline rebuilds" contract, observed directly.
@@ -706,7 +705,7 @@ TEST(PartitionServiceTest, DuplicateEdgesRemoveLifoAndCompactEarliestFirst) {
   ASSERT_TRUE(service.RebootstrapInFlight());
   ASSERT_TRUE(service.Flush().ok());  // waits for and adopts the fork
   ASSERT_FALSE(service.RebootstrapInFlight());
-  ASSERT_EQ(service.Rebootstraps(), 1u);
+  ASSERT_EQ(service.GetStats().rebootstraps, 1u);
 
   IncrementalPartitioner oracle(config);
   PlacementRecorder recorder;
@@ -797,7 +796,7 @@ TEST(PartitionServiceTest, InterleavedDuplicateRemovalCompactsEarliestFirst) {
   ASSERT_TRUE(service.RemoveEdge(d).ok());
   ASSERT_TRUE(service.RemoveEdge(d).ok());
   ASSERT_TRUE(service.Flush().ok());  // waits for and adopts the fork
-  ASSERT_EQ(service.Rebootstraps(), 1u);
+  ASSERT_EQ(service.GetStats().rebootstraps, 1u);
 
   // The oracle: a bootstrap over the compacted log, then the same
   // interim mutations with a LIFO stack per edge.
@@ -880,7 +879,8 @@ TEST(PartitionServiceTest, RandomChurnAcrossRebootstraps) {
         expect_model("churn");
       }
     }
-    EXPECT_GE(service.Rebootstraps(), 3u) << "adopt_after=" << adopt_after;
+    EXPECT_GE(service.GetStats().rebootstraps, 3u)
+        << "adopt_after=" << adopt_after;
     // Draining leaves mostly dead log entries, so adoptions renumber.
     while (!live.empty()) {
       ASSERT_TRUE(service.RemoveEdge(live.back()).ok());
@@ -919,12 +919,32 @@ TEST(PartitionServiceTest, RebootstrapRecordsForkWaitAndRunTimes) {
   ASSERT_TRUE(service.RebootstrapInFlight());
   ASSERT_TRUE(service.AddEdge(Edge{2, kBaseVertices + 2}).ok());
   ASSERT_FALSE(service.RebootstrapInFlight());
-  ASSERT_EQ(service.Rebootstraps(), 1u);
+  ASSERT_EQ(service.GetStats().rebootstraps, 1u);
   for (size_t i = 0; i < before.size(); ++i) {
     EXPECT_EQ(registry.GetHistogram(kHistograms[i])->Summarize().count,
               before[i] + 1)
         << kHistograms[i];
   }
+}
+
+TEST(PartitionServiceTest, AdoptAfterZeroPublishesAdoptsAtTheFirstPublish) {
+  // 0 is read as 1: the publish after the fork adopts, waiting for the
+  // job if it still runs, whatever the job's timing.
+  const auto edges = BaseGraph();
+  PartitionService::Options options;
+  options.publish_batch_edges = 1;
+  options.rebootstrap_threshold = 0.0;  // the first publish forks
+  options.adopt_after_publishes = 0;
+  PartitionService service(Config(8), options);
+  {
+    InMemoryEdgeStream stream(edges);
+    ASSERT_TRUE(service.Bootstrap(stream).ok());
+  }
+  ASSERT_TRUE(service.AddEdge(Edge{1, kBaseVertices + 1}).ok());
+  ASSERT_TRUE(service.RebootstrapInFlight());
+  ASSERT_TRUE(service.AddEdge(Edge{2, kBaseVertices + 2}).ok());
+  EXPECT_FALSE(service.RebootstrapInFlight());
+  EXPECT_EQ(service.GetStats().rebootstraps, 1u);
 }
 
 TEST(IncrementalStalenessTest, RemovalsCountAsDrift) {

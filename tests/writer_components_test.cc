@@ -14,7 +14,6 @@
 #include "io/edge_file.h"
 #include "partition/partitioned_writer.h"
 #include "partition/runner.h"
-#include "procsim/distributed_components.h"
 
 namespace tpsl {
 namespace {
@@ -284,57 +283,6 @@ TEST(PartitionedWriterTest, EndToEndWithPartitioner) {
   std::remove((prefix + ".manifest").c_str());
 }
 
-TEST(DistributedComponentsTest, MatchesUnionFindReference) {
-  PlantedPartitionConfig pp;
-  pp.num_vertices = 2048;
-  pp.num_edges = 6000;
-  pp.num_communities = 64;
-  pp.intra_fraction = 1.0;  // likely several real components
-  const auto edges = GeneratePlantedPartition(pp);
-
-  TwoPhasePartitioner partitioner;
-  InMemoryEdgeStream stream(edges);
-  PartitionConfig config;
-  config.num_partitions = 8;
-  RunOptions options;
-  options.keep_partitions = true;
-  auto run = RunPartitioner(partitioner, stream, config, options);
-  ASSERT_TRUE(run.ok());
-
-  auto sim = SimulateDistributedComponents(run->partitions, {});
-  ASSERT_TRUE(sim.ok());
-  VertexId n = 0;
-  for (const Edge& e : edges) {
-    n = std::max({n, e.first, e.second});
-  }
-  const auto reference = ReferenceComponents(edges, n + 1);
-  ASSERT_EQ(sim->labels.size(), reference.size());
-  EXPECT_EQ(sim->labels, reference);
-  EXPECT_GT(sim->iterations, 0u);
-  EXPECT_GT(sim->simulated_seconds, 0.0);
-}
-
-TEST(DistributedComponentsTest, SingleChainTakesManyIterations) {
-  // A path graph stresses propagation depth.
-  std::vector<Edge> chain;
-  for (VertexId v = 0; v + 1 < 64; ++v) {
-    chain.push_back(Edge{v + 1, v});  // reversed to slow min-propagation
-  }
-  std::vector<std::vector<Edge>> partitions = {chain};
-  auto sim = SimulateDistributedComponents(partitions, {});
-  ASSERT_TRUE(sim.ok());
-  for (const VertexId label : sim->labels) {
-    EXPECT_EQ(label, 0u);
-  }
-}
-
-TEST(DistributedComponentsTest, InvalidInputs) {
-  const std::vector<std::vector<Edge>> none;
-  EXPECT_FALSE(SimulateDistributedComponents(none, {}).ok());
-  const std::vector<std::vector<Edge>> empties = {{}, {}};
-  EXPECT_FALSE(SimulateDistributedComponents(empties, {}).ok());
-}
-
 TEST(SpillRunTest, SpilledFilesMatchKeptPartitionsExactly) {
   // One run, two sinks: the EdgeListSink materialization and the
   // PartitionedWriter spill see the same assignments, so the files on
@@ -370,42 +318,6 @@ TEST(SpillRunTest, SpilledFilesMatchKeptPartitionsExactly) {
   EXPECT_GT(run->spill.bytes_written, 0u);
   EXPECT_LT(run->spill.bytes_written, edges.size() * sizeof(Edge));
 
-  RemoveSpilledFiles(run->spill);
-}
-
-TEST(SpillRunTest, ComponentsFromSpilledFilesMatchInMemory) {
-  PlantedPartitionConfig pp;
-  pp.num_vertices = 1024;
-  pp.num_edges = 4000;
-  pp.num_communities = 32;
-  pp.intra_fraction = 1.0;
-  const auto edges = GeneratePlantedPartition(pp);
-
-  TwoPhasePartitioner partitioner;
-  InMemoryEdgeStream stream(edges);
-  PartitionConfig config;
-  config.num_partitions = 8;
-  RunOptions options;
-  options.keep_partitions = true;
-  options.spill_dir = testing::TempDir() + "/spill_cc";
-  options.spill_stem = "cc";
-  auto run = RunPartitioner(partitioner, stream, config, options);
-  ASSERT_TRUE(run.ok());
-
-  auto mem = SimulateDistributedComponents(run->partitions, {});
-  ASSERT_TRUE(mem.ok());
-
-  auto streams = OpenSpilledPartitions(run->spill);
-  ASSERT_TRUE(streams.ok()) << streams.status().ToString();
-  auto disk = SimulateDistributedComponents(StreamPointers(*streams), {});
-  ASSERT_TRUE(disk.ok()) << disk.status().ToString();
-
-  EXPECT_EQ(mem->labels, disk->labels);
-  EXPECT_EQ(mem->iterations, disk->iterations);
-  EXPECT_EQ(mem->total_messages, disk->total_messages);
-  EXPECT_DOUBLE_EQ(mem->simulated_seconds, disk->simulated_seconds);
-
-  streams->clear();
   RemoveSpilledFiles(run->spill);
 }
 

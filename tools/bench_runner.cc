@@ -83,7 +83,7 @@ struct Options {
   enum class Mode { kNone, kList, kEmit, kCheck, kSmoke, kRun } mode =
       Mode::kNone;
   std::string baseline_dir;              // --check
-  std::string out_dir;                   // --emit/--check output
+  std::string out_dir;                   // --emit/--check/--run output
   std::string run_scenario;              // --run
   std::vector<std::string> scenarios;    // --scenario filters
   std::string catalog_path = "bench/catalog.json";
@@ -399,7 +399,8 @@ int Smoke(const Options& options) {
 
 /// --run=NAME: one full-scale pass of a single scenario with every
 /// metric (including the informational obs/ snapshot) dumped to
-/// stdout. The sidecar mode for --trace: one scenario, one trace.
+/// stdout, and its record written to --out when given. The sidecar
+/// mode for --trace: one scenario, one trace.
 int RunOne(const Options& options) {
   const Scenario* scenario =
       tpsl::benchkit::FindScenario(options.run_scenario);
@@ -432,6 +433,9 @@ int RunOne(const Options& options) {
               record->threads, timer.ElapsedSeconds());
   for (const auto& [name, value] : record->metrics) {
     std::printf("  %-44s %.17g\n", name.c_str(), value);
+  }
+  if (!options.out_dir.empty() && !WriteRecords({*record}, options.out_dir)) {
+    return 1;
   }
   return 0;
 }
