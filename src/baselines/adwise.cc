@@ -34,7 +34,7 @@ Status AdwisePartitioner::Partition(EdgeStream& stream,
   DegreeTable degrees;
   {
     PhaseTimer timer(&out, "degree");
-    TPSL_ASSIGN_OR_RETURN(degrees, ComputeDegrees(stream));
+    TPSL_ASSIGN_OR_RETURN(degrees, ComputeDegrees(stream, config.exec));
   }
   out.stream_passes += 1;
 

@@ -21,7 +21,7 @@ Status DbhPartitioner::Partition(EdgeStream& stream,
   DegreeTable degrees;
   {
     PhaseTimer timer(&out, "degree");
-    TPSL_ASSIGN_OR_RETURN(degrees, ComputeDegrees(stream));
+    TPSL_ASSIGN_OR_RETURN(degrees, ComputeDegrees(stream, config.exec));
   }
   out.stream_passes += 1;
   out.state_bytes = degrees.degrees.size() * sizeof(uint32_t);

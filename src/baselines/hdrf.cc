@@ -25,7 +25,7 @@ Status HdrfPartitioner::Partition(EdgeStream& stream,
   DegreeTable degrees;
   {
     PhaseTimer timer(&out, "degree");
-    TPSL_ASSIGN_OR_RETURN(degrees, ComputeDegrees(stream));
+    TPSL_ASSIGN_OR_RETURN(degrees, ComputeDegrees(stream, config.exec));
   }
   out.stream_passes += 1;
 

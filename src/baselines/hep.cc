@@ -47,7 +47,7 @@ Status HepPartitioner::Partition(EdgeStream& stream,
   DegreeTable degrees;
   {
     PhaseTimer timer(&out, "degree");
-    TPSL_ASSIGN_OR_RETURN(degrees, ComputeDegrees(stream));
+    TPSL_ASSIGN_OR_RETURN(degrees, ComputeDegrees(stream, config.exec));
   }
   out.stream_passes += 1;
 

@@ -122,8 +122,8 @@ ToleranceSpec DefaultToleranceFor(const std::string& metric) {
     // buffers, never by |E|. Upper-only; the 16 MiB floor absorbs
     // allocator arenas and libc versions, which move RSS by megabytes.
     // A +25% band still admits that noise on the pinned out-of-core
-    // tiers but not a lost memory saving: the s22 spill pin of 94.7 MB
-    // admits 118 MB, short of the 132.6 MB that run peaked at before
+    // tiers but not a lost memory saving: the s22 spill pin of 84.3 MB
+    // admits 105.4 MB, short of the 132.6 MB that run peaked at before
     // clusters were compacted in place. Faster/leaner runs pass as
     // IMPROVED.
     return {.rel = 0.25, .abs_floor = 16.0 * 1024 * 1024, .upper_only = true,

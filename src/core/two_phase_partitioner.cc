@@ -108,7 +108,7 @@ StatusOr<TwoPhasePlan> BuildTwoPhasePlan(
   {
     // Reported separately, as in paper Fig. 5.
     PhaseTimer timer(stats, "degree");
-    TPSL_ASSIGN_OR_RETURN(plan.degrees, ComputeDegrees(stream));
+    TPSL_ASSIGN_OR_RETURN(plan.degrees, ComputeDegrees(stream, config.exec));
   }
   {
     PhaseTimer timer(stats, "clustering");

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "exec/exec_context.h"
 #include "graph/edge_stream.h"
 #include "graph/types.h"
 #include "util/status.h"
@@ -34,7 +35,17 @@ struct DegreeTable {
 /// to the maximum vertex id observed. An edge touching kInvalidVertex
 /// fails the pass with InvalidArgument instead of sizing the table to
 /// 2^32 slots.
-StatusOr<DegreeTable> ComputeDegrees(EdgeStream& stream);
+///
+/// With one worker (`exec.Workers() <= 1`) the pass is a plain loop on
+/// the calling thread. With W > 1 it is one exec::ParallelForEdges pass,
+/// so workers also decode the blocks: each in-flight batch counts into
+/// one of W private uint8_t tables and, when it ends, folds 256 per
+/// counter wrap into the shared table; the residues are added after the
+/// pass. Degrees are exact sums, so the table is identical at every
+/// thread count. Memory: |V| * 4 bytes; at W > 1 also |V| * W while
+/// the pass runs, and |V| * 4 while the result is copied out.
+StatusOr<DegreeTable> ComputeDegrees(EdgeStream& stream,
+                                     const exec::ExecContext& exec = {});
 
 }  // namespace tpsl
 

@@ -518,7 +518,7 @@ TEST(PartitionServiceTest, LookupsSurviveConcurrentRebootstrap) {
       auto reader = service.CreateReader();
       ASSERT_TRUE(reader.ok());
       SplitMix64 rng(1000 + static_cast<uint64_t>(r));
-      uint64_t local = 0, during = 0;
+      uint64_t local = 0;
       while (!stop.load(std::memory_order_relaxed)) {
         const bool in_flight_before = service.RebootstrapInFlight();
         const VertexId v =
@@ -532,23 +532,25 @@ TEST(PartitionServiceTest, LookupsSurviveConcurrentRebootstrap) {
           ASSERT_LT(lookup.primary, 16u);
         }
         local += 2;
+        // Published as it accrues, so the writer's loop can end.
         if (in_flight_before && service.RebootstrapInFlight()) {
-          during += 2;
+          lookups_during_rebootstrap.fetch_add(2, std::memory_order_relaxed);
         }
       }
       total_lookups.fetch_add(local);
-      lookups_during_rebootstrap.fetch_add(during);
     });
   }
 
-  // Mutate until at least one re-bootstrap has been adopted AND the
-  // readers demonstrably overlapped one, with a generous op cap so a
-  // logic bug fails the assertions below instead of hanging.
+  // Mutate until kMinRebootstraps re-bootstraps have been adopted AND
+  // the readers demonstrably overlapped one, with a generous op cap so
+  // a logic bug fails the assertions below instead of hanging. The
+  // 16th re-bootstrap is adopted after about 7,500 mutations.
+  constexpr uint64_t kMinRebootstraps = 16;
   SplitMix64 rng(17);
   uint64_t mutations = 0;
   uint64_t rebootstraps = 0;
-  while (mutations < 500'000 &&
-         (rebootstraps < 1 || lookups_during_rebootstrap.load() == 0)) {
+  while (mutations < 500'000 && (rebootstraps < kMinRebootstraps ||
+                                 lookups_during_rebootstrap.load() == 0)) {
     const VertexId u = static_cast<VertexId>(rng.NextBounded(kBaseVertices));
     VertexId v = static_cast<VertexId>(rng.NextBounded(kBaseVertices));
     if (u == v) {
@@ -566,7 +568,7 @@ TEST(PartitionServiceTest, LookupsSurviveConcurrentRebootstrap) {
     t.join();
   }
 
-  EXPECT_GE(service.GetStats().rebootstraps, 1u);
+  EXPECT_GE(service.GetStats().rebootstraps, kMinRebootstraps);
   EXPECT_GT(total_lookups.load(), 0u);
   // Lookups completed while a re-bootstrap was in flight — the "never
   // drop reads during offline rebuilds" contract, observed directly.
